@@ -14,11 +14,10 @@ The sampling/decoding hot path is sharded into fixed-size chunks
 (:mod:`repro.parallel`), so its output is **worker-count invariant**:
 ``Pipeline(workers=1)`` and ``Pipeline(workers=8)`` produce bit-identical
 samples, predictions and rates for a fixed seed — ``workers`` only decides
-whether the chunks run in process or on a process pool.  Runs that fit in a
-single chunk (``shots <= repro.parallel.DEFAULT_CHUNK_SHOTS``) additionally
-reproduce the legacy :func:`repro.sim.estimate_logical_error_rates` path
-bit for bit — same SeedSequence streams, same sampling, same decode — which
-the test suite pins.
+whether the chunks run in process or on a process pool.  The rates also
+equal :func:`repro.sim.estimate_logical_error_rates` at the same seed and
+shot count bit for bit — same SeedSequence streams, same chunk loop —
+which the test suite pins.
 """
 
 from __future__ import annotations
@@ -34,13 +33,7 @@ from repro.api import registries
 from repro.api.spec import Budget, RunSpec
 from repro.circuits.memory import build_memory_experiment
 from repro.core.alphasyndrome import SynthesisResult
-from repro.parallel import (
-    AdaptiveEstimate,
-    adaptive_sample_and_decode,
-    merge_chunks,
-    sample_and_decode,
-    submit_chunks,
-)
+from repro.parallel import AdaptiveEstimate, adaptive_sample_and_decode, sample_and_decode
 from repro.sim.dem import DemDecompositionError, build_detector_error_model
 from repro.sim.estimator import (
     LogicalErrorRates,
@@ -293,20 +286,38 @@ class Pipeline:
     def samplers(self) -> dict:
         """Per-basis sampler objects (``sample(shots, seed=...) -> SampleBatch``).
 
-        ``None`` per basis for the default ``"dem"`` spec: the chunk engine
-        then takes its historical direct
-        :func:`~repro.sim.sampler.sample_detector_error_model` path, which
-        keeps pre-existing runs (and their cached chunks) bit-identical
-        without constructing anything.  Non-default specs build one sampler
-        per basis; the objects are picklable and shipped to pool workers
-        with each chunk.
+        Built by the sampler spec's factory from each basis circuit and DEM;
+        the default ``"dem"`` spec builds a
+        :class:`~repro.sim.sampler.DemSampler`.  The objects are picklable
+        and ship to pool workers with each chunk.
         """
-        if self.spec.sampler == "dem":
-            return {basis: None for basis in _BASES}
         factory = self.sampler_factory
         return {
             basis: factory(self.circuit[basis], self.dem[basis]) for basis in _BASES
         }
+
+    def _per_basis(self, run_basis, pooled: bool) -> dict:
+        """``{basis: run_basis(basis, stream, pool)}`` for both bases.
+
+        The one serial-or-pool driver of the chunk engine.  In process,
+        ``pool`` is ``None``.  Pooled, two thread-level drivers share one
+        process pool so both bases' chunks interleave across the workers;
+        each basis still consumes its own chunks strictly in order, so the
+        result is the same either way.
+        """
+        # cached_property is not thread-safe: build every staged artifact
+        # the drivers read before any driver starts.
+        self.dem, self.decoder_factory, self.samplers
+        streams = basis_streams(self.spec.eval_seed())
+        if not pooled:
+            return {basis: run_basis(basis, stream, None) for basis, stream in streams}
+        with ProcessPoolExecutor(max_workers=self.spec.workers) as pool:
+            with ThreadPoolExecutor(max_workers=len(streams)) as drivers:
+                futures = {
+                    basis: drivers.submit(run_basis, basis, stream, pool)
+                    for basis, stream in streams
+                }
+                return {basis: future.result() for basis, future in futures.items()}
 
     @cached_property
     def _executed(self) -> dict:
@@ -318,35 +329,18 @@ class Pipeline:
         purely an execution detail.
         """
         shots = self.spec.budget.shots
-        executed: dict = {}
-        samplers = self.samplers
-        if self.spec.workers <= 1 or shots <= 0:
-            for basis, stream in basis_streams(self.spec.eval_seed()):
-                executed[basis] = sample_and_decode(
-                    self.dem[basis],
-                    self.decoder_factory,
-                    shots,
-                    stream,
-                    sampler=samplers[basis],
-                )
-            return executed
-        with ProcessPoolExecutor(max_workers=self.spec.workers) as pool:
-            futures = {
-                basis: submit_chunks(
-                    pool,
-                    self.dem[basis],
-                    self.decoder_factory,
-                    shots,
-                    stream,
-                    sampler=samplers[basis],
-                )
-                for basis, stream in basis_streams(self.spec.eval_seed())
-            }
-            for basis, basis_futures in futures.items():
-                executed[basis] = merge_chunks(
-                    [future.result() for future in basis_futures], self.dem[basis]
-                )
-        return executed
+
+        def run_basis(basis, stream, pool):
+            return sample_and_decode(
+                self.dem[basis],
+                self.decoder_factory,
+                self.samplers[basis],
+                shots,
+                stream,
+                pool=pool,
+            )
+
+        return self._per_basis(run_basis, pooled=self.spec.workers > 1 and shots > 0)
 
     # ------------------------------------------------------------------
     # Adaptive (precision-targeted) execution
@@ -380,46 +374,28 @@ class Pipeline:
             for basis in _BASES
         }
 
-        # Materialise the staged artifacts up front: cached_property is not
-        # thread-safe, and the driver threads below must only read them.
-        dems = self.dem
-        decoder_factory = self.decoder_factory
-        samplers = self.samplers
-
         def run_basis(basis, stream, pool) -> AdaptiveEstimate:
             return adaptive_sample_and_decode(
-                dems[basis],
-                decoder_factory,
+                self.dem[basis],
+                self.decoder_factory,
+                self.samplers[basis],
                 stream,
                 rule,
                 chunk_shots=chunk_shots,
                 pool=pool,
                 lookahead=max(1, self.spec.workers),
                 store=stores[basis],
-                sampler=samplers[basis],
             )
 
-        streams = basis_streams(self.spec.eval_seed())
         # A fully warm cache replays without sampling; skip process-pool
         # startup entirely in that case (the advertised cheap-resume path).
         # The probe itself costs cache reads, so it only runs when a pool
         # would otherwise be created.
-        if self.spec.workers <= 1 or all(
+        pooled = self.spec.workers > 1 and not all(
             parallel.store_satisfies_rule(rule, stores[basis], chunk_shots=chunk_shots)
             for basis in _BASES
-        ):
-            return {basis: run_basis(basis, stream, None) for basis, stream in streams}
-        # Two thread-level drivers share one process pool so the bases'
-        # speculative chunks interleave across workers (mirroring the fixed
-        # path); each basis still consumes its own chunks strictly in order,
-        # so results are unchanged.
-        with ProcessPoolExecutor(max_workers=self.spec.workers) as pool:
-            with ThreadPoolExecutor(max_workers=len(streams)) as drivers:
-                futures = {
-                    basis: drivers.submit(run_basis, basis, stream, pool)
-                    for basis, stream in streams
-                }
-                return {basis: future.result() for basis, future in futures.items()}
+        )
+        return self._per_basis(run_basis, pooled)
 
     @property
     def adaptive_report(self) -> dict | None:
@@ -452,7 +428,7 @@ class Pipeline:
 
     @cached_property
     def rates(self) -> LogicalErrorRates:
-        """Logical error rates; equals the legacy estimator for ``workers=1``.
+        """Logical error rates; equal to :func:`repro.sim.estimate_logical_error_rates`.
 
         In adaptive mode the rates derive from the streamed chunk counts
         (``shots`` then reports the larger per-basis sample size and

@@ -11,9 +11,9 @@ Evaluation is batch-capable and optionally pool-backed: ``evaluate_many``
 ``workers > 1``, fan the per-basis estimations of every cache miss out to a
 process pool (two tasks per schedule — both logical bases and all
 candidates run concurrently).  Results are bit-identical to the serial path
-for any worker count: each task derives the same ``SeedSequence`` streams
-:func:`repro.sim.estimate_logical_error_rates` would, so the pool is purely
-an execution detail.  This is what lets
+for any worker count: each task runs the estimator's own per-basis unit on
+the ``SeedSequence`` stream :func:`repro.sim.estimate_logical_error_rates`
+would use, so the pool is purely an execution detail.  This is what lets
 :class:`~repro.core.mcts.PartitionMCTS` score a whole batch of rollouts
 across cores.
 """
@@ -24,17 +24,22 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.analysis.stats import StoppingRule
 from repro.codes.base import StabilizerCode
 from repro.noise.models import NoiseModel
 from repro.scheduling.schedule import Schedule
-from repro.circuits.memory import build_memory_experiment
-from repro.sim.dem import build_detector_error_model
+
+# Only the estimator builds circuits and DEMs; both bindings stay because
+# perfbench/tracing.py patches them in this module.
+from repro.circuits.memory import build_memory_experiment  # noqa: F401
+from repro.sim.dem import build_detector_error_model  # noqa: F401
 from repro.sim.estimator import (
     DecoderFactory,
     LogicalErrorRates,
+    _estimate_basis,
     basis_streams,
     estimate_logical_error_rates,
-    evaluate_basis,
+    estimate_logical_error_rates_adaptive,
     rates_from_adaptive_estimates,
 )
 
@@ -42,45 +47,6 @@ __all__ = ["ScheduleEvaluator"]
 
 #: Score assigned when no logical error is observed in the sample budget.
 _PERFECT_SCORE_CAP = 1e6
-
-
-def _basis_error_rate(
-    code: StabilizerCode,
-    schedule: Schedule,
-    noise: NoiseModel,
-    decoder_factory: DecoderFactory,
-    basis: str,
-    shots: int,
-    stream,
-) -> float:
-    """One (schedule, basis) estimation — module-level so it pickles to pool workers."""
-    return evaluate_basis(
-        code, schedule, noise, decoder_factory, basis=basis, shots=shots, seed=stream
-    )
-
-
-def _basis_adaptive_estimate(
-    code: StabilizerCode,
-    schedule: Schedule,
-    noise: NoiseModel,
-    decoder_factory: DecoderFactory,
-    basis: str,
-    rule,
-    stream,
-):
-    """One (schedule, basis) *adaptive* estimation, self-contained per task.
-
-    The whole chunk-streaming loop runs inside the (possibly pooled) task,
-    so serial and pooled evaluation consume identical chunk streams and the
-    stopping point is a pure function of ``(schedule, basis, rule, stream)``
-    — worker count never changes a score.  Returns the
-    :class:`repro.parallel.AdaptiveEstimate` (picklable).
-    """
-    from repro.parallel import adaptive_sample_and_decode
-
-    experiment = build_memory_experiment(code, schedule, noise, basis=basis)
-    dem = build_detector_error_model(experiment.circuit)
-    return adaptive_sample_and_decode(dem, decoder_factory, stream, rule)
 
 
 @dataclass
@@ -179,7 +145,9 @@ class ScheduleEvaluator:
             return cached
         rule = self._stopping_rule()
         if rule is not None:
-            rates = self._evaluate_adaptive(schedule, rule)
+            rates, _estimates = estimate_logical_error_rates_adaptive(
+                self.code, schedule, self.noise, self.decoder_factory, rule=rule, seed=self.seed
+            )
         else:
             rates = estimate_logical_error_rates(
                 self.code,
@@ -190,20 +158,6 @@ class ScheduleEvaluator:
                 seed=self.seed,
             )
         self._cache[key] = rates
-        return rates
-
-    def _evaluate_adaptive(self, schedule: Schedule, rule) -> LogicalErrorRates:
-        """Serial adaptive estimation: the estimator's shared adaptive path."""
-        from repro.sim.estimator import estimate_logical_error_rates_adaptive
-
-        rates, _estimates = estimate_logical_error_rates_adaptive(
-            self.code,
-            schedule,
-            self.noise,
-            self.decoder_factory,
-            rule=rule,
-            seed=self.seed,
-        )
         return rates
 
     def evaluate_many(self, schedules: "list[Schedule]") -> list[LogicalErrorRates]:
@@ -228,53 +182,37 @@ class ScheduleEvaluator:
 
     def _evaluate_pooled(self, misses: "dict[tuple, Schedule]") -> None:
         """Submit two basis tasks per miss, via the serial path's own
-        :func:`repro.sim.estimator.basis_streams` plan — one shared
-        derivation, so the pooled results cannot drift from serial.  In
-        adaptive mode each task runs its whole chunk-streaming loop
-        in-worker, keeping the stopping point worker-count independent."""
+        :func:`repro.sim.estimator.basis_streams` plan and per-basis helper
+        — one shared derivation, so the pooled results cannot drift from
+        serial.  Each task runs its whole chunk loop in-worker, keeping an
+        adaptive stopping point worker-count independent."""
         pool = self._ensure_pool()
-        rule = self._stopping_rule()
+        adaptive = self._stopping_rule()
+        rule = adaptive or StoppingRule(max_shots=self.shots)
         submitted = []
         for key, schedule in misses.items():
-            if rule is not None:
-                futures = {
-                    basis: pool.submit(
-                        _basis_adaptive_estimate,
-                        self.code,
-                        schedule,
-                        self.noise,
-                        self.decoder_factory,
-                        basis,
-                        rule,
-                        stream,
-                    )
-                    for basis, stream in basis_streams(self.seed)
-                }
-            else:
-                futures = {
-                    basis: pool.submit(
-                        _basis_error_rate,
-                        self.code,
-                        schedule,
-                        self.noise,
-                        self.decoder_factory,
-                        basis,
-                        self.shots,
-                        stream,
-                    )
-                    for basis, stream in basis_streams(self.seed)
-                }
+            futures = {
+                basis: pool.submit(
+                    _estimate_basis,
+                    self.code,
+                    schedule,
+                    self.noise,
+                    self.decoder_factory,
+                    basis,
+                    rule,
+                    stream,
+                )
+                for basis, stream in basis_streams(self.seed)
+            }
             submitted.append((key, schedule, futures))
         for key, schedule, futures in submitted:
-            if rule is not None:
-                self._cache[key] = rates_from_adaptive_estimates(
-                    schedule.depth,
-                    {basis: future.result() for basis, future in futures.items()},
-                )
+            estimates = {basis: future.result() for basis, future in futures.items()}
+            if adaptive is not None:
+                self._cache[key] = rates_from_adaptive_estimates(schedule.depth, estimates)
             else:
                 self._cache[key] = LogicalErrorRates(
-                    error_x=futures["Z"].result(),
-                    error_z=futures["X"].result(),
+                    error_x=estimates["Z"].rate,
+                    error_z=estimates["X"].rate,
                     shots=self.shots,
                     depth=schedule.depth,
                 )

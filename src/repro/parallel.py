@@ -1,36 +1,45 @@
-"""Worker-count-invariant shot sharding for the sampling/decoding hot path.
+"""Worker-count-invariant chunk engine for the sampling/decoding hot path.
 
-The hot path is split into *chunks of fixed size*
+Every shot the package samples and decodes goes through one chunk plan and
+one chunk loop, both defined here.
+
+The plan splits a basis run into *chunks of fixed size*
 (:data:`DEFAULT_CHUNK_SHOTS`), never into per-worker shards: the chunk
 layout — and the per-chunk ``SeedSequence.spawn`` stream each chunk draws
 from — depends only on the shot count, so the sampled rates are **bit
-identical for every worker count** (``workers=1`` executes the same chunks
-in process, ``workers=8`` farms them to a pool).  Deriving shards from the
-worker count instead (the original ``Pipeline`` behaviour) silently changed
-the seed streams, and therefore the measured rates, whenever a run moved to
-a machine with a different core count — exactly the reproducibility trap
+identical for every worker count**.  Deriving shards from the worker count
+instead (the original ``Pipeline`` behaviour) silently changed the seed
+streams, and therefore the measured rates, whenever a run moved to a
+machine with a different core count — exactly the reproducibility trap
 parallel-benchmarking folklore warns about.
 
-:class:`repro.api.Pipeline` runs its per-basis sampling/decoding through
-these chunks.  The pooled :class:`repro.core.ScheduleEvaluator` fans out at
-(schedule, basis) granularity instead — rollout budgets are far below one
-chunk — but derives its streams from the same
-:func:`repro.sim.estimator.basis_streams` plan, so both parallel paths stay
-bit-identical to their serial references.
+The loop (:func:`_chunk_results`) runs the chunks in process, with one
+decoder per basis run, or speculatively on a process pool, and hands the
+results back strictly in chunk order.  It has two consumers:
 
-Single-chunk runs (``shots <= chunk_shots``) pass the caller's stream
-through *unspawned*, which keeps them bit-identical to the legacy serial
-estimator path the test suite pins.
+* :func:`sample_and_decode` keeps every chunk's batch and predictions
+  (what :attr:`repro.api.Pipeline.syndromes` exposes);
+* :func:`adaptive_sample_and_decode` keeps only per-chunk
+  ``(shots, errors)`` counts and stops as soon as a
+  :class:`~repro.analysis.stats.StoppingRule` says so.  A fixed-shot
+  estimate is the same call with a rule that never stops early, so its
+  memory is bounded by one chunk, not by the shot count.
 
-The helpers here are deliberately free functions so they pickle into
+:func:`repro.sim.estimate_logical_error_rates`, the serial and pooled
+:class:`repro.core.ScheduleEvaluator` and :class:`repro.api.Pipeline` all
+reach this loop, so for the same seed and shot count they report the same
+rates bit for bit.
+
+The chunk tasks are free functions so they pickle into
 :class:`~concurrent.futures.ProcessPoolExecutor` workers; decoder factories
-crossing the pool boundary must be picklable (everything built by
-``repro.api.registries.decoders`` is).
+and samplers crossing the pool boundary must be picklable (everything built
+by ``repro.api.registries`` is).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -38,10 +47,13 @@ import numpy as np
 
 from repro.sim.bitops import pack_rows
 from repro.sim.estimator import count_wrong, decode_predictions
-from repro.sim.sampler import SampleBatch, sample_detector_error_model
+
+# Only samplers call sample_detector_error_model; the binding stays because
+# perfbench/tracing.py patches it in this module.
+from repro.sim.sampler import SampleBatch, sample_detector_error_model  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Executor
+    from concurrent.futures import Executor, Future
 
     from repro.analysis.stats import StoppingRule
     from repro.sim.dem import DetectorErrorModel
@@ -57,7 +69,6 @@ __all__ = [
     "run_chunk",
     "merge_chunks",
     "store_satisfies_rule",
-    "submit_chunks",
     "sample_and_decode",
 ]
 
@@ -91,8 +102,8 @@ def chunk_streams(
 ) -> "list[np.random.SeedSequence | None]":
     """One independent seed stream per chunk.
 
-    A single chunk receives ``stream`` itself (bit-compatible with the
-    unchunked legacy path); multiple chunks each receive a spawned child.
+    A single chunk receives ``stream`` itself; multiple chunks each
+    receive a spawned child.
     """
     if count <= 1:
         return [stream]
@@ -101,47 +112,48 @@ def chunk_streams(
     return stream.spawn(count)
 
 
-def _sample_chunk(
-    dem: "DetectorErrorModel",
-    shots: int,
-    stream: "np.random.SeedSequence | None",
-    sampler=None,
-) -> SampleBatch:
-    """Draw one chunk's batch from ``sampler`` (or the default DEM path).
-
-    ``sampler=None`` is the historical direct
-    :func:`repro.sim.sampler.sample_detector_error_model` call, kept as the
-    exact default so every pre-existing caller stays bit-identical; a
-    sampler object (built by ``repro.api.registries.samplers``) substitutes
-    its own ``sample(shots, seed=stream)`` with the same determinism
-    contract: output is a pure function of ``(shots, stream)``.
-    """
-    if sampler is None:
-        return sample_detector_error_model(dem, shots, seed=stream)
-    return sampler.sample(shots, seed=stream)
-
-
 def run_chunk(
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
+    sampler,
     shots: int,
     stream: "np.random.SeedSequence | None",
-    sampler=None,
+    decoder=None,
 ) -> tuple[SampleBatch, np.ndarray]:
     """Sample and decode one chunk (also the unit shipped to pool workers).
 
-    The decoder is rebuilt from its factory inside the worker because
-    decoder *instances* (matching graphs, lookup tables) need not be
-    picklable; the factory, the DEM and the optional sampler object are.
-    Decoding routes through
-    :func:`repro.sim.estimator.decode_predictions`, so each chunk rides the
-    batch-first packed path: the sampler's ``packed_detectors`` words feed
-    the decoder's dedup front end without a dense round-trip, and within a
-    chunk only the unique syndromes are ever decoded.
+    ``sampler`` is any object with ``sample(shots, seed=...) -> SampleBatch``
+    (built by ``repro.api.registries.samplers``); its output must be a pure
+    function of ``(shots, stream)``.  In process, the chunk loop passes the
+    one ``decoder`` it built for the basis run; a pool worker gets ``None``
+    and builds its own from the factory, because decoder *instances*
+    (matching graphs, lookup tables) need not be picklable.  Decoding
+    routes through :func:`repro.sim.estimator.decode_predictions`, so the
+    sampler's ``packed_detectors`` words feed the decoder's dedup front end
+    and only the unique syndromes of a chunk are ever decoded.
     """
-    batch = _sample_chunk(dem, shots, stream, sampler)
-    decoder = decoder_factory(dem)
+    batch = sampler.sample(shots, seed=stream)
+    if decoder is None:
+        decoder = decoder_factory(dem)
     return batch, decode_predictions(decoder, batch)
+
+
+def chunk_error_counts(
+    dem: "DetectorErrorModel",
+    decoder_factory: "DecoderFactory",
+    sampler,
+    shots: int,
+    stream: "np.random.SeedSequence | None",
+    decoder=None,
+) -> tuple[int, int]:
+    """:func:`run_chunk` reduced to ``(shots, logical errors)``.
+
+    The count-only unit of the adaptive engine, the result cache and the
+    ``repro serve`` workers: the batch collapses to its error count, so
+    chunks are cheap to ship, merge and persist.
+    """
+    batch, predictions = run_chunk(dem, decoder_factory, sampler, shots, stream, decoder)
+    return batch.num_shots, count_wrong(predictions, batch)
 
 
 def merge_chunks(
@@ -157,7 +169,6 @@ def merge_chunks(
         empty = SampleBatch(
             detectors=detectors,
             observables=np.zeros((0, dem.num_observables), dtype=np.uint8),
-            faults=np.zeros((0, dem.num_mechanisms), dtype=np.uint8),
             packed_detectors=pack_rows(detectors),
         )
         return empty, np.zeros((0, dem.num_observables), dtype=np.uint8)
@@ -166,7 +177,6 @@ def merge_chunks(
     merged = SampleBatch(
         detectors=np.concatenate([batch.detectors for batch in batches]),
         observables=np.concatenate([batch.observables for batch in batches]),
-        faults=np.concatenate([batch.faults for batch in batches]),
         packed_detectors=(
             np.concatenate(packed) if all(p is not None for p in packed) else None
         ),
@@ -174,87 +184,83 @@ def merge_chunks(
     return merged, np.concatenate(predictions)
 
 
-def submit_chunks(
-    pool: "Executor",
+def _chunk_results(
+    task,
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
-    shots: int,
-    stream: "np.random.SeedSequence | None",
+    sampler,
+    sizes: list[int],
+    streams: list,
     *,
-    chunk_shots: int | None = None,
-    sampler=None,
-) -> "list[Future]":
-    """Submit every chunk of one sampling/decoding task to ``pool``.
+    pool: "Executor | None" = None,
+    lookahead: int = 1,
+    replay=lambda index: None,
+) -> Iterator[tuple[object, bool]]:
+    """The chunk loop: yield ``(result, fresh)`` per chunk, strictly in chunk order.
 
-    Returns the chunk futures in chunk order; gather with
-    ``merge_chunks([f.result() for f in futures], dem)``.  Callers that fan
-    out several tasks (two bases, many schedules) submit them all before
-    gathering so chunks interleave across the pool.
+    ``task`` is :func:`run_chunk` or :func:`chunk_error_counts`.
+    ``replay(index)`` may return a stored result, which is yielded with
+    ``fresh=False`` instead of running that chunk.  In process, one decoder
+    is built on the first fresh chunk and serves every later one (decoding
+    is a pure function of the DEM and the syndrome, so this is
+    bit-identical to per-chunk rebuilds).  On a ``pool`` up to ``lookahead``
+    chunks from the current one run speculatively; a consumer that stops
+    early closes the generator, which cancels the chunks still queued.
+    Neither the pool nor the lookahead can change a result or its position.
     """
-    sizes = chunk_sizes(shots, chunk_shots)
-    streams = chunk_streams(stream, len(sizes))
-    return [
-        pool.submit(run_chunk, dem, decoder_factory, size, chunk_stream, sampler)
-        for size, chunk_stream in zip(sizes, streams)
-    ]
+    pending: "dict[int, Future]" = {}
+    submitted = 0  # chunks below this index were considered for submission
+    decoder = None
+    try:
+        for index, size in enumerate(sizes):
+            stored = replay(index)
+            if stored is not None:
+                yield stored, False
+            elif pool is None:
+                if decoder is None:
+                    decoder = decoder_factory(dem)
+                yield task(dem, decoder_factory, sampler, size, streams[index], decoder), True
+            else:
+                horizon = min(len(sizes), index + max(1, lookahead))
+                for ahead in range(max(submitted, index), horizon):
+                    if replay(ahead) is None:
+                        pending[ahead] = pool.submit(
+                            task, dem, decoder_factory, sampler, sizes[ahead], streams[ahead]
+                        )
+                submitted = max(submitted, horizon)
+                yield pending.pop(index).result(), True
+    finally:
+        for future in pending.values():
+            future.cancel()
 
 
 def sample_and_decode(
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
+    sampler,
     shots: int,
     stream: "np.random.SeedSequence | None",
     *,
     pool: "Executor | None" = None,
     chunk_shots: int | None = None,
-    sampler=None,
 ) -> tuple[SampleBatch, np.ndarray]:
-    """Run the full chunked sampling/decoding task, serially or on a pool.
+    """Run every chunk of a ``shots``-shot basis run and keep the batches.
 
-    The serial path executes the identical chunk layout in process (with one
-    decoder instance reused across chunks — decoding is a pure function of
-    the DEM and syndrome, so this is bit-identical to per-chunk rebuilds),
-    which is what makes ``workers=1`` and ``workers=N`` indistinguishable in
-    output.
+    Returns the batches and predictions concatenated in chunk order.  On a
+    ``pool`` every chunk is submitted at once (nothing stops early, so no
+    speculation is wasted); the output is the same for every worker count.
     """
     sizes = chunk_sizes(shots, chunk_shots)
-    if not sizes:
-        return merge_chunks([], dem)
-    if pool is not None:
-        futures = submit_chunks(
-            pool, dem, decoder_factory, shots, stream, chunk_shots=chunk_shots, sampler=sampler
-        )
-        return merge_chunks([future.result() for future in futures], dem)
     streams = chunk_streams(stream, len(sizes))
-    decoder = decoder_factory(dem)
-    results = []
-    for size, chunk_stream in zip(sizes, streams):
-        batch = _sample_chunk(dem, size, chunk_stream, sampler)
-        results.append((batch, decode_predictions(decoder, batch)))
-    return merge_chunks(results, dem)
+    results = _chunk_results(
+        run_chunk, dem, decoder_factory, sampler, sizes, streams, pool=pool, lookahead=len(sizes)
+    )
+    return merge_chunks([result for result, _fresh in results], dem)
 
 
 # ----------------------------------------------------------------------
-# Adaptive (precision-targeted) chunk streaming
+# Count-only chunk streaming (fixed-shot and precision-targeted)
 # ----------------------------------------------------------------------
-def chunk_error_counts(
-    dem: "DetectorErrorModel",
-    decoder_factory: "DecoderFactory",
-    shots: int,
-    stream: "np.random.SeedSequence | None",
-    sampler=None,
-) -> tuple[int, int]:
-    """Sample and decode one chunk, reduced to ``(shots, logical errors)``.
-
-    The count-only unit of the adaptive engine (and of the result cache):
-    identical sampling and decoding to :func:`run_chunk`, but the batch is
-    collapsed to its error count so chunks are cheap to ship, merge and
-    persist.  Module-level so it pickles into pool workers.
-    """
-    batch, predictions = run_chunk(dem, decoder_factory, shots, stream, sampler)
-    return batch.num_shots, count_wrong(predictions, batch)
-
-
 @dataclass
 class AdaptiveEstimate:
     """Outcome of one adaptively sampled binomial estimation.
@@ -313,6 +319,7 @@ def store_satisfies_rule(
 def adaptive_sample_and_decode(
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
+    sampler,
     stream: "np.random.SeedSequence | None",
     rule: "StoppingRule",
     *,
@@ -320,17 +327,17 @@ def adaptive_sample_and_decode(
     pool: "Executor | None" = None,
     lookahead: int = 1,
     store=None,
-    sampler=None,
 ) -> AdaptiveEstimate:
     """Stream the fixed chunk plan through ``rule`` until it says stop.
 
     The chunk layout and per-chunk seed streams are derived for
     ``rule.max_shots`` exactly as :func:`sample_and_decode` would derive
-    them, and chunks are *consumed strictly in chunk order* with the rule
-    evaluated after each one.  Consequently:
+    them, and the chunk loop hands back counts strictly in chunk order with
+    the rule evaluated after each one.  Consequently:
 
     * the consumed prefix is bit-identical to the fixed-shot run at
-      ``shots=rule.max_shots`` truncated to the same chunks;
+      ``shots=rule.max_shots`` truncated to the same chunks, and a rule
+      without a precision target consumes exactly that fixed-shot run;
     * the stopping point depends only on the accumulated counts, so the
       result is invariant to ``pool``/``lookahead`` — a pool merely
       *speculates* on upcoming chunks (results of chunks past the stopping
@@ -343,9 +350,6 @@ def adaptive_sample_and_decode(
     """
     sizes = chunk_sizes(rule.max_shots, chunk_shots)
     streams = chunk_streams(stream, len(sizes))
-    estimate = AdaptiveEstimate()
-    if not sizes:
-        return estimate
     cached: dict[int, tuple[int, int] | None] = {}
 
     def replay(index: int) -> "tuple[int, int] | None":
@@ -358,47 +362,30 @@ def adaptive_sample_and_decode(
             cached[index] = None if summary is None else (summary.shots, summary.errors)
         return cached[index]
 
-    pending: dict[int, Future] = {}
-    decoder = None
-    try:
-        for index in range(len(sizes)):
-            if pool is not None:
-                horizon = min(len(sizes), index + max(1, lookahead))
-                for ahead in range(index, horizon):
-                    if ahead not in pending and replay(ahead) is None:
-                        pending[ahead] = pool.submit(
-                            chunk_error_counts,
-                            dem,
-                            decoder_factory,
-                            sizes[ahead],
-                            streams[ahead],
-                            sampler,
-                        )
-            counts = replay(index)
-            if counts is not None:
-                shots, errors = counts
-                estimate.cache_hits += 1
-            else:
-                future = pending.pop(index, None)
-                if future is not None:
-                    shots, errors = future.result()
-                else:
-                    if decoder is None:
-                        decoder = decoder_factory(dem)
-                    batch = _sample_chunk(dem, sizes[index], streams[index], sampler)
-                    shots, errors = batch.num_shots, count_wrong(
-                        decode_predictions(decoder, batch), batch
-                    )
+    estimate = AdaptiveEstimate()
+    chunks = _chunk_results(
+        chunk_error_counts,
+        dem,
+        decoder_factory,
+        sampler,
+        sizes,
+        streams,
+        pool=pool,
+        lookahead=lookahead,
+        replay=replay,
+    )
+    with closing(chunks):
+        for index, ((shots, errors), fresh) in enumerate(chunks):
+            if fresh:
                 estimate.fresh_chunks += 1
                 if store is not None:
                     store.put(index, shots, errors)
+            else:
+                estimate.cache_hits += 1
             estimate.shots += shots
             estimate.errors += errors
             estimate.chunk_counts.append((shots, errors))
             if rule.converged(estimate.errors, estimate.shots):
                 estimate.converged = True
                 break
-    finally:
-        for future in pending.values():
-            future.cancel()
     return estimate

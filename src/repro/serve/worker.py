@@ -103,9 +103,9 @@ class JobContext:
         shots, errors = chunk_error_counts(
             self.pipeline.dem[task.basis],
             self.pipeline.decoder_factory,
+            self.pipeline.samplers[task.basis],
             task.shots,
             self.streams[task.basis][task.index],
-            self.pipeline.samplers[task.basis],
         )
         if store is not None:
             store.put(task.index, shots, errors)

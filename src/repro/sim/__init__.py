@@ -12,11 +12,9 @@ from repro.sim.estimator import (
     LogicalErrorRates,
     basis_streams,
     count_wrong,
-    decode_error_rate,
     decode_predictions,
     estimate_logical_error_rates,
     estimate_logical_error_rates_adaptive,
-    evaluate_basis,
     fraction_wrong,
     rates_from_adaptive_estimates,
 )
@@ -42,14 +40,12 @@ __all__ = [
     "simulate_circuit",
     "LogicalErrorRates",
     "basis_streams",
-    "decode_error_rate",
     "decode_predictions",
     "estimate_logical_error_rates",
     "estimate_logical_error_rates_adaptive",
     "count_wrong",
     "fraction_wrong",
     "rates_from_adaptive_estimates",
-    "evaluate_basis",
     "pack_rows",
     "unpack_rows",
     "popcount",

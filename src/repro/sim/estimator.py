@@ -14,23 +14,25 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.analysis.stats import StoppingRule
 from repro.circuits.memory import build_memory_experiment
 from repro.codes.base import StabilizerCode
 from repro.noise.models import NoiseModel
 from repro.scheduling.schedule import Schedule
 from repro.seeding import spawn_streams
 from repro.sim.dem import DetectorErrorModel, build_detector_error_model
-from repro.sim.sampler import SampleBatch, sample_detector_error_model
+
+# Only samplers call sample_detector_error_model; the binding stays because
+# perfbench/tracing.py patches it in this module.
+from repro.sim.sampler import DemSampler, SampleBatch, sample_detector_error_model  # noqa: F401
 
 __all__ = [
     "LogicalErrorRates",
     "basis_streams",
     "count_wrong",
-    "decode_error_rate",
     "decode_predictions",
     "estimate_logical_error_rates",
     "estimate_logical_error_rates_adaptive",
-    "evaluate_basis",
     "fraction_wrong",
     "rates_from_adaptive_estimates",
 ]
@@ -99,9 +101,9 @@ def fraction_wrong(predictions: np.ndarray, batch: SampleBatch) -> float:
 
     A shot counts as a logical error when the decoder's predicted observable
     flip disagrees with the actual flip for at least one logical qubit.  This
-    is the single scoring kernel shared by :func:`evaluate_basis` and the
-    staged :class:`repro.api.Pipeline`, which guarantees the two paths report
-    identical rates for identical samples.  Zero shots report rate 0.0.
+    is the scoring kernel of the staged :class:`repro.api.Pipeline`; the
+    chunk engine scores with the integer :func:`count_wrong`, which gives
+    the same rate for the same samples.  Zero shots report rate 0.0.
     """
     if batch.num_shots == 0:
         count_wrong(predictions, batch)  # still validate the shapes
@@ -144,35 +146,33 @@ def decode_predictions(decoder, batch: SampleBatch) -> np.ndarray:
     return decoder.decode_batch(batch.detectors)
 
 
-def decode_error_rate(
-    dem: DetectorErrorModel,
-    batch: SampleBatch,
-    decoder_factory: DecoderFactory,
-) -> float:
-    """Decode a sampled batch and return the fraction of logically wrong shots."""
-    decoder = decoder_factory(dem)
-    return fraction_wrong(decode_predictions(decoder, batch), batch)
-
-
-def evaluate_basis(
+def _estimate_basis(
     code: StabilizerCode,
     schedule: Schedule,
     noise: NoiseModel,
     decoder_factory: DecoderFactory,
-    *,
     basis: str,
-    shots: int,
-    seed: "int | np.random.SeedSequence | None" = None,
-) -> float:
-    """Return the logical error rate for one basis.
+    rule: StoppingRule,
+    stream: "np.random.SeedSequence | None",
+    store=None,
+):
+    """One basis run: memory experiment -> DEM -> the chunk loop.
 
-    ``basis='Z'`` measures logical Z operators and therefore reports the
-    logical X error rate; ``basis='X'`` reports the logical Z error rate.
+    The single per-basis unit behind both estimator entry points and the
+    pooled :class:`repro.core.ScheduleEvaluator` tasks (it is module-level
+    so it pickles to pool workers).  ``basis='Z'`` measures logical Z
+    operators and therefore estimates the logical X error rate.  Returns
+    the :class:`repro.parallel.AdaptiveEstimate`; only per-chunk counts are
+    kept, so memory is bounded by one chunk, not by ``rule.max_shots``.
     """
+    # Imported lazily: repro.parallel imports this module at load time.
+    from repro.parallel import adaptive_sample_and_decode
+
     experiment = build_memory_experiment(code, schedule, noise, basis=basis)
     dem = build_detector_error_model(experiment.circuit)
-    batch = sample_detector_error_model(dem, shots, seed=seed)
-    return decode_error_rate(dem, batch, decoder_factory)
+    return adaptive_sample_and_decode(
+        dem, decoder_factory, DemSampler(dem=dem), stream, rule, store=store
+    )
 
 
 def estimate_logical_error_rates(
@@ -189,16 +189,17 @@ def estimate_logical_error_rates(
     The two per-basis sampling streams are independent ``SeedSequence``
     children of ``seed`` (:func:`basis_streams`: basis Z first, then basis
     X), replacing the old ``seed`` / ``seed + 1`` convention that correlated
-    streams across call sites.
+    streams across call sites.  Each basis runs the fixed chunk plan of
+    :mod:`repro.parallel` with a rule that never stops early, so the rates
+    equal a fixed-shot :class:`repro.api.Pipeline` run bit for bit.
     """
-    rates = {
-        basis: evaluate_basis(
-            code, schedule, noise, decoder_factory, basis=basis, shots=shots, seed=stream
-        )
+    rule = StoppingRule(max_shots=shots)
+    estimates = {
+        basis: _estimate_basis(code, schedule, noise, decoder_factory, basis, rule, stream)
         for basis, stream in basis_streams(seed)
     }
     return LogicalErrorRates(
-        error_x=rates["Z"], error_z=rates["X"], shots=shots, depth=schedule.depth
+        error_x=estimates["Z"].rate, error_z=estimates["X"].rate, shots=shots, depth=schedule.depth
     )
 
 
@@ -229,14 +230,8 @@ def estimate_logical_error_rates_adaptive(
     noise: NoiseModel,
     decoder_factory: DecoderFactory,
     *,
-    rule=None,
-    target_rse: float | None = None,
-    max_shots: int | None = None,
-    confidence: float = 0.95,
+    rule: StoppingRule,
     seed: "int | np.random.SeedSequence | None" = None,
-    chunk_shots: int | None = None,
-    pool=None,
-    lookahead: int = 1,
     store_factory=None,
 ) -> "tuple[LogicalErrorRates, dict]":
     """Adaptive (precision-targeted) variant of :func:`estimate_logical_error_rates`.
@@ -246,38 +241,26 @@ def estimate_logical_error_rates_adaptive(
     derivation, same per-chunk spawned streams) and stops as soon as the
     Wilson relative error of the observed rate reaches the rule's target —
     so the sampled prefix is bit-identical to the fixed run's first chunks,
-    for every worker count.  Pass the
-    :class:`~repro.analysis.stats.StoppingRule` itself (the one derivation,
-    e.g. ``budget.stopping_rule()``), or the raw ``target_rse`` /
-    ``max_shots`` / ``confidence`` knobs to build one here.
-    ``store_factory(basis)`` may supply a :class:`repro.cache.ChunkStore`
-    per basis to resume from (and refine) previously measured chunks.
+    for every worker count.  ``rule`` is the one
+    :class:`~repro.analysis.stats.StoppingRule` derivation (e.g.
+    ``budget.stopping_rule()``).  ``store_factory(basis)`` may supply a
+    :class:`repro.cache.ChunkStore` per basis to resume from (and refine)
+    previously measured chunks.
 
     Returns the rates plus the per-basis
     :class:`repro.parallel.AdaptiveEstimate` dict (``{"Z": ..., "X": ...}``).
     """
-    # Imported lazily: repro.parallel imports this module at load time.
-    from repro.analysis.stats import StoppingRule, z_for_confidence
-    from repro.parallel import adaptive_sample_and_decode
-
-    if rule is None:
-        if max_shots is None:
-            raise ValueError("pass either a StoppingRule or max_shots")
-        rule = StoppingRule(
-            max_shots=max_shots, target_rse=target_rse, z=z_for_confidence(confidence)
-        )
-    estimates = {}
-    for basis, stream in basis_streams(seed):
-        experiment = build_memory_experiment(code, schedule, noise, basis=basis)
-        dem = build_detector_error_model(experiment.circuit)
-        estimates[basis] = adaptive_sample_and_decode(
-            dem,
+    estimates = {
+        basis: _estimate_basis(
+            code,
+            schedule,
+            noise,
             decoder_factory,
-            stream,
+            basis,
             rule,
-            chunk_shots=chunk_shots,
-            pool=pool,
-            lookahead=lookahead,
-            store=store_factory(basis) if store_factory is not None else None,
+            stream,
+            store_factory(basis) if store_factory is not None else None,
         )
+        for basis, stream in basis_streams(seed)
+    }
     return rates_from_adaptive_estimates(schedule.depth, estimates), estimates

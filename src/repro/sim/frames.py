@@ -195,7 +195,6 @@ class FrameSampler:
             return SampleBatch(
                 detectors=detectors,
                 observables=np.zeros((0, self.num_observables), dtype=np.uint8),
-                faults=np.zeros((0, 0), dtype=np.uint8),
                 packed_detectors=pack_rows(detectors),
             )
         rng = np.random.default_rng(seed)
@@ -287,7 +286,6 @@ class FrameSampler:
         return SampleBatch(
             detectors=detectors,
             observables=observables,
-            faults=np.zeros((shots, 0), dtype=np.uint8),
             packed_detectors=pack_rows(detectors),
         )
 
@@ -342,6 +340,5 @@ class TableauSampler:
         return SampleBatch(
             detectors=detectors,
             observables=observables,
-            faults=np.zeros((max(shots, 0), 0), dtype=np.uint8),
             packed_detectors=pack_rows(detectors),
         )

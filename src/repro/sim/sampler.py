@@ -3,7 +3,7 @@
 Because every fault mechanism of a :class:`DetectorErrorModel` is an
 independent Bernoulli variable, sampling a memory experiment reduces to a
 binary matrix multiplication: draw the fault vector for every shot, then
-XOR together the detector/observable signatures of the triggered faults.
+XOR together the detector/observable signatures of the fired mechanisms.
 This is mathematically identical to frame-simulating the Clifford circuit
 with Pauli noise (what stim does), but needs only numpy.
 
@@ -43,7 +43,6 @@ class SampleBatch:
 
     ``detectors`` has shape ``(shots, num_detectors)``; ``observables`` has
     shape ``(shots, num_observables)``; both are uint8 arrays of 0/1 values.
-    ``faults`` (shots x num_mechanisms) is retained for tests and ablations.
     ``packed_detectors`` is the bit-packed form of ``detectors`` (shape
     ``(shots, ceil(num_detectors / 64))``, little-endian ``uint64`` words as
     produced by :func:`repro.sim.bitops.pack_rows`).  Every decoder's batch
@@ -56,7 +55,6 @@ class SampleBatch:
 
     detectors: np.ndarray
     observables: np.ndarray
-    faults: np.ndarray
     packed_detectors: np.ndarray | None = None
 
     @property
@@ -69,7 +67,7 @@ class DemSampler:
 
     The default sampler backend: wraps :func:`sample_detector_error_model`
     over a prebuilt :class:`DetectorErrorModel`, so its batches are
-    bit-identical to the historical direct calls for equal seeds.  The
+    bit-identical to direct calls for equal seeds.  The
     ``circuit`` argument is part of the shared factory signature
     ``factory(circuit, dem)`` and is unused here.
     """
@@ -106,33 +104,31 @@ def _signature_groups(dem: DetectorErrorModel) -> tuple[list[list[int]], list[li
     return detector_groups, observable_groups
 
 
-def _sample_packed(dem: DetectorErrorModel, shots: int, faults: np.ndarray) -> SampleBatch:
-    """XOR/popcount word-ops backend: faults bit-packed along the shot axis."""
-    packed_faults = pack_rows(faults.T)  # (mechanisms, shot_words)
+def _sample_packed(dem: DetectorErrorModel, shots: int, fired: np.ndarray) -> SampleBatch:
+    """XOR/popcount word-ops backend: fault draws bit-packed along the shot axis."""
+    packed_fired = pack_rows(fired.T)  # (mechanisms, shot_words)
     detector_groups, observable_groups = _signature_groups(dem)
-    detectors_by_row = xor_reduce_rows(packed_faults, detector_groups)
-    observables_by_row = xor_reduce_rows(packed_faults, observable_groups)
+    detectors_by_row = xor_reduce_rows(packed_fired, detector_groups)
+    observables_by_row = xor_reduce_rows(packed_fired, observable_groups)
     detectors = np.ascontiguousarray(unpack_rows(detectors_by_row, shots).T)
     observables = np.ascontiguousarray(unpack_rows(observables_by_row, shots).T)
     return SampleBatch(
         detectors=detectors,
         observables=observables,
-        faults=faults.view(np.uint8),
         packed_detectors=pack_rows(detectors),
     )
 
 
-def _sample_dense(dem: DetectorErrorModel, shots: int, faults: np.ndarray) -> SampleBatch:
+def _sample_dense(dem: DetectorErrorModel, shots: int, fired: np.ndarray) -> SampleBatch:
     """Reference dense ``int64`` matmul backend (bit-identical to packed)."""
     check = dem.check_matrix
     observable = dem.observable_matrix
-    wide = faults.astype(np.int64)
+    wide = fired.astype(np.int64)
     detectors = (wide @ check.T.astype(np.int64)) % 2
     observables = (wide @ observable.T.astype(np.int64)) % 2
     return SampleBatch(
         detectors=detectors.astype(np.uint8),
         observables=observables.astype(np.uint8),
-        faults=faults.view(np.uint8),
     )
 
 
@@ -164,10 +160,9 @@ def sample_detector_error_model(
         return SampleBatch(
             detectors=detectors,
             observables=np.zeros((shots, dem.num_observables), dtype=np.uint8),
-            faults=np.zeros((shots, 0), dtype=np.uint8),
             packed_detectors=pack_rows(detectors) if backend == "packed" else None,
         )
-    faults = rng.random((shots, dem.num_mechanisms)) < priors
+    fired = rng.random((shots, dem.num_mechanisms)) < priors
     if backend == "dense":
-        return _sample_dense(dem, shots, faults)
-    return _sample_packed(dem, shots, faults)
+        return _sample_dense(dem, shots, fired)
+    return _sample_packed(dem, shots, fired)

@@ -19,7 +19,7 @@ from repro.codes import (
     toric_code,
 )
 from repro.core import MCTSConfig
-from repro.decoders import decoder_factory
+from repro.api.registries import decoders
 from repro.noise import NoiseModel, brisbane_noise
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule, trivial_schedule
 
@@ -98,19 +98,19 @@ def tiny_mcts_config():
 
 @pytest.fixture(scope="session")
 def lookup_factory():
-    return decoder_factory("lookup")
+    return decoders.build("lookup")
 
 
 @pytest.fixture(scope="session")
 def mwpm_factory():
-    return decoder_factory("mwpm")
+    return decoders.build("mwpm")
 
 
 @pytest.fixture(scope="session")
 def unionfind_factory():
-    return decoder_factory("unionfind")
+    return decoders.build("unionfind")
 
 
 @pytest.fixture(scope="session")
 def bposd_factory():
-    return decoder_factory("bposd")
+    return decoders.build("bposd")

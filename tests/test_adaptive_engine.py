@@ -28,7 +28,7 @@ from repro.cache import ResultCache, chunk_address
 from repro.core.evaluator import ScheduleEvaluator
 from repro.parallel import adaptive_sample_and_decode, chunk_sizes, sample_and_decode
 from repro.sim import count_wrong, fraction_wrong
-from repro.sim.sampler import SampleBatch
+from repro.sim.sampler import DemSampler, SampleBatch
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +109,6 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((0, 3), dtype=np.uint8),
             observables=np.zeros((0, 2), dtype=np.uint8),
-            faults=np.zeros((0, 4), dtype=np.uint8),
         )
         predictions = np.zeros((0, 2), dtype=np.uint8)
         assert count_wrong(predictions, batch) == 0
@@ -119,7 +118,6 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((0, 3), dtype=np.uint8),
             observables=np.zeros((0, 2), dtype=np.uint8),
-            faults=np.zeros((0, 4), dtype=np.uint8),
         )
         with pytest.raises(ValueError, match="shape"):
             fraction_wrong(np.zeros((0, 3), dtype=np.uint8), batch)
@@ -128,7 +126,6 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((4, 1), dtype=np.uint8),
             observables=np.array([[0], [1], [0], [1]], dtype=np.uint8),
-            faults=np.zeros((4, 1), dtype=np.uint8),
         )
         predictions = np.array([[0], [0], [0], [1]], dtype=np.uint8)
         assert count_wrong(predictions, batch) == 1
@@ -173,7 +170,7 @@ class TestBudgetPrecisionKnobs:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def problem():
-    """A small DEM + decoder factory + a *maker* of the basis-Z stream.
+    """A small DEM + decoder factory + its DEM sampler + a *maker* of the basis-Z stream.
 
     ``SeedSequence.spawn`` is stateful (every call advances the child
     counter), so each run must derive its stream fresh from the integer
@@ -191,13 +188,13 @@ def problem():
     schedule = lowest_depth_schedule(code)
     experiment = build_memory_experiment(code, schedule, brisbane_noise(), basis="Z")
     dem = build_detector_error_model(experiment.circuit)
-    return dem, decoders.build("lookup"), lambda: dict(basis_streams(5))["Z"]
+    return dem, decoders.build("lookup"), DemSampler(dem=dem), lambda: dict(basis_streams(5))["Z"]
 
 
-def _fixed_chunk_counts(dem, factory, stream, shots, chunk_shots):
+def _fixed_chunk_counts(dem, factory, sampler, stream, shots, chunk_shots):
     """Per-chunk (shots, errors) of the *fixed-shot* run, for comparison."""
     batch, predictions = sample_and_decode(
-        dem, factory, shots, stream, chunk_shots=chunk_shots
+        dem, factory, sampler, shots, stream, chunk_shots=chunk_shots
     )
     counts, start = [], 0
     for size in chunk_sizes(shots, chunk_shots):
@@ -205,7 +202,6 @@ def _fixed_chunk_counts(dem, factory, stream, shots, chunk_shots):
         sub = SampleBatch(
             detectors=batch.detectors[start:stop],
             observables=batch.observables[start:stop],
-            faults=batch.faults[start:stop],
         )
         counts.append((size, count_wrong(predictions[start:stop], sub)))
         start = stop
@@ -215,35 +211,35 @@ def _fixed_chunk_counts(dem, factory, stream, shots, chunk_shots):
 class TestAdaptiveEngine:
     def test_full_consumption_equals_fixed_run(self, problem):
         """A never-converging target consumes the whole plan bit-identically."""
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=600, target_rse=1e-9)
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=128
+            dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         assert estimate.shots == 600
         assert not estimate.converged
         assert estimate.chunk_counts == _fixed_chunk_counts(
-            dem, factory, make_stream(), 600, 128
+            dem, factory, sampler, make_stream(), 600, 128
         )
 
     def test_early_stop_is_fixed_run_prefix(self, problem):
         """Acceptance: any consumed prefix is bit-identical to the fixed run."""
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=4096, target_rse=0.6, z=1.96)
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=128
+            dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         assert estimate.converged
         assert 0 < estimate.chunks < len(chunk_sizes(4096, 128))
-        fixed = _fixed_chunk_counts(dem, factory, make_stream(), 4096, 128)
+        fixed = _fixed_chunk_counts(dem, factory, sampler, make_stream(), 4096, 128)
         assert estimate.chunk_counts == fixed[: estimate.chunks]
 
     def test_stop_index_is_minimal(self, problem):
         """The engine stops at the *first* chunk where the rule fires."""
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=4096, target_rse=0.6, z=1.96)
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=128
+            dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         shots = errors = 0
         for index, (size, wrong) in enumerate(estimate.chunk_counts):
@@ -257,22 +253,22 @@ class TestAdaptiveEngine:
 
     def test_max_shots_smaller_than_one_chunk(self, problem):
         """Edge case: the plan is a single short chunk, stream unspawned."""
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=100, target_rse=1e-9)
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=1024
+            dem, factory, sampler, make_stream(), rule, chunk_shots=1024
         )
         assert estimate.shots == 100
         assert estimate.chunks == 1
         # Single-chunk plans must be bit-identical to the unchunked fixed
         # path (which passes the caller's stream through unspawned).
-        batch, predictions = sample_and_decode(dem, factory, 100, make_stream())
+        batch, predictions = sample_and_decode(dem, factory, sampler, 100, make_stream())
         assert estimate.errors == count_wrong(predictions, batch)
 
     def test_zero_max_shots(self, problem):
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), StoppingRule(max_shots=0, target_rse=0.1)
+            dem, factory, sampler, make_stream(), StoppingRule(max_shots=0, target_rse=0.1)
         )
         assert estimate.shots == 0
         assert estimate.rate == 0.0
@@ -282,14 +278,14 @@ class TestAdaptiveEngine:
         """Speculative pool execution must not change the stopping point."""
         from concurrent.futures import ProcessPoolExecutor
 
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=2048, target_rse=0.6, z=1.96)
         serial = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=256
+            dem, factory, sampler, make_stream(), rule, chunk_shots=256
         )
         with ProcessPoolExecutor(max_workers=3) as pool:
             pooled = adaptive_sample_and_decode(
-                dem, factory, make_stream(), rule, chunk_shots=256, pool=pool, lookahead=3
+                dem, factory, sampler, make_stream(), rule, chunk_shots=256, pool=pool, lookahead=3
             )
         assert pooled == serial
 
@@ -402,13 +398,13 @@ class TestChunkAddress:
 
     def test_stale_size_mismatch_treated_as_miss(self, tmp_path, problem):
         """A summary from a different layout must be resampled, not trusted."""
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         cache = ResultCache(tmp_path / "cache")
         store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024)
         store.put(0, shots=999, errors=1)  # wrong size for a 100-shot plan
         rule = StoppingRule(max_shots=100, target_rse=1e-9)
         estimate = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=1024, store=store
+            dem, factory, sampler, make_stream(), rule, chunk_shots=1024, store=store
         )
         assert estimate.cache_hits == 0
         assert estimate.fresh_chunks == 1
@@ -536,9 +532,9 @@ class TestEstimatorAdaptiveEntryPoint:
         from repro.sim import estimate_logical_error_rates_adaptive
 
         schedule = lowest_depth_schedule(steane)
+        rule = StoppingRule(max_shots=2000, target_rse=0.4, z=z_for_confidence(0.95))
         rates, estimates = estimate_logical_error_rates_adaptive(
-            steane, schedule, brisbane, lookup_factory,
-            target_rse=0.4, max_shots=2000, seed=4,
+            steane, schedule, brisbane, lookup_factory, rule=rule, seed=4,
         )
         assert set(estimates) == {"Z", "X"}
         assert rates.error_x == estimates["Z"].rate
@@ -561,14 +557,15 @@ class TestEstimatorAdaptiveEntryPoint:
         def factory(basis):
             return cache.chunk_store(spec, basis, 1024)
 
+        rule = StoppingRule(max_shots=2000, target_rse=0.4, z=z_for_confidence(0.95))
         _rates, first = estimate_logical_error_rates_adaptive(
             steane, schedule, brisbane, lookup_factory,
-            target_rse=0.4, max_shots=2000, seed=4, store_factory=factory,
+            rule=rule, seed=4, store_factory=factory,
         )
         assert sum(e.fresh_chunks for e in first.values()) > 0
         _rates, again = estimate_logical_error_rates_adaptive(
             steane, schedule, brisbane, lookup_factory,
-            target_rse=0.4, max_shots=2000, seed=4, store_factory=factory,
+            rule=rule, seed=4, store_factory=factory,
         )
         assert sum(e.fresh_chunks for e in again.values()) == 0
         assert again == first or all(
@@ -580,18 +577,18 @@ class TestStoreSatisfiesRule:
     def test_probe_matches_engine_outcome(self, tmp_path, problem):
         from repro.parallel import store_satisfies_rule
 
-        dem, factory, make_stream = problem
+        dem, factory, sampler, make_stream = problem
         cache = ResultCache(tmp_path / "cache")
         store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 256)
         rule = StoppingRule(max_shots=1024, target_rse=0.6, z=1.96)
         assert not store_satisfies_rule(rule, store, chunk_shots=256)
         adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=256, store=store
+            dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
         )
         assert store_satisfies_rule(rule, store, chunk_shots=256)
         # A warm probe guarantees a zero-sampling replay.
         replay = adaptive_sample_and_decode(
-            dem, factory, make_stream(), rule, chunk_shots=256, store=store
+            dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
         )
         assert replay.fresh_chunks == 0
 

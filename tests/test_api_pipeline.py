@@ -151,6 +151,26 @@ class TestPipeline:
         assert pipeline.rates.depth == legacy.depth
         assert pipeline.rates.shots == legacy.shots
 
+    def test_rates_match_estimator_across_chunks(self):
+        """Above one chunk too: the estimator and Pipeline run the same chunk loop."""
+        spec = RunSpec(
+            code="surface:d=3",
+            scheduler="lowest_depth",
+            decoder="mwpm",
+            seed=3,
+            budget=Budget(shots=2500),
+        )
+        pipeline = Pipeline(spec)
+        rates = estimate_logical_error_rates(
+            pipeline.code,
+            pipeline.schedule,
+            pipeline.noise,
+            pipeline.decoder_factory,
+            shots=2500,
+            seed=spec.eval_seed(),
+        )
+        assert rates == pipeline.rates
+
     def test_sampled_syndromes_match_legacy_streams_bitwise(self, pipeline):
         """The staged samples themselves reproduce the estimator's streams."""
         from repro.seeding import spawn_streams

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codes import available_codes, get_code
+from repro.api.registries import codes
 from repro.io import code_from_dict, code_to_dict, dump_code_json, load_code_json
 from repro.pauli import commutes
 
 
 class TestRegistry:
     def test_available_codes_sorted_and_nonempty(self):
-        names = available_codes()
+        names = codes.available()
         assert names == sorted(names)
         assert len(names) >= 25
 
@@ -20,19 +20,19 @@ class TestRegistry:
         # the family-specific tests.  stimfile is argument-only (it imports an
         # external circuit file named in the spec) — covered by the interop tests.
         skip = {"rotated_surface_d9", "rotated_surface_d7", "hexagonal_color_d9", "stimfile"}
-        for name in available_codes():
+        for name in codes.available():
             if name in skip:
                 continue
-            code = get_code(name)
+            code = codes.build(name)
             assert code.num_qubits > 0
             assert code.num_logical_qubits >= 0
 
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="available"):
-            get_code("not_a_code")
+            codes.build("not_a_code")
 
     def test_paper_table2_codes_present(self):
-        names = set(available_codes())
+        names = set(codes.available())
         for required in (
             "hexagonal_color_d3",
             "hexagonal_color_d9",
@@ -46,7 +46,7 @@ class TestRegistry:
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", ["steane", "rotated_surface_d3", "five_qubit", "toric_d3"])
     def test_round_trip_preserves_parameters(self, name):
-        code = get_code(name)
+        code = codes.build(name)
         payload = code_to_dict(code)
         again = code_from_dict(payload)
         assert again.num_qubits == code.num_qubits

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registries import decoders
 from repro.circuits import build_memory_experiment
 from repro.decoders import (
     BPOSDDecoder,
     LookupDecoder,
     MWPMDecoder,
     UnionFindDecoder,
-    decoder_factory,
 )
 from repro.noise import NoiseModel
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule
@@ -37,15 +37,15 @@ def _steane_dem(code, noise=None, basis="Z"):
 class TestDecoderFactory:
     def test_known_names(self):
         for name in ("mwpm", "unionfind", "bposd", "lookup", "union_find", "bp_osd"):
-            assert callable(decoder_factory(name))
+            assert callable(decoders.build(name))
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            decoder_factory("fancy")
+            decoders.build("fancy")
 
     def test_factory_builds_decoder(self, surface_d3):
         dem = _surface_dem(surface_d3)
-        decoder = decoder_factory("mwpm")(dem)
+        decoder = decoders.build("mwpm")(dem)
         assert isinstance(decoder, MWPMDecoder)
 
 

@@ -139,8 +139,13 @@ class TestSampler:
         experiment = build_memory_experiment(steane, schedule, brisbane, basis="Z")
         dem = build_detector_error_model(experiment.circuit)
         batch = sample_detector_error_model(dem, 30, seed=3)
-        recomputed = (batch.faults.astype(np.int64) @ dem.check_matrix.T.astype(np.int64)) % 2
+        # The sampler's own single draw: one uniform per (shot, mechanism).
+        fired = np.random.default_rng(3).random((30, dem.num_mechanisms)) < dem.priors
+        wide = fired.astype(np.int64)
+        recomputed = (wide @ dem.check_matrix.T.astype(np.int64)) % 2
         assert np.array_equal(recomputed.astype(np.uint8), batch.detectors)
+        flipped = (wide @ dem.observable_matrix.T.astype(np.int64)) % 2
+        assert np.array_equal(flipped.astype(np.uint8), batch.observables)
 
 
 class TestDEMAgainstTableau:

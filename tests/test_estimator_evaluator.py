@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core import ScheduleEvaluator
@@ -80,6 +82,24 @@ class TestEstimator:
         )
         assert google.overall < trivial.overall
 
+    def test_peak_memory_bounded_by_the_chunk(self, surface_d3, mwpm_factory, brisbane):
+        """A fixed-shot estimate streams per-chunk counts, so 16x the shots
+        may cost at most 1.5x the traced peak memory."""
+        schedule = lowest_depth_schedule(surface_d3)
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                estimate_logical_error_rates(
+                    surface_d3, schedule, brisbane, mwpm_factory, shots=shots, seed=1
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-use caches (imports, matching tables) stay out of the ratio
+        assert peak(16_384) <= 1.5 * peak(1_024)
+
     def test_depth_reported(self, steane, lookup_factory, brisbane):
         schedule = trivial_schedule(steane)
         rates = estimate_logical_error_rates(
@@ -150,12 +170,12 @@ class TestScheduleEvaluator:
 
 
 class TestScheduleEvaluatorCacheSemantics:
-    def _evaluator(self, steane, lookup_factory, brisbane, **kwargs):
+    def _evaluator(self, steane, lookup_factory, brisbane, shots=100, **kwargs):
         return ScheduleEvaluator(
             code=steane,
             noise=brisbane,
             decoder_factory=lookup_factory,
-            shots=100,
+            shots=shots,
             seed=0,
             **kwargs,
         )
@@ -217,11 +237,13 @@ class TestScheduleEvaluatorCacheSemantics:
             evaluator.score(schedule) for schedule in schedules
         ]
 
-    def test_pooled_evaluate_many_bit_identical(self, steane, lookup_factory, brisbane):
-        """Acceptance: workers>1 fan-out reproduces the serial streams exactly."""
-        serial = self._evaluator(steane, lookup_factory, brisbane)
+    @pytest.mark.parametrize("shots", [100, 2500])
+    def test_pooled_evaluate_many_bit_identical(self, steane, lookup_factory, brisbane, shots):
+        """Acceptance: workers>1 fan-out reproduces the serial streams exactly
+        (2500 shots spans several chunks inside each pooled task)."""
+        serial = self._evaluator(steane, lookup_factory, brisbane, shots)
         schedules = [lowest_depth_schedule(steane), trivial_schedule(steane)]
-        with self._evaluator(steane, lookup_factory, brisbane, workers=2) as pooled:
+        with self._evaluator(steane, lookup_factory, brisbane, shots, workers=2) as pooled:
             assert pooled.evaluate_many(schedules) == serial.evaluate_many(schedules)
 
     def test_invalid_workers_rejected(self, steane, lookup_factory, brisbane):

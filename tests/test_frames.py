@@ -31,7 +31,7 @@ from repro.api.spec import canonical_spec
 from repro.cache import chunk_address
 from repro.circuits.circuit import Circuit, Instruction
 from repro.sim.frames import FrameSampler, TableauSampler
-from repro.sim.sampler import DemSampler
+from repro.sim.sampler import DemSampler, sample_detector_error_model
 
 
 def _measured_circuit(instructions, *, num_qubits=1, basis="M"):
@@ -294,7 +294,7 @@ class TestFrameVersusDem:
         batch = FrameSampler(pipeline.circuit["Z"]).sample(130, seed=1)
         assert batch.detectors.shape[0] == 130
         assert np.array_equal(batch.packed_detectors, pack_rows(batch.detectors))
-        assert batch.faults.shape == (130, 0)
+        assert batch.observables.shape == (130, pipeline.circuit["Z"].num_observables)
 
     def test_zero_shots_batch_is_well_formed(self):
         pipeline = Pipeline(
@@ -328,8 +328,16 @@ class TestEngineIntegration:
         assert built.backend == "dense"
 
     def test_default_spec_uses_direct_dem_path(self):
+        """The default spec builds a packed DemSampler, bit-identical to a
+        direct sample_detector_error_model call on the same stream."""
         pipeline = Pipeline(RunSpec(code="surface:d=3", budget=Budget(shots=1)))
-        assert pipeline.samplers == {"Z": None, "X": None}
+        for basis, sampler in pipeline.samplers.items():
+            assert isinstance(sampler, DemSampler) and sampler.backend == "packed"
+            batch = sampler.sample(50, seed=4)
+            direct = sample_detector_error_model(pipeline.dem[basis], 50, seed=4)
+            assert np.array_equal(batch.detectors, direct.detectors)
+            assert np.array_equal(batch.observables, direct.observables)
+            assert np.array_equal(batch.packed_detectors, direct.packed_detectors)
 
     def test_frames_pipeline_worker_count_invariant(self, monkeypatch):
         """The worker-invariance guarantee must hold for frame sampling too."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codes import get_code, rectangular_surface_code
+from repro.codes import rectangular_surface_code
 from repro.scheduling import (
     ScheduleError,
     anticlockwise_surface_schedule,

@@ -51,12 +51,12 @@ class TestMCTSNode:
 
 class TestPartitionMCTS:
     def _evaluator(self, code, shots=60):
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         return ScheduleEvaluator(
             code=code,
             noise=brisbane_noise(),
-            decoder_factory=decoder_factory("lookup"),
+            decoder_factory=decoders.build("lookup"),
             shots=shots,
             seed=0,
         )
@@ -99,12 +99,12 @@ class TestAlphaSyndrome:
     @pytest.fixture(scope="class")
     def synthesis_result(self):
         from repro.codes import steane_code
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         alpha = AlphaSyndrome(
             code=steane_code(),
             noise=brisbane_noise(),
-            decoder_factory=decoder_factory("lookup"),
+            decoder_factory=decoders.build("lookup"),
             shots=80,
             mcts_config=MCTSConfig(iterations_per_step=2, seed=0, max_total_evaluations=6),
             seed=0,
@@ -130,12 +130,12 @@ class TestAlphaSyndrome:
 
     def test_convenience_wrapper(self):
         from repro.codes import repetition_code
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         result = synthesize_schedule(
             repetition_code(3),
             NoiseModel(two_qubit_error=0.01, idle_error=0.005),
-            decoder_factory("lookup"),
+            decoders.build("lookup"),
             shots=60,
             iterations_per_step=2,
             seed=1,
@@ -149,13 +149,13 @@ class TestAlphaSyndrome:
         schedule should not be dramatically worse than the lowest-depth
         baseline under the same evaluator."""
         from repro.codes import steane_code
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         code = steane_code()
         alpha = AlphaSyndrome(
             code=code,
             noise=brisbane_noise(),
-            decoder_factory=decoder_factory("lookup"),
+            decoder_factory=decoders.build("lookup"),
             shots=150,
             mcts_config=MCTSConfig(iterations_per_step=3, seed=3, max_total_evaluations=12),
             seed=3,
@@ -167,12 +167,12 @@ class TestAlphaSyndrome:
 
 class TestBatchedRollouts:
     def _search(self, code, *, rollout_batch, max_total_evaluations=10):
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         evaluator = ScheduleEvaluator(
             code=code,
             noise=brisbane_noise(),
-            decoder_factory=decoder_factory("lookup"),
+            decoder_factory=decoders.build("lookup"),
             shots=50,
             seed=0,
         )
@@ -214,12 +214,12 @@ class TestBatchedRollouts:
         """workers pools the evaluator but must NOT touch rollout_batch —
         synthesis output is bit-identical for every worker count; batching
         is an explicit search hyper-parameter."""
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         alpha = AlphaSyndrome(
             code=steane,
             noise=brisbane_noise(),
-            decoder_factory=decoder_factory("lookup"),
+            decoder_factory=decoders.build("lookup"),
             shots=40,
             mcts_config=MCTSConfig(iterations_per_step=1, seed=0, max_total_evaluations=2),
             workers=2,
@@ -231,13 +231,13 @@ class TestBatchedRollouts:
     def test_synthesis_worker_count_invariant(self, steane):
         """Regression: same seed -> identical synthesized schedule and rates
         for workers=1 and workers=2."""
-        from repro.decoders import decoder_factory
+        from repro.api.registries import decoders
 
         def synthesize(workers):
             alpha = AlphaSyndrome(
                 code=steane,
                 noise=brisbane_noise(),
-                decoder_factory=decoder_factory("lookup"),
+                decoder_factory=decoders.build("lookup"),
                 shots=40,
                 mcts_config=MCTSConfig(
                     iterations_per_step=1, seed=0, max_total_evaluations=4

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.codes import get_code
+from repro.api.registries import codes
 from repro.scheduling import (
     checks_of_code,
     compatible_stabilizers,
@@ -59,7 +59,7 @@ class TestPartition:
         ],
     )
     def test_partition_counts(self, code_name, expected):
-        code = get_code(code_name)
+        code = codes.build(code_name)
         partitions = partition_stabilizers(code)
         validate_partition(code, partitions)
         assert len(partitions) == expected
@@ -111,7 +111,7 @@ class TestLowestDepthScheduler:
     )
     def test_achieves_partitionwise_optimum(self, code_name):
         """Depth equals the sum over partitions of the max qubit degree (König)."""
-        code = get_code(code_name)
+        code = codes.build(code_name)
         schedule = lowest_depth_schedule(code)
         schedule.validate()
         partitions = partition_stabilizers(code)
