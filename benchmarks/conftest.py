@@ -13,9 +13,16 @@ Paper-scale numbers are obtained by re-running the drivers through
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentBudget
+
+# The reference oracles live with the unit tests; benchmarks import them by
+# the same name (``oracles.dem_reference``) as the tests do.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Where the benchmark harness drops its rendered rows.  Deliberately NOT
 #: ``results/`` — that directory is the suite artifact store owned by

@@ -7,7 +7,7 @@ The package layers:
 ``repro.codes``      Stabilizer / CSS code library (surface, colour, BB, HGP, ...).
 ``repro.circuits``   Tick-based Clifford circuit IR and experiment builders.
 ``repro.noise``      Circuit-level noise models (IBM-Brisbane-derived).
-``repro.sim``        Fault propagation, detector error models, sampling, tableau sim.
+``repro.sim``        Frame propagation, detector error models, sampling, tableau sim.
 ``repro.decoders``   MWPM, union-find, BP-OSD, lookup decoders.
 ``repro.scheduling`` Schedule representation, partitioning, baselines, hand-crafted orders.
 ``repro.core``       The AlphaSyndrome MCTS synthesiser and evaluation function.

@@ -171,6 +171,8 @@ class Circuit:
                 raise ValueError("CPAULI needs pauli in {'X', 'Y', 'Z'}")
             if len(instruction.qubits) != 2:
                 raise ValueError("CPAULI acts on exactly two qubits")
+            if instruction.qubits[0] == instruction.qubits[1]:
+                raise ValueError("CPAULI needs two distinct qubits")
         if name in ("SWAP", "DEPOLARIZE2", "PAULI_CHANNEL_2") and len(instruction.qubits) % 2:
             raise ValueError(f"{name} needs an even number of qubits")
 

@@ -1,4 +1,4 @@
-"""Clifford simulation substrate: fault propagation, DEMs, sampling, tableau."""
+"""Clifford simulation substrate: frame propagation, DEMs, sampling, tableau."""
 
 from repro.sim.bitops import (
     pack_rows,
@@ -19,7 +19,6 @@ from repro.sim.estimator import (
     rates_from_adaptive_estimates,
 )
 from repro.sim.frames import FrameSampler, TableauSampler
-from repro.sim.propagation import SparsePauli, measurement_flips, propagate_fault
 from repro.sim.sampler import DemSampler, SampleBatch, sample_detector_error_model
 from repro.sim.tableau import DenseTableauSimulator, TableauSimulator, simulate_circuit
 
@@ -27,9 +26,6 @@ __all__ = [
     "DetectorErrorModel",
     "ErrorMechanism",
     "build_detector_error_model",
-    "SparsePauli",
-    "propagate_fault",
-    "measurement_flips",
     "SampleBatch",
     "DemSampler",
     "FrameSampler",

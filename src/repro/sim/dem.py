@@ -2,12 +2,18 @@
 
 Every stochastic Pauli noise channel in a circuit is decomposed into
 elementary *fault mechanisms* (a single Pauli applied with some
-probability).  Each mechanism is propagated through the remainder of the
-circuit to find the set of detectors and logical observables it flips; the
-resulting list of ``(probability, detectors, observables)`` triples is the
-detector error model, exactly analogous to stim's DEM.
+probability).  The mapping from mechanisms to the detectors and logical
+observables they flip is found in one forward pass of the packed frame
+kernel (:class:`repro.sim.frames.FrameProgram`): each mechanism owns one
+bit column of the ``(num_qubits, words)`` X/Z frames — the
+:mod:`repro.sim.bitops` layout with mechanisms in place of shots — and at
+its noise instruction every mechanism's Pauli is XOR-ed into its own
+column in one vectorised step.  The resulting list of
+``(probability, detectors, observables)`` triples is the detector error
+model, exactly analogous to stim's DEM.
 
-Mechanisms with identical symptoms are merged (probabilities combine as
+Mechanisms with identical symptoms are merged in enumeration order
+(instruction, then qubit or pair, then Pauli; probabilities combine as
 ``p = p1 (1 - p2) + p2 (1 - p1)``), and mechanisms that flip nothing are
 dropped.  The DEM doubles as the decoding problem: ``check_matrix`` (H),
 ``observable_matrix`` (L) and ``priors`` are what every decoder in
@@ -27,7 +33,8 @@ from repro.circuits.circuit import (
     TWO_QUBIT_PAULIS,
     Circuit,
 )
-from repro.sim.propagation import SparsePauli, propagate_fault
+from repro.sim.bitops import WORD_BITS, pack_rows, packed_words, unpack_rows
+from repro.sim.frames import FrameProgram
 
 __all__ = [
     "DemDecompositionError",
@@ -37,7 +44,7 @@ __all__ = [
 ]
 
 #: Instruction names the first-order fault decomposition understands.  The
-#: propagation kernel silently ignores anything else, which would make a
+#: frame kernel silently ignores anything else, which would make a
 #: DEM built from a richer circuit silently wrong — so decomposition checks
 #: membership up front and refuses loudly instead.
 _DECOMPOSABLE_NAMES = frozenset(GATE_NAMES | NOISE_NAMES | {"TICK", "DETECTOR", "OBSERVABLE"})
@@ -50,11 +57,6 @@ class DemDecompositionError(ValueError):
     samplers (``sampler="frames"``) do not require DEM decomposition for
     sampling, so callers with richer circuits can route around this.
     """
-
-# Canonical Pauli orders shared with the circuit IR (PAULI_CHANNEL_1/2
-# probability tuples are defined in exactly this order).
-_ONE_QUBIT_PAULIS = ONE_QUBIT_PAULIS
-_TWO_QUBIT_PAULIS = TWO_QUBIT_PAULIS
 
 
 @dataclass(frozen=True)
@@ -105,56 +107,58 @@ class DetectorErrorModel:
         return all(len(m.detectors) <= 2 for m in self.mechanisms)
 
 
-def _mechanism_paulis(instruction) -> list[tuple[float, SparsePauli]]:
-    """Decompose a noise instruction into (probability, Pauli) mechanisms."""
+_PAIRS = tuple(first + second for first, second in TWO_QUBIT_PAULIS)
+
+
+def _channel(instruction) -> tuple[tuple[str, ...], list[float]]:
+    """``(letters, probabilities)`` of a noise instruction's elementary Paulis.
+
+    Letters follow the canonical orders shared with the circuit IR
+    (``PAULI_CHANNEL_1/2`` probability tuples are defined in exactly this
+    order), one letter per qubit of the group.
+    """
     name = instruction.name
     probability = instruction.probability
-    mechanisms: list[tuple[float, SparsePauli]] = []
     if name in ("X_ERROR", "Z_ERROR", "Y_ERROR"):
-        letter = name[0]
-        for qubit in instruction.qubits:
-            mechanisms.append((probability, SparsePauli.single(qubit, letter)))
-    elif name == "DEPOLARIZE1":
-        share = probability / 3.0
-        for qubit in instruction.qubits:
-            for letter in _ONE_QUBIT_PAULIS:
-                mechanisms.append((share, SparsePauli.single(qubit, letter)))
-    elif name == "DEPOLARIZE2":
-        share = probability / 15.0
-        pairs = list(zip(instruction.qubits[::2], instruction.qubits[1::2]))
-        for first, second in pairs:
-            for letter_a, letter_b in _TWO_QUBIT_PAULIS:
-                mechanisms.append((share, _pair_pauli(first, second, letter_a, letter_b)))
-    elif name == "PAULI_CHANNEL_1":
-        for qubit in instruction.qubits:
-            for letter, share in zip(_ONE_QUBIT_PAULIS, instruction.probabilities):
-                mechanisms.append((share, SparsePauli.single(qubit, letter)))
-    elif name == "PAULI_CHANNEL_2":
-        pairs = list(zip(instruction.qubits[::2], instruction.qubits[1::2]))
-        for first, second in pairs:
-            for (letter_a, letter_b), share in zip(
-                _TWO_QUBIT_PAULIS, instruction.probabilities
-            ):
-                mechanisms.append((share, _pair_pauli(first, second, letter_a, letter_b)))
-    else:
-        raise DemDecompositionError(
-            f"noise instruction {name!r} has no first-order fault decomposition"
+        return (name[0],), [probability]
+    if name == "DEPOLARIZE1":
+        return ONE_QUBIT_PAULIS, [probability / 3.0] * 3
+    if name == "PAULI_CHANNEL_1":
+        return ONE_QUBIT_PAULIS, list(instruction.probabilities)
+    if name == "DEPOLARIZE2":
+        return _PAIRS, [probability / 15.0] * 15
+    if name == "PAULI_CHANNEL_2":
+        return _PAIRS, list(instruction.probabilities)
+    raise DemDecompositionError(
+        f"noise instruction {name!r} has no first-order fault decomposition"
+    )
+
+
+def _masks(letters) -> list[tuple[int, int]]:
+    """Per qubit of a group, the Paulis acting on it as X and as Z.
+
+    Bit ``l`` of ``masks[h][0]`` (``[1]``) is set when ``letters[l]`` has
+    an X (Z) component on qubit ``h`` of its group.
+    """
+    return [
+        tuple(
+            sum(1 << index for index, pauli in enumerate(letters) if pauli[half] in flip)
+            for flip in ("XY", "YZ")
         )
-    return mechanisms
+        for half in range(len(letters[0]))
+    ]
 
 
-def _pair_pauli(first: int, second: int, letter_a: str, letter_b: str) -> SparsePauli:
-    """The two-qubit :class:`SparsePauli` ``letter_a ⊗ letter_b`` on ``(first, second)``."""
-    pauli = SparsePauli()
-    if letter_a != "I":
-        pauli.multiply_by(first, *_letter_bits(letter_a))
-    if letter_b != "I":
-        pauli.multiply_by(second, *_letter_bits(letter_b))
-    return pauli
+#: Masks of every channel with all of its Paulis kept.
+_FULL_MASKS = {
+    letters: _masks(letters) for letters in [("X",), ("Y",), ("Z",), ONE_QUBIT_PAULIS, _PAIRS]
+}
 
 
-def _letter_bits(letter: str) -> tuple[int, int]:
-    return {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}[letter]
+def _inject(op, frame_x, frame_z) -> None:
+    rows, first, last, packed = op
+    frame_x[rows, first:last] ^= packed[:, 0]
+    frame_z[rows, first:last] ^= packed[:, 1]
 
 
 def build_detector_error_model(circuit: Circuit) -> DetectorErrorModel:
@@ -162,8 +166,8 @@ def build_detector_error_model(circuit: Circuit) -> DetectorErrorModel:
 
     The circuit's detectors and observables are defined over absolute
     measurement indices; each noise channel is expanded into elementary
-    Pauli mechanisms, propagated forward, mapped onto detector/observable
-    flips and merged by symptom.
+    Pauli mechanisms, propagated forward together (one frame column each),
+    mapped onto detector/observable flips and merged by symptom.
     """
     for instruction in circuit.instructions:
         if instruction.name not in _DECOMPOSABLE_NAMES:
@@ -172,51 +176,80 @@ def build_detector_error_model(circuit: Circuit) -> DetectorErrorModel:
                 "detector error model: fault propagation only understands the "
                 "stochastic-Pauli instruction set"
             )
-    detector_members = circuit.detectors()
-    observable_members = circuit.observables()
-    num_detectors = len(detector_members)
-    num_observables = circuit.num_observables
+    # Mechanisms take consecutive frame columns in enumeration order — qubit
+    # (or pair) outer, Pauli inner, zero-probability Paulis skipped.
+    probabilities: list[float] = []
 
-    measurement_to_detectors: dict[int, list[int]] = {}
-    for detector_index, members in enumerate(detector_members):
-        for measurement in members:
-            measurement_to_detectors.setdefault(measurement, []).append(detector_index)
-    measurement_to_observables: dict[int, list[int]] = {}
-    for observable_index, members in observable_members.items():
-        for measurement in members:
-            measurement_to_observables.setdefault(measurement, []).append(
-                observable_index
-            )
+    def compile_noise(instruction):
+        """The packed X/Z rows that put each mechanism's Pauli in its column."""
+        letters, shares = _channel(instruction)
+        kept = [index for index, p in enumerate(shares) if p > 0]
+        qubits = instruction.qubits
+        if not kept or not qubits:
+            return None
+        if len(kept) == len(letters):
+            masks = _FULL_MASKS[letters]
+        else:
+            letters = [letters[index] for index in kept]
+            shares = [shares[index] for index in kept]
+            masks = _masks(letters)
+        arity = len(letters[0])
+        first, shift = divmod(len(probabilities), WORD_BITS)
+        probabilities.extend(shares * (len(qubits) // arity))
+        # Each touched qubit's X and Z rows as integers, bit i for column
+        # 64 * first + i; a pair on one qubit XORs both letters into one row.
+        rows: dict[int, list[int]] = {}
+        for index, qubit in enumerate(qubits):
+            group, half = divmod(index, arity)
+            row = rows.setdefault(qubit, [0, 0])
+            offset = shift + group * len(letters)
+            row[0] ^= masks[half][0] << offset
+            row[1] ^= masks[half][1] << offset
+        words = packed_words(len(probabilities) - WORD_BITS * first)
+        packed = np.frombuffer(
+            b"".join(bits.to_bytes(8 * words, "little") for row in rows.values() for bits in row),
+            dtype="<u8",
+        ).reshape(len(rows), 2, words)
+        return np.fromiter(rows, dtype=np.intp, count=len(rows)), first, first + words, packed
 
-    merged: dict[tuple[frozenset[int], frozenset[int]], float] = {}
-    for position, instruction in enumerate(circuit.instructions):
-        if not instruction.is_noise():
-            continue
-        for probability, pauli in _mechanism_paulis(instruction):
-            if probability <= 0:
-                continue
-            flipped_measurements = propagate_fault(circuit, position, pauli)
-            detectors: set[int] = set()
-            observables: set[int] = set()
-            for measurement in flipped_measurements:
-                for detector in measurement_to_detectors.get(measurement, ()):
-                    detectors.symmetric_difference_update({detector})
-                for observable in measurement_to_observables.get(measurement, ()):
-                    observables.symmetric_difference_update({observable})
-            if not detectors and not observables:
-                continue
-            key = (frozenset(detectors), frozenset(observables))
-            existing = merged.get(key, 0.0)
-            merged[key] = existing * (1 - probability) + probability * (1 - existing)
-
-    mechanisms = [
-        ErrorMechanism(probability, detectors, observables)
-        for (detectors, observables), probability in sorted(
-            merged.items(), key=lambda item: (sorted(item[0][0]), sorted(item[0][1]))
-        )
-    ]
-    return DetectorErrorModel(
-        num_detectors=num_detectors,
-        num_observables=num_observables,
-        mechanisms=mechanisms,
+    program = FrameProgram(circuit, compile_noise)
+    num_detectors = len(program.detector_groups)
+    num_observables = len(program.observable_groups)
+    model = DetectorErrorModel(num_detectors=num_detectors, num_observables=num_observables)
+    count = len(probabilities)
+    if not count or not num_detectors + num_observables:
+        return model
+    detector_rows, observable_rows = program.run(packed_words(count), _inject)
+    # One packed symptom row per mechanism: its detector bits, then its
+    # observable bits.
+    symptoms = pack_rows(unpack_rows(np.vstack([detector_rows, observable_rows]), count).T)
+    fired = np.flatnonzero(symptoms.any(axis=1))
+    if not fired.size:
+        return model
+    # Group equal symptoms: each packed row viewed as one opaque key.
+    rows = np.ascontiguousarray(symptoms[fired])
+    _, first, group = np.unique(
+        rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+        return_index=True,
+        return_inverse=True,
     )
+    keys = rows[first]
+    # Fold each symptom's probabilities in enumeration order.
+    merged = [0.0] * len(keys)
+    for key, p in zip(group.tolist(), np.asarray(probabilities)[fired].tolist()):
+        merged[key] = merged[key] * (1 - p) + p * (1 - merged[key])
+    key_rows, key_columns = np.nonzero(unpack_rows(keys, num_detectors + num_observables))
+    bounds = np.cumsum(np.bincount(key_rows, minlength=len(keys))).tolist()
+    hits = key_columns.tolist()
+    entries = []
+    for start, stop, probability in zip([0] + bounds, bounds, merged):
+        symptom = hits[start:stop]
+        detectors = [h for h in symptom if h < num_detectors]
+        observables = [h - num_detectors for h in symptom if h >= num_detectors]
+        entries.append((detectors, observables, probability))
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    model.mechanisms = [
+        ErrorMechanism(probability, frozenset(detectors), frozenset(observables))
+        for detectors, observables, probability in entries
+    ]
+    return model

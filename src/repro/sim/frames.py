@@ -3,10 +3,21 @@
 A Pauli frame tracks, per qubit, the X/Z deviation of a noisy run from the
 noiseless reference execution of the same circuit.  For stochastic Pauli
 noise on Clifford circuits this is exact (the same fact the DEM
-decomposition rests on, :mod:`repro.sim.propagation`), but where the DEM
-linearises each fault independently, the frame simulator carries the *full
-correlated* frame of every shot through the circuit — so it stays correct
-for workloads the DEM cannot express, at batch speed.
+decomposition rests on), but where the DEM linearises each fault
+independently, the frame simulator carries the *full correlated* frame of
+every shot through the circuit — so it stays correct for workloads the DEM
+cannot express, at batch speed.
+
+:class:`FrameProgram` is the one Pauli-propagation kernel of the package:
+the circuit compiled into a flat op list and replayed over packed frames.
+:class:`FrameSampler` puts shots in the bit columns and realises noise with
+random draws; :func:`repro.sim.dem.build_detector_error_model` puts one
+fault mechanism in each bit column and injects it at its noise instruction.
+Compilation splits an instruction that repeats a qubit into consecutive
+ops over disjoint qubits (stim's in-order semantics: ``H 0 0`` is H twice)
+and refuses DETECTOR/OBSERVABLE targets outside the measurement record, so
+both paths read every circuit the same way and fail on the same malformed
+ones with the same message.
 
 :class:`FrameSampler` carries ``N`` shots at once: the X/Z frames are
 ``(num_qubits, ceil(N / 64))`` little-endian ``uint64`` arrays in the
@@ -14,8 +25,8 @@ for workloads the DEM cannot express, at batch speed.
 every circuit instruction becomes one vectorised pass over those rows:
 
 * Clifford gates permute/XOR whole frame rows (H swaps a qubit's X and Z
-  rows; ``CPAULI`` XORs the control's X row into the target per the same
-  conjugation rules as :func:`repro.sim.propagation._apply_instruction`);
+  rows; ``CPAULI`` XORs the control's X row into the target per its check
+  Pauli and kicks a Z back onto the control when the target anticommutes);
 * noise instructions draw their Bernoulli/categorical realisations for all
   shots in one ``rng`` call and XOR the packed draws into the frame rows;
 * measurements snapshot the measured qubit's X row (Z row for ``MX``) —
@@ -41,6 +52,8 @@ keep its worker-count-invariance and cache guarantees unchanged.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.circuits.circuit import Circuit
@@ -48,7 +61,7 @@ from repro.sim.bitops import pack_rows, packed_words, unpack_rows, xor_reduce_ro
 from repro.sim.sampler import SampleBatch
 from repro.sim.tableau import simulate_circuit
 
-__all__ = ["FrameSampler", "TableauSampler"]
+__all__ = ["FrameProgram", "FrameSampler", "TableauSampler"]
 
 _WORD_DTYPE = np.dtype("<u8")
 
@@ -65,165 +78,152 @@ _PAIR_SECOND_X = np.array([(i % 4) in (1, 2) for i in range(16)], dtype=bool)
 _PAIR_SECOND_Z = np.array([(i % 4) in (2, 3) for i in range(16)], dtype=bool)
 
 
+#: Instructions whose qubits come in (first, second) pairs.
+_PAIR_NAMES = frozenset({"CPAULI", "SWAP", "DEPOLARIZE2", "PAULI_CHANNEL_2"})
+
+
 def _qubit_array(qubits) -> np.ndarray:
-    array = np.asarray(qubits, dtype=np.intp)
-    if array.size != np.unique(array).size:
-        raise ValueError(f"instruction repeats a qubit: {list(qubits)}")
-    return array
+    return np.asarray(qubits, dtype=np.intp)
 
 
-class FrameSampler:
-    """Batched Pauli-frame sampler over one circuit (spec ``"frames"``).
+def _disjoint_runs(instruction) -> list:
+    """Split ``instruction`` into consecutive copies over disjoint qubit groups.
 
-    Construction compiles the circuit IR into a flat op list (index arrays,
-    check-Pauli bits and channel thresholds precomputed); :meth:`sample`
-    replays it once per instruction for all shots.  Instances are small and
-    picklable, so the chunked process pool ships them to workers as-is.
+    An instruction that repeats a qubit acts on its targets in order, as in
+    stim: ``H 0 0`` is H twice and ``SWAP 0 1 1 2`` moves qubit 0's frame to
+    qubit 2.  An op updates all its rows at once, so a run ends before the
+    first group (qubit or pair) that shares a qubit with an earlier group of
+    the run.  A pair on one qubit stays whole: its two halves are applied
+    one after the other.
+    """
+    qubits = instruction.qubits
+    if len(set(qubits)) == len(qubits):
+        return [instruction]
+    arity = 2 if instruction.name in _PAIR_NAMES else 1
+    runs, start, seen = [], 0, set()
+    for index in range(0, len(qubits), arity):
+        group = qubits[index : index + arity]
+        if seen.intersection(group):
+            runs.append(qubits[start:index])
+            start, seen = index, set()
+        seen.update(group)
+    runs.append(qubits[start:])
+    return [dataclasses.replace(instruction, qubits=run) for run in runs]
+
+
+def _check_record_targets(circuit: Circuit, num_measurements: int) -> None:
+    """Refuse DETECTOR/OBSERVABLE targets outside the measurement record."""
+    detector = 0
+    for instruction in circuit.instructions:
+        if instruction.name not in ("DETECTOR", "OBSERVABLE"):
+            continue
+        for target in instruction.targets:
+            if not 0 <= target < num_measurements:
+                owner = (
+                    f"detector {detector}"
+                    if instruction.name == "DETECTOR"
+                    else f"observable {instruction.index}"
+                )
+                raise ValueError(
+                    f"{owner} targets measurement {target}, outside the record "
+                    f"[0, {num_measurements})"
+                )
+        detector += instruction.name == "DETECTOR"
+
+
+class FrameProgram:
+    """A circuit compiled into one flat op list over packed Pauli frames.
+
+    Gates, resets and measurements compile to kernel ops (index arrays and
+    check-Pauli bits precomputed); each noise instruction compiles to
+    whatever ``compile_noise(instruction)`` returns, and is skipped when
+    that is ``None``.  :meth:`run` replays the ops over ``(num_qubits,
+    words)`` frames and hands every noise op back to the caller.  This is
+    the one Pauli-propagation kernel: :class:`FrameSampler` realises noise
+    with random draws per shot, and
+    :func:`repro.sim.dem.build_detector_error_model` injects one fixed
+    fault per bit column.
     """
 
-    def __init__(self, circuit: Circuit, dem=None) -> None:
+    def __init__(self, circuit: Circuit, compile_noise) -> None:
         self.num_qubits = circuit.num_qubits
-        self.num_detectors = circuit.num_detectors
-        self.num_observables = circuit.num_observables
         self.num_measurements = circuit.num_measurements
-        self._detector_groups = [list(members) for members in circuit.detectors()]
+        _check_record_targets(circuit, self.num_measurements)
+        self.detector_groups = [list(members) for members in circuit.detectors()]
         observables = circuit.observables()
-        self._observable_groups = [
-            list(observables.get(index, ())) for index in range(self.num_observables)
+        self.observable_groups = [
+            list(observables.get(index, ())) for index in range(circuit.num_observables)
         ]
-        self._ops = self._compile(circuit)
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def _compile(self, circuit: Circuit) -> list:
-        ops: list[tuple] = []
+        self.ops: list[tuple] = []
         measurement_index = 0
-        for instruction in circuit.instructions:
-            name = instruction.name
-            if name == "H":
-                ops.append(("swapxz", _qubit_array(instruction.qubits)))
-            elif name == "S":
-                ops.append(("s", _qubit_array(instruction.qubits)))
-            elif name == "CPAULI":
-                control, target = instruction.qubits
-                check_x, check_z = _CHECK_BITS[instruction.pauli]
-                ops.append(("cpauli", control, target, check_x, check_z))
-            elif name == "SWAP":
-                ops.append(
-                    (
-                        "swap",
-                        _qubit_array(instruction.qubits[::2]),
-                        _qubit_array(instruction.qubits[1::2]),
-                    )
-                )
-            elif name in ("R", "RX"):
-                ops.append(("reset", _qubit_array(instruction.qubits)))
-            elif name in ("M", "MX"):
-                ops.append(
-                    (
-                        "measure",
-                        _qubit_array(instruction.qubits),
-                        name == "MX",
-                        measurement_index,
-                    )
-                )
-                measurement_index += len(instruction.qubits)
-            elif name in ("X_ERROR", "Y_ERROR", "Z_ERROR"):
-                letter = name[0]
-                ops.append(
-                    (
-                        "flip",
-                        _qubit_array(instruction.qubits),
-                        float(instruction.probability),
-                        letter in ("X", "Y"),
-                        letter in ("Y", "Z"),
-                    )
-                )
-            elif name == "DEPOLARIZE1":
-                ops.append(
-                    ("dep1", _qubit_array(instruction.qubits), float(instruction.probability))
-                )
-            elif name == "DEPOLARIZE2":
-                ops.append(
-                    (
-                        "dep2",
-                        _qubit_array(instruction.qubits[::2]),
-                        _qubit_array(instruction.qubits[1::2]),
-                        float(instruction.probability),
-                    )
-                )
-            elif name == "PAULI_CHANNEL_1":
-                p_x, p_y, p_z = (float(p) for p in instruction.probabilities)
-                # One uniform draw per (qubit, shot): [0, px+py) flips X,
-                # [px, px+py+pz) flips Z — the overlap [px, px+py) is Y.
-                ops.append(
-                    (
-                        "pc1",
-                        _qubit_array(instruction.qubits),
-                        p_x + p_y,
-                        p_x,
-                        p_x + p_y + p_z,
-                    )
-                )
-            elif name == "PAULI_CHANNEL_2":
-                cumulative = np.cumsum(
-                    np.asarray(instruction.probabilities, dtype=np.float64)
-                )
-                ops.append(
-                    (
-                        "pc2",
-                        _qubit_array(instruction.qubits[::2]),
-                        _qubit_array(instruction.qubits[1::2]),
-                        cumulative,
-                    )
-                )
-            # X/Y/Z gates commute with the frame up to sign; TICK/DETECTOR/
-            # OBSERVABLE are annotations.  All are no-ops here.
-        return ops
+        for whole in circuit.instructions:
+            for instruction in _disjoint_runs(whole):
+                name = instruction.name
+                if instruction.is_noise():
+                    noise = compile_noise(instruction)
+                    if noise is not None:
+                        self.ops.append(("noise", noise))
+                    continue
+                # X/Y/Z gates commute with the frame up to sign; TICK/DETECTOR/
+                # OBSERVABLE are annotations.  All are no-ops here.
+                if name in ("X", "Y", "Z") or not instruction.qubits:
+                    continue
+                qubits = _qubit_array(instruction.qubits)
+                if name == "H":
+                    self.ops.append(("swapxz", qubits))
+                elif name == "S":
+                    self.ops.append(("s", qubits))
+                elif name == "CPAULI":
+                    control, target = qubits.tolist()
+                    if control == target:
+                        raise ValueError(f"CPAULI needs two distinct qubits, got {control} twice")
+                    check_x, check_z = _CHECK_BITS[instruction.pauli]
+                    self.ops.append(("cpauli", control, target, check_x, check_z))
+                elif name == "SWAP":
+                    self.ops.append(("swap", qubits[::2], qubits[1::2]))
+                elif name in ("R", "RX"):
+                    self.ops.append(("reset", qubits))
+                elif name in ("M", "MX"):
+                    self.ops.append(("measure", qubits, name == "MX", measurement_index))
+                    measurement_index += qubits.size
 
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def sample(
-        self, shots: int, *, seed: "int | np.random.SeedSequence | None" = None
-    ) -> SampleBatch:
-        """Propagate ``shots`` frames through the circuit; see module docs."""
-        shots = int(shots)
-        if shots <= 0:
-            detectors = np.zeros((0, self.num_detectors), dtype=np.uint8)
-            return SampleBatch(
-                detectors=detectors,
-                observables=np.zeros((0, self.num_observables), dtype=np.uint8),
-                packed_detectors=pack_rows(detectors),
-            )
-        rng = np.random.default_rng(seed)
-        words = packed_words(shots)
+    def run(self, words: int, apply_noise) -> tuple[np.ndarray, np.ndarray]:
+        """Propagate ``words``-wide frames; return packed detector and observable rows.
+
+        ``apply_noise(noise, frame_x, frame_z)`` XORs one compiled noise op
+        into the frames in place.
+        """
         frame_x = np.zeros((self.num_qubits, words), dtype=_WORD_DTYPE)
         frame_z = np.zeros((self.num_qubits, words), dtype=_WORD_DTYPE)
         flips = np.zeros((self.num_measurements, words), dtype=_WORD_DTYPE)
-        for op in self._ops:
+        for op in self.ops:
             kind = op[0]
-            if kind == "measure":
+            if kind == "noise":
+                apply_noise(op[1], frame_x, frame_z)
+            elif kind == "measure":
+                # The frame bit that anticommutes with the readout basis is
+                # the measurement flip.
                 _, qubits, x_basis, start = op
                 source = frame_z if x_basis else frame_x
                 flips[start : start + qubits.size] = source[qubits]
             elif kind == "cpauli":
                 _, control, target, check_x, check_z = op
-                target_x_old = frame_x[target].copy()
-                target_z_old = frame_z[target].copy()
+                # X (or Y) on the control propagates the check Pauli onto
+                # the target.
                 if check_x:
                     frame_x[target] ^= frame_x[control]
                 if check_z:
                     frame_z[target] ^= frame_x[control]
                 # A target frame anticommuting with the check Pauli kicks a
-                # Z onto the control (same rule as propagation).
+                # Z onto the control (phase kickback).  The update above
+                # leaves the target's anticommutation bit unchanged, so it
+                # is read after the fact without a copy.
                 if check_x and check_z:
-                    frame_z[control] ^= target_x_old ^ target_z_old
+                    frame_z[control] ^= frame_x[target] ^ frame_z[target]
                 elif check_x:
-                    frame_z[control] ^= target_z_old
+                    frame_z[control] ^= frame_z[target]
                 else:
-                    frame_z[control] ^= target_x_old
+                    frame_z[control] ^= frame_x[target]
             elif kind == "swapxz":
                 _, qubits = op
                 swapped = frame_x[qubits]
@@ -241,46 +241,122 @@ class FrameSampler:
                 _, qubits = op
                 frame_x[qubits] = 0
                 frame_z[qubits] = 0
-            elif kind == "flip":
-                _, qubits, probability, flip_x, flip_z = op
-                draws = pack_rows(rng.random((qubits.size, shots)) < probability)
-                if flip_x:
-                    frame_x[qubits] ^= draws
-                if flip_z:
-                    frame_z[qubits] ^= draws
-            elif kind == "dep1":
-                _, qubits, probability = op
-                fired = rng.random((qubits.size, shots)) < probability
-                which = rng.integers(0, 3, size=(qubits.size, shots))
-                frame_x[qubits] ^= pack_rows(fired & (which != 2))  # X or Y
-                frame_z[qubits] ^= pack_rows(fired & (which != 0))  # Y or Z
-            elif kind == "dep2":
-                _, firsts, seconds, probability = op
-                fired = rng.random((firsts.size, shots)) < probability
-                pair = rng.integers(1, 16, size=(firsts.size, shots))
-                frame_x[firsts] ^= pack_rows(fired & _PAIR_FIRST_X[pair])
-                frame_z[firsts] ^= pack_rows(fired & _PAIR_FIRST_Z[pair])
-                frame_x[seconds] ^= pack_rows(fired & _PAIR_SECOND_X[pair])
-                frame_z[seconds] ^= pack_rows(fired & _PAIR_SECOND_Z[pair])
-            elif kind == "pc1":
-                _, qubits, x_below, z_from, z_below = op
-                draws = rng.random((qubits.size, shots))
-                frame_x[qubits] ^= pack_rows(draws < x_below)
-                frame_z[qubits] ^= pack_rows((draws >= z_from) & (draws < z_below))
-            elif kind == "pc2":
-                _, firsts, seconds, cumulative = op
-                draws = rng.random((firsts.size, shots))
-                # Categorical draw over the 15 Pauli pairs (+ identity in
-                # the remaining tail mass); choice k in 0..14 realises
-                # canonical pair index k + 1.
-                choice = np.searchsorted(cumulative, draws, side="right")
-                pair = np.where(choice < 15, choice + 1, 0)
-                frame_x[firsts] ^= pack_rows(_PAIR_FIRST_X[pair])
-                frame_z[firsts] ^= pack_rows(_PAIR_FIRST_Z[pair])
-                frame_x[seconds] ^= pack_rows(_PAIR_SECOND_X[pair])
-                frame_z[seconds] ^= pack_rows(_PAIR_SECOND_Z[pair])
-        detector_rows = xor_reduce_rows(flips, self._detector_groups)
-        observable_rows = xor_reduce_rows(flips, self._observable_groups)
+        return (
+            xor_reduce_rows(flips, self.detector_groups),
+            xor_reduce_rows(flips, self.observable_groups),
+        )
+
+
+def _compile_noise(instruction) -> tuple:
+    """The sampler's op for one noise instruction (thresholds precomputed)."""
+    name = instruction.name
+    if name in ("X_ERROR", "Y_ERROR", "Z_ERROR"):
+        letter = name[0]
+        return (
+            "flip",
+            _qubit_array(instruction.qubits),
+            float(instruction.probability),
+            letter in ("X", "Y"),
+            letter in ("Y", "Z"),
+        )
+    if name == "DEPOLARIZE1":
+        return ("dep1", _qubit_array(instruction.qubits), float(instruction.probability))
+    if name == "DEPOLARIZE2":
+        return (
+            "dep2",
+            _qubit_array(instruction.qubits[::2]),
+            _qubit_array(instruction.qubits[1::2]),
+            float(instruction.probability),
+        )
+    if name == "PAULI_CHANNEL_1":
+        p_x, p_y, p_z = (float(p) for p in instruction.probabilities)
+        # One uniform draw per (qubit, shot): [0, px+py) flips X,
+        # [px, px+py+pz) flips Z — the overlap [px, px+py) is Y.
+        return ("pc1", _qubit_array(instruction.qubits), p_x + p_y, p_x, p_x + p_y + p_z)
+    # PAULI_CHANNEL_2
+    cumulative = np.cumsum(np.asarray(instruction.probabilities, dtype=np.float64))
+    return (
+        "pc2",
+        _qubit_array(instruction.qubits[::2]),
+        _qubit_array(instruction.qubits[1::2]),
+        cumulative,
+    )
+
+
+def _draw_noise(op: tuple, frame_x, frame_z, rng: np.random.Generator, shots: int) -> None:
+    """Realise one noise op for every shot and XOR the packed draws in."""
+    kind = op[0]
+    if kind == "flip":
+        _, qubits, probability, flip_x, flip_z = op
+        draws = pack_rows(rng.random((qubits.size, shots)) < probability)
+        if flip_x:
+            frame_x[qubits] ^= draws
+        if flip_z:
+            frame_z[qubits] ^= draws
+    elif kind == "dep1":
+        _, qubits, probability = op
+        fired = rng.random((qubits.size, shots)) < probability
+        which = rng.integers(0, 3, size=(qubits.size, shots))
+        frame_x[qubits] ^= pack_rows(fired & (which != 2))  # X or Y
+        frame_z[qubits] ^= pack_rows(fired & (which != 0))  # Y or Z
+    elif kind == "dep2":
+        _, firsts, seconds, probability = op
+        fired = rng.random((firsts.size, shots)) < probability
+        pair = rng.integers(1, 16, size=(firsts.size, shots))
+        frame_x[firsts] ^= pack_rows(fired & _PAIR_FIRST_X[pair])
+        frame_z[firsts] ^= pack_rows(fired & _PAIR_FIRST_Z[pair])
+        frame_x[seconds] ^= pack_rows(fired & _PAIR_SECOND_X[pair])
+        frame_z[seconds] ^= pack_rows(fired & _PAIR_SECOND_Z[pair])
+    elif kind == "pc1":
+        _, qubits, x_below, z_from, z_below = op
+        draws = rng.random((qubits.size, shots))
+        frame_x[qubits] ^= pack_rows(draws < x_below)
+        frame_z[qubits] ^= pack_rows((draws >= z_from) & (draws < z_below))
+    else:  # pc2
+        _, firsts, seconds, cumulative = op
+        draws = rng.random((firsts.size, shots))
+        # Categorical draw over the 15 Pauli pairs (+ identity in the
+        # remaining tail mass); choice k in 0..14 realises canonical pair
+        # index k + 1.
+        choice = np.searchsorted(cumulative, draws, side="right")
+        pair = np.where(choice < 15, choice + 1, 0)
+        frame_x[firsts] ^= pack_rows(_PAIR_FIRST_X[pair])
+        frame_z[firsts] ^= pack_rows(_PAIR_FIRST_Z[pair])
+        frame_x[seconds] ^= pack_rows(_PAIR_SECOND_X[pair])
+        frame_z[seconds] ^= pack_rows(_PAIR_SECOND_Z[pair])
+
+
+class FrameSampler:
+    """Batched Pauli-frame sampler over one circuit (spec ``"frames"``).
+
+    Construction compiles the circuit into a :class:`FrameProgram`;
+    :meth:`sample` replays it once per instruction for all shots.
+    Instances are small and picklable, so the chunked process pool ships
+    them to workers as-is.
+    """
+
+    def __init__(self, circuit: Circuit, dem=None) -> None:
+        self.num_detectors = circuit.num_detectors
+        self.num_observables = circuit.num_observables
+        self._program = FrameProgram(circuit, _compile_noise)
+
+    def sample(
+        self, shots: int, *, seed: "int | np.random.SeedSequence | None" = None
+    ) -> SampleBatch:
+        """Propagate ``shots`` frames through the circuit; see module docs."""
+        shots = int(shots)
+        if shots <= 0:
+            detectors = np.zeros((0, self.num_detectors), dtype=np.uint8)
+            return SampleBatch(
+                detectors=detectors,
+                observables=np.zeros((0, self.num_observables), dtype=np.uint8),
+                packed_detectors=pack_rows(detectors),
+            )
+        rng = np.random.default_rng(seed)
+        detector_rows, observable_rows = self._program.run(
+            packed_words(shots),
+            lambda op, frame_x, frame_z: _draw_noise(op, frame_x, frame_z, rng, shots),
+        )
         detectors = np.ascontiguousarray(unpack_rows(detector_rows, shots).T)
         observables = np.ascontiguousarray(unpack_rows(observable_rows, shots).T)
         return SampleBatch(

@@ -28,11 +28,14 @@ bit-identical :class:`SampleBatch` contents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.sim.bitops import pack_rows, unpack_rows, xor_reduce_rows
-from repro.sim.dem import DetectorErrorModel
+
+if TYPE_CHECKING:  # repro.sim.dem imports this module through repro.sim.frames
+    from repro.sim.dem import DetectorErrorModel
 
 __all__ = ["SampleBatch", "DemSampler", "sample_detector_error_model"]
 

@@ -179,12 +179,18 @@ class TestChannelRealisations:
             flips = int(detectors[:, column].sum())
             assert abs(flips / 8192 - 8 / 15) < 4 * wilson_halfwidth(flips, 8192)
 
-    def test_repeated_qubit_rejected(self):
-        circuit = Circuit()
-        circuit.append(Instruction("R", (0, 1)))
-        circuit.instructions.append(Instruction("H", (0, 0)))  # bypass append checks
-        with pytest.raises(ValueError, match="repeats a qubit"):
-            FrameSampler(circuit)
+    def test_repeated_qubit_acts_in_order(self):
+        """A repeated qubit acts once per occurrence, in order (as in stim)."""
+        circuit = _measured_circuit(
+            [
+                Instruction("X_ERROR", (0, 1, 1), probability=1.0),  # X on 0; X X on 1
+                Instruction("H", (0, 0)),  # identity
+                Instruction("S", (0, 0)),  # Z: the X stays
+                Instruction("SWAP", (0, 1, 1, 2)),  # qubit 0's X ends on qubit 2
+            ],
+            num_qubits=3,
+        )
+        assert _detector_flips(circuit) == [0, 0, 1]
 
 
 def _inject(circuit: Circuit, insertions) -> Circuit:

@@ -1,9 +1,34 @@
-"""Tests for Pauli fault propagation through the circuit IR."""
+"""Tests for Pauli fault propagation through the circuit IR.
+
+Every propagation rule is checked on the packed frame kernel and on the
+reference sparse-Pauli propagator kept in ``tests/oracles``, which must
+agree.
+"""
 
 from __future__ import annotations
 
+from oracles.dem_reference import SparsePauli, measurement_flips
+
 from repro.circuits import Circuit
-from repro.sim import SparsePauli, measurement_flips, propagate_fault
+from repro.circuits.circuit import Instruction
+from repro.sim.dem import build_detector_error_model
+
+
+def flips(circuit: Circuit, start_index: int, qubit: int, letter: str) -> set[int]:
+    """Measurements flipped by ``letter`` on ``qubit`` injected after
+    instruction ``start_index``: found by the frame kernel (one fault in a
+    DEM build with one detector per measurement) and asserted equal to the
+    reference propagator's answer."""
+    probe = Circuit(list(circuit.instructions))
+    probe.instructions.insert(
+        start_index + 1, Instruction(f"{letter}_ERROR", (qubit,), probability=0.5)
+    )
+    for measurement in range(probe.num_measurements):
+        probe.detector([measurement])
+    mechanisms = build_detector_error_model(probe).mechanisms
+    found = set(mechanisms[0].detectors) if mechanisms else set()
+    assert found == measurement_flips(circuit, start_index, qubit, letter)
+    return found
 
 
 def _z_check_circuit() -> Circuit:
@@ -22,20 +47,19 @@ class TestSingleQubitRules:
         circuit = Circuit()
         circuit.reset(0)
         circuit.measure(0)
-        flips = measurement_flips(circuit, start_index=0, qubit=0, letter="X")
-        assert flips == {0}
+        assert flips(circuit, 0, 0, "X") == {0}
 
     def test_z_does_not_flip_z_measurement(self):
         circuit = Circuit()
         circuit.reset(0)
         circuit.measure(0)
-        assert measurement_flips(circuit, 0, 0, "Z") == set()
+        assert flips(circuit, 0, 0, "Z") == set()
 
     def test_z_flips_x_measurement(self):
         circuit = Circuit()
         circuit.reset(0, basis="X")
         circuit.measure(0, basis="X")
-        assert measurement_flips(circuit, 0, 0, "Z") == {0}
+        assert flips(circuit, 0, 0, "Z") == {0}
 
     def test_hadamard_exchanges_x_and_z(self):
         circuit = Circuit()
@@ -43,16 +67,16 @@ class TestSingleQubitRules:
         circuit.h(0)
         circuit.measure(0)
         # Z before the H becomes X at the measurement -> flips.
-        assert measurement_flips(circuit, 0, 0, "Z") == {0}
+        assert flips(circuit, 0, 0, "Z") == {0}
         # X before the H becomes Z -> no flip.
-        assert measurement_flips(circuit, 0, 0, "X") == set()
+        assert flips(circuit, 0, 0, "X") == set()
 
     def test_reset_clears_fault(self):
         circuit = Circuit()
         circuit.reset(0)
         circuit.reset(0)
         circuit.measure(0)
-        assert measurement_flips(circuit, 0, 0, "X") == set()
+        assert flips(circuit, 0, 0, "X") == set()
 
     def test_fault_before_start_index_ignored(self):
         circuit = Circuit()
@@ -60,7 +84,7 @@ class TestSingleQubitRules:
         circuit.measure(0)
         circuit.measure(0)
         # Injecting after the first measurement only flips the second.
-        assert measurement_flips(circuit, 1, 0, "X") == {1}
+        assert flips(circuit, 1, 0, "X") == {1}
 
 
 class TestControlledPauliRules:
@@ -71,13 +95,11 @@ class TestControlledPauliRules:
         # it propagates a Z onto data qubit 1 through the remaining CZ, which
         # flips qubit 1's X-basis readout but not qubit 0's, and leaves the
         # ancilla's own MX readout unflipped (an X does not flip MX).
-        flips = measurement_flips(circuit, 2, 2, "X")
-        assert flips == {2}
+        assert flips(circuit, 2, 2, "X") == {2}
 
     def test_z_on_control_flips_its_own_readout(self):
         circuit = _z_check_circuit()
-        flips = measurement_flips(circuit, 2, 2, "Z")
-        assert flips == {0}
+        assert flips(circuit, 2, 2, "Z") == {0}
 
     def test_hook_error_hits_later_data_checks_only(self):
         """An ancilla fault mid-way through an X-stabilizer measurement
@@ -90,29 +112,27 @@ class TestControlledPauliRules:
         circuit.measure(4, basis="X")
         data_measurements = circuit.measure(0, 1, 2, 3)
         # Fault after the second check (instruction index: R,RX,CP,CP -> 3).
-        flips = propagate_fault(circuit, 3, SparsePauli.single(4, "X"))
-        flipped_data = {m - 1 for m in flips if m in set(data_measurements)}
+        flipped = flips(circuit, 3, 4, "X")
+        flipped_data = {m - 1 for m in flipped if m in set(data_measurements)}
         assert flipped_data == {2, 3}
 
     def test_anticommuting_data_fault_kicks_back_onto_ancilla(self):
         circuit = _z_check_circuit()
         # X on data qubit 0 before its CZ anticommutes with the Z check and
         # flips the ancilla's X readout.
-        flips = measurement_flips(circuit, 1, 0, "X")
-        assert 0 in flips
+        assert 0 in flips(circuit, 1, 0, "X")
 
     def test_commuting_data_fault_invisible_to_ancilla(self):
         circuit = _z_check_circuit()
-        flips = measurement_flips(circuit, 1, 0, "Z")
-        assert flips == set()
+        assert flips(circuit, 1, 0, "Z") == set()
 
     def test_swap_moves_fault(self):
         circuit = Circuit()
         circuit.reset(0, 1)
         circuit.swap(0, 1)
         circuit.measure(1)
-        assert measurement_flips(circuit, 0, 0, "X") == {0}
-        assert measurement_flips(circuit, 0, 1, "X") == set()
+        assert flips(circuit, 0, 0, "X") == {0}
+        assert flips(circuit, 0, 1, "X") == set()
 
 
 class TestSparsePauli:
