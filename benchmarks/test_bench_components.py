@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles.bposd_reference import ReferenceBPOSDDecoder
 from oracles.dem_reference import build_detector_error_model as reference_dem
 
 from repro.api import codes, decoders
@@ -22,6 +23,16 @@ from repro.noise import brisbane_noise
 from repro.scheduling import checks_of_code, google_surface_schedule, lowest_depth_schedule
 from repro.sim import build_detector_error_model, sample_detector_error_model
 from repro.sim.frames import FrameSampler, TableauSampler
+
+
+def _best_of(func, repeats):
+    """Fastest of ``repeats`` wall-clock timings of ``func()``, in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        func()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 @pytest.fixture(scope="module")
@@ -83,20 +94,41 @@ class TestComponentThroughput:
             code, lowest_depth_schedule(code), brisbane_noise(), basis="Z"
         ).circuit
 
-        def best_of(func, repeats):
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                func()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        one_pass = best_of(lambda: build_detector_error_model(circuit), repeats=7)
-        per_mechanism = best_of(lambda: reference_dem(circuit), repeats=2)
+        one_pass = _best_of(lambda: build_detector_error_model(circuit), repeats=7)
+        per_mechanism = _best_of(lambda: reference_dem(circuit), repeats=2)
         speedup = per_mechanism / one_pass
         print(f"\nDEM bb_18: reference {per_mechanism * 1e3:.0f}ms one-pass "
               f"{one_pass * 1e3:.1f}ms speedup {speedup:.1f}x")
         assert speedup >= 5.0
+
+    def test_bposd_kernel_vs_reference_speedup_bb18(self):
+        """Acceptance: the tiled, compacting BP+OSD kernel decodes a
+        128-row ``bb_18`` unique block >= 2x faster than the whole-block
+        reference decoder.
+
+        Only the ratio is asserted, with best-of-N ``perf_counter`` loops
+        on the same host; the oracle side costs about 1 s.  Equality of
+        posteriors, hard decisions and predictions is pinned in
+        ``tests/test_bposd_kernel.py``.
+        """
+        code = codes.build("bb_18")
+        dem = build_detector_error_model(
+            build_memory_experiment(
+                code, lowest_depth_schedule(code), brisbane_noise(), basis="Z"
+            ).circuit
+        )
+        sampled = sample_detector_error_model(dem, 1024, seed=5).detectors
+        block = np.ascontiguousarray(np.unique(sampled, axis=0)[:128].astype(np.uint8))
+        assert block.shape[0] == 128
+        kernel = decoders.build("bposd")(dem)
+        oracle = ReferenceBPOSDDecoder(dem)
+
+        tiled = _best_of(lambda: kernel._decode_unique(block), repeats=5)
+        whole_block = _best_of(lambda: oracle._decode_unique(block), repeats=2)
+        speedup = whole_block / tiled
+        print(f"\nBP+OSD bb_18 128 rows: reference {whole_block * 1e3:.0f}ms "
+              f"kernel {tiled * 1e3:.0f}ms speedup {speedup:.1f}x")
+        assert speedup >= 2.0
 
     def test_sampler_throughput(self, benchmark, surface_dem):
         batch = benchmark(sample_detector_error_model, surface_dem, 2000, seed=0)
@@ -133,19 +165,13 @@ class TestComponentThroughput:
         assert np.array_equal(dense.detectors, packed.detectors)
         assert np.array_equal(dense.observables, packed.observables)
 
-        def best_of(func, repeats=9):
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                func()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        dense_time = best_of(
-            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="dense")
+        dense_time = _best_of(
+            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="dense"),
+            repeats=9,
         )
-        packed_time = best_of(
-            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="packed")
+        packed_time = _best_of(
+            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="packed"),
+            repeats=9,
         )
         speedup = dense_time / packed_time
         print(f"\nsampler d=5: dense {dense_time * 1e3:.1f}ms "
@@ -178,16 +204,8 @@ class TestComponentThroughput:
         batch = frames.sample(shots, seed=0)
         assert batch.detectors.shape == (shots, surface_circuit.num_detectors)
 
-        def best_of(func, repeats=5):
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                func()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        frame_time = best_of(lambda: frames.sample(shots, seed=0)) / shots
-        tableau_time = best_of(
+        frame_time = _best_of(lambda: frames.sample(shots, seed=0), repeats=5) / shots
+        tableau_time = _best_of(
             lambda: tableau.sample(tableau_shots, seed=0), repeats=3
         ) / tableau_shots
         speedup = tableau_time / frame_time
@@ -222,18 +240,10 @@ class TestComponentThroughput:
         )
         assert np.array_equal(decoder.decode_batch(batch.detectors)[:128], reference)
 
-        def best_of(func, repeats=5):
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                func()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        loop_time = best_of(
+        loop_time = _best_of(
             lambda: [decoder.decode(syndrome) for syndrome in loop_slice], repeats=3
         ) / len(loop_slice)
-        batch_time = best_of(lambda: decoder.decode_batch(batch.detectors)) / shots
+        batch_time = _best_of(lambda: decoder.decode_batch(batch.detectors), repeats=5) / shots
         speedup = loop_time / batch_time
         print(f"\n{decoder_name} d=3 {shots} shots: loop {1 / loop_time / 1e3:.1f} "
               f"kshots/s batch {1 / batch_time / 1e3:.1f} kshots/s speedup {speedup:.1f}x")

@@ -51,7 +51,7 @@ from repro.codes.surface import (
     rotated_surface_code,
 )
 from repro.codes.xzzx import xzzx_surface_code
-from repro.decoders.bposd import BPOSDDecoder
+from repro.decoders.bposd import BPOSDDecoder, check_bposd_parameters
 from repro.decoders.lookup import LookupDecoder
 from repro.decoders.matching import MWPMDecoder
 from repro.decoders.union_find import UnionFindDecoder
@@ -250,6 +250,7 @@ def _unionfind(**kwargs):
 
 @register_decoder("bposd", aliases=("bp_osd",), help="Belief propagation + ordered statistics")
 def _bposd(**kwargs):
+    check_bposd_parameters(**kwargs)
     return partial(BPOSDDecoder, **kwargs)
 
 

@@ -4,15 +4,18 @@ The decoder of Roffe et al. (Phys. Rev. Research 2, 043423) as used in the
 paper for colour and bivariate-bicycle codes:
 
 * **BP stage** — normalised min-sum belief propagation on the Tanner graph
-  of the DEM's check matrix, vectorised over shots with numpy: message
-  state lives in dense edge-major ``(edges, shots)`` / per-mechanism
-  ``(mechanisms, shots)`` arrays, so one iteration advances the whole shot
-  block with scatter/gather ufuncs and no per-shot Python.  Shots whose
-  hard decision reproduces the syndrome are accepted directly.
+  of the DEM's check matrix, vectorised over shots with numpy.  Message
+  state lives in edge-major ``(edges, shots)`` arrays and the block runs in
+  tiles of :data:`_TILE` shots, so one iteration's temporaries stay in
+  cache.  Per-check quantities are reduced over contiguous edge segments
+  and expanded back with ``np.repeat``; a column leaves the tile the
+  iteration its hard decision reproduces the syndrome, so later iterations
+  only pay for the columns still running.
 * **OSD-0 stage** — only for the non-converged residue: columns are ranked
   by the BP posterior reliability, a full-rank column basis is selected
   greedily in that order, and the syndrome is solved exactly on that basis
-  (all other mechanisms set to zero).
+  (all other mechanisms set to zero).  The elimination holds each row of
+  ``H[:, order]`` as one Python integer.
 
 The output per shot is the XOR of the observable signatures of the selected
 mechanisms.
@@ -28,14 +31,44 @@ singleton decode regardless of what else shares the batch.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.decoders.base import Decoder
 from repro.sim.dem import DetectorErrorModel
 
-__all__ = ["BPOSDDecoder"]
+__all__ = ["BPOSDDecoder", "check_bposd_parameters"]
 
 _LLR_CLIP = 30.0
+
+#: Unique syndromes per BP tile.  At 64 columns one ``(edges, shots)``
+#: float64 temporary of a bivariate-bicycle DEM is ~1.3 MB, so an
+#: iteration's working set stays in L2; a whole 400-column block is
+#: about twice as slow.
+_TILE = 64
+
+
+def check_bposd_parameters(max_iterations=30, scaling_factor=0.75) -> None:
+    """Raise ``ValueError`` unless the BP parameters are usable.
+
+    ``max_iterations`` must be a non-negative integer and
+    ``scaling_factor`` a number in ``(0, 1]``.
+    """
+    if (
+        not isinstance(max_iterations, numbers.Integral)
+        or isinstance(max_iterations, bool)
+        or max_iterations < 0
+    ):
+        raise ValueError(
+            f"bposd max_iterations must be a non-negative integer, got {max_iterations!r}"
+        )
+    if (
+        not isinstance(scaling_factor, numbers.Real)
+        or isinstance(scaling_factor, bool)
+        or not 0 < scaling_factor <= 1
+    ):
+        raise ValueError(f"bposd scaling_factor must be in (0, 1], got {scaling_factor!r}")
 
 
 class BPOSDDecoder(Decoder):
@@ -48,40 +81,37 @@ class BPOSDDecoder(Decoder):
         max_iterations: int = 30,
         scaling_factor: float = 0.75,
     ) -> None:
+        check_bposd_parameters(max_iterations, scaling_factor)
         super().__init__(dem)
         self.max_iterations = max_iterations
         self.scaling_factor = scaling_factor
         self._h = self.check_matrix.astype(np.uint8)
-        # Cached int64 casts of H (and transpose) for the residual matmuls —
-        # recomputing them per decode dominated small-batch calls.
-        self._h_int = self._h.astype(np.int64)
-        self._h_int_t = np.ascontiguousarray(self._h_int.T)
+        # Float copy of H for the convergence test: BLAS sums of 0/1
+        # products are exact integers far below 2**53.
+        self._h_float = self._h.astype(np.float64)
         self._num_checks, self._num_mechanisms = self._h.shape
         priors = np.clip(self.priors, 1e-12, 0.5 - 1e-12)
         self._prior_llrs = np.log((1 - priors) / priors)
-        # Tanner graph edges in edge-major layout (scatter axis first).
-        # ``np.nonzero`` yields row-major order, so edges arrive sorted by
-        # check — per-check reductions are contiguous segments.
+        # Tanner graph edges in edge-major layout.  ``np.nonzero`` yields
+        # row-major order, so edges arrive sorted by check — per-check
+        # reductions are contiguous segments, and per-check rows expand to
+        # edges with ``np.repeat`` over the check degrees.
         checks, mechanisms = np.nonzero(self._h)
-        self._edge_check = checks.astype(np.int64)
+        self._num_edges = checks.size
         self._edge_mechanism = mechanisms.astype(np.int64)
-        # Segment layout for ``reduceat``-based message reductions: the
-        # checks/mechanisms that own at least one edge, with the start of
-        # each one's contiguous edge run.  The mechanism-major permutation
-        # is a *stable* sort, so within one mechanism the edges keep their
-        # check-ascending order — reduction order (and therefore every
-        # float partial sum) is identical to the ``ufunc.at`` scatters this
-        # replaces.
-        if checks.size:
-            self._check_present, check_starts = np.unique(
-                self._edge_check, return_index=True
-            )
-            self._check_starts = check_starts
-            self._mech_perm = np.argsort(self._edge_mechanism, kind="stable")
-            self._mech_present, mech_starts = np.unique(
-                self._edge_mechanism[self._mech_perm], return_index=True
-            )
-            self._mech_starts = mech_starts
+        self._check_present, self._check_starts, self._check_degrees = np.unique(
+            checks, return_index=True, return_counts=True
+        )
+        # Per-mechanism sums run over the mechanism-major permutation, a
+        # *stable* sort, so within one mechanism the edges keep their
+        # check-ascending order.  ``np.add.reduceat`` along axis 0 does not
+        # add a segment left to right: up to eight terms numpy groups it as
+        # ``x0 + ((x1 + x2) + x3 ...)``.  Changing the call would change
+        # the last bit of a posterior, so it stays.
+        self._mech_perm = np.argsort(self._edge_mechanism, kind="stable")
+        self._mech_present, self._mech_starts = np.unique(
+            self._edge_mechanism[self._mech_perm], return_index=True
+        )
 
     # ------------------------------------------------------------------
     # Batch decode (unique syndromes, via the base dedup front end)
@@ -91,9 +121,7 @@ class BPOSDDecoder(Decoder):
         predictions = np.zeros((shots, self.dem.num_observables), dtype=np.uint8)
         if self._num_mechanisms == 0 or shots == 0:
             return predictions
-        posteriors, hard_decisions = self._run_bp(syndromes)
-        residual = (hard_decisions.astype(np.int64) @ self._h_int_t) % 2
-        converged = (residual == syndromes).all(axis=1)
+        posteriors, hard_decisions, converged = self._run_bp(syndromes)
         if converged.any():
             predictions[converged] = self.predicted_observables_batch(
                 hard_decisions[converged]
@@ -104,126 +132,158 @@ class BPOSDDecoder(Decoder):
         return predictions
 
     # ------------------------------------------------------------------
-    # Belief propagation (edge-major, vectorised over shots)
+    # Belief propagation (edge-major, tiled over shots)
     # ------------------------------------------------------------------
-    def _run_bp(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _run_bp(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """BP posteriors, hard decisions and convergence flags per shot.
+
+        Returns ``(shots, mechanisms)`` float64 posteriors and uint8 hard
+        decisions, each frozen at the shot's first convergence iteration
+        (or taken after the last iteration), and a ``(shots,)`` bool mask
+        of the shots whose hard decision reproduces their syndrome.
+        """
         shots = syndromes.shape[0]
-        num_edges = self._edge_check.shape[0]
-        posteriors = np.tile(self._prior_llrs, (shots, 1)).T.copy()  # (mechanisms, shots)
-        hard = np.zeros((self._num_mechanisms, shots), dtype=np.uint8)
-        if num_edges == 0:
-            return posteriors.T, hard.T
+        posteriors = np.tile(self._prior_llrs, (shots, 1))
+        hard = np.zeros((shots, self._num_mechanisms), dtype=np.uint8)
+        converged = np.zeros(shots, dtype=bool)
+        if self._num_edges == 0 or self.max_iterations == 0:
+            return posteriors, hard, converged
+        for start in range(0, shots, _TILE):
+            stop = min(start + _TILE, shots)
+            self._run_bp_tile(
+                syndromes[start:stop],
+                posteriors[start:stop],
+                hard[start:stop],
+                converged[start:stop],
+            )
+        return posteriors, hard, converged
 
-        edge_check = self._edge_check
-        edge_mechanism = self._edge_mechanism
-        mechanism_to_check = np.tile(
-            self._prior_llrs[edge_mechanism], (shots, 1)
-        ).T.copy()  # (edges, shots)
-        syndrome_signs = (1.0 - 2.0 * syndromes.astype(np.float64)).T  # (checks, shots)
+    def _run_bp_tile(
+        self,
+        syndromes: np.ndarray,
+        posteriors_out: np.ndarray,
+        hard_out: np.ndarray,
+        converged_out: np.ndarray,
+    ) -> None:
+        """Run BP on one tile, writing each column out as it finishes.
 
-        check_present = self._check_present
-        check_starts = self._check_starts
+        A column that converges is copied out and dropped from every
+        message array, so later iterations run on the live columns only.
+        Columns never interact, so neither tiling nor compaction changes a
+        bit of any column's result.
+        """
+        starts = self._check_starts
+        degrees = self._check_degrees
         mech_perm = self._mech_perm
-        mech_present = self._mech_present
         mech_starts = self._mech_starts
-
-        # Per-column freezing: a shot's result is committed at *its own*
-        # first convergence iteration, so every column's output equals its
-        # singleton decode — ``decode_batch`` is elementwise and the dedup
-        # front end (and any batch composition) cannot change predictions.
-        syndromes_t = syndromes.T
-        frozen_posteriors = posteriors.copy()
-        frozen_hard = hard.copy()
-        committed = np.zeros(shots, dtype=bool)
+        scale = self.scaling_factor
+        prior_column = self._prior_llrs[:, np.newaxis]
+        live = np.arange(syndromes.shape[0])
+        target = syndromes.T.astype(np.float64)  # (checks, live)
+        flipped = syndromes.T[self._check_present].astype(bool)  # (present checks, live)
+        mechanism_to_check = np.repeat(
+            self._prior_llrs[self._edge_mechanism, np.newaxis], live.size, axis=1
+        )  # (edges, live)
 
         for _ in range(self.max_iterations):
-            signs = np.where(mechanism_to_check >= 0, 1.0, -1.0)
+            negative = mechanism_to_check < 0
             magnitudes = np.abs(mechanism_to_check)
 
-            # Per-check reductions over contiguous edge segments (reduceat);
-            # order-identical to the historical ufunc.at scatters, ~5x faster.
-            sign_product = np.ones((self._num_checks, shots))
-            sign_product[check_present] = np.multiply.reduceat(signs, check_starts)
-
-            first_min = np.full((self._num_checks, shots), np.inf)
-            first_min[check_present] = np.minimum.reduceat(magnitudes, check_starts)
-            is_min = magnitudes <= first_min[edge_check] + 1e-15
-            min_count = np.zeros((self._num_checks, shots))
-            min_count[check_present] = np.add.reduceat(
-                is_min.astype(np.float64), check_starts
-            )
+            # Per check: the sign parity (syndrome included) and the
+            # smallest and second-smallest magnitudes.  A magnitude within
+            # 1e-15 of the minimum counts as a minimum; when it is the only
+            # one, its edge sees the second minimum, otherwise every edge
+            # sees the first.  A missing second minimum (inf) becomes 0.
+            odd = np.logical_xor.reduceat(negative, starts) ^ flipped
+            first_min = np.minimum.reduceat(magnitudes, starts)
+            is_min = magnitudes <= np.repeat(first_min + 1e-15, degrees, axis=0)
+            unique_min = np.add.reduceat(is_min, starts) < 2
             masked = np.where(is_min, np.inf, magnitudes)
-            second_min = np.full((self._num_checks, shots), np.inf)
-            second_min[check_present] = np.minimum.reduceat(masked, check_starts)
+            second_min = np.minimum.reduceat(masked, starts)
+            min_edge_value = np.where(unique_min, second_min, first_min)
+            min_edge_value[np.isinf(min_edge_value)] = 0.0
 
-            # Per edge: minimum magnitude among the *other* edges of the check.
-            other_min = np.where(
-                is_min & (min_count[edge_check] < 2),
-                second_min[edge_check],
-                first_min[edge_check],
+            # Messages: scale * other_min with the sign set by copysign; the
+            # reference's product of +-1 factors is exact, so the float is
+            # the same.
+            check_to_mechanism = np.where(
+                is_min,
+                np.repeat(scale * min_edge_value, degrees, axis=0),
+                np.repeat(scale * first_min, degrees, axis=0),
             )
-            other_min = np.where(np.isinf(other_min), 0.0, other_min)
-            check_to_mechanism = (
-                self.scaling_factor
-                * sign_product[edge_check]
-                * signs
-                * syndrome_signs[edge_check]
-                * other_min
-            )
+            sign_flip = np.repeat(odd, degrees, axis=0)
+            sign_flip ^= negative
+            np.copysign(check_to_mechanism, 1.0 - 2.0 * sign_flip, out=check_to_mechanism)
 
-            totals = np.zeros((self._num_mechanisms, shots))
-            totals[mech_present] = np.add.reduceat(
-                check_to_mechanism[mech_perm], mech_starts
-            )
-            posteriors = self._prior_llrs[:, np.newaxis] + totals
-            mechanism_to_check = posteriors[edge_mechanism] - check_to_mechanism
+            totals = np.add.reduceat(check_to_mechanism[mech_perm], mech_starts)
+            if totals.shape[0] != self._num_mechanisms:
+                padded = np.zeros((self._num_mechanisms, live.size))
+                padded[self._mech_present] = totals
+                totals = padded
+            posteriors = prior_column + totals
+            mechanism_to_check = posteriors[self._edge_mechanism]
+            mechanism_to_check -= check_to_mechanism
             np.clip(mechanism_to_check, -_LLR_CLIP, _LLR_CLIP, out=mechanism_to_check)
 
-            hard = (posteriors < 0).astype(np.uint8)
-            residual = (self._h_int @ hard.astype(np.int64)) % 2
-            converged = (residual == syndromes_t).all(axis=0)
-            newly = converged & ~committed
-            if newly.any():
-                frozen_posteriors[:, newly] = posteriors[:, newly]
-                frozen_hard[:, newly] = hard[:, newly]
-                committed |= newly
-            if committed.all():
-                break
-        remaining = ~committed
-        if remaining.any():
-            frozen_posteriors[:, remaining] = posteriors[:, remaining]
-            frozen_hard[:, remaining] = hard[:, remaining]
-        return frozen_posteriors.T, frozen_hard.T
+            hard = posteriors < 0
+            parities = np.fmod(self._h_float @ hard.astype(np.float64), 2.0)
+            done = (parities == target).all(axis=0)
+            if done.any():
+                finished = live[done]
+                posteriors_out[finished] = posteriors[:, done].T
+                hard_out[finished] = hard[:, done].T
+                converged_out[finished] = True
+                keep = ~done
+                live = live[keep]
+                if live.size == 0:
+                    return
+                target = target[:, keep]
+                flipped = flipped[:, keep]
+                mechanism_to_check = mechanism_to_check[:, keep]
+                posteriors = posteriors[:, keep]
+                hard = hard[:, keep]
+        posteriors_out[live] = posteriors.T
+        hard_out[live] = hard.T
 
     # ------------------------------------------------------------------
     # Ordered statistics decoding (order 0)
     # ------------------------------------------------------------------
     def _osd_zero(self, syndrome: np.ndarray, posterior: np.ndarray) -> np.ndarray:
+        """Solve ``H e = syndrome`` on the most reliable full-rank column basis.
+
+        Gauss-Jordan elimination over GF(2) with columns in ascending
+        posterior order: each row of ``H[:, order]`` is one Python integer
+        (bit ``j`` is column ``j``, bit ``num_columns`` the syndrome bit),
+        and the next pivot column is the lowest set bit among the rows not
+        yet used as pivots — earlier columns are already zero there.  For
+        an inconsistent syndrome the rows past the rank are ignored.
+        """
         order = np.argsort(posterior, kind="stable")  # most likely errors first
-        h = self._h[:, order].copy()
-        target = syndrome.copy()
-        num_checks, num_columns = h.shape
+        num_checks, num_columns = self._h.shape
+        augmented = np.zeros((num_checks, num_columns + 1), dtype=np.uint8)
+        augmented[:, :num_columns] = self._h[:, order]
+        augmented[:, num_columns] = syndrome
+        packed = np.packbits(augmented, axis=1, bitorder="little")
+        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        column_bits = (1 << num_columns) - 1
         pivot_columns: list[int] = []
-        row = 0
-        for column in range(num_columns):
-            if row >= num_checks:
+        for row in range(num_checks):
+            remaining = 0
+            for value in rows[row:]:
+                remaining |= value
+            remaining &= column_bits
+            if not remaining:
                 break
-            pivot_candidates = np.nonzero(h[row:, column])[0]
-            if pivot_candidates.size == 0:
-                continue
-            pivot = row + pivot_candidates[0]
-            if pivot != row:
-                h[[row, pivot]] = h[[pivot, row]]
-                target[[row, pivot]] = target[[pivot, row]]
-            for other in np.nonzero(h[:, column])[0]:
-                if other != row:
-                    h[other] ^= h[row]
-                    target[other] ^= target[row]
-            pivot_columns.append(column)
-            row += 1
+            bit = remaining & -remaining
+            pivot = next(index for index in range(row, num_checks) if rows[index] & bit)
+            rows[row], rows[pivot] = rows[pivot], rows[row]
+            pivot_row = rows[row]
+            rows = [value ^ pivot_row if value & bit else value for value in rows]
+            rows[row] = pivot_row
+            pivot_columns.append(bit.bit_length() - 1)
         error = np.zeros(num_columns, dtype=np.uint8)
-        for row_index, column in enumerate(pivot_columns):
-            error[column] = target[row_index]
+        for row, column in enumerate(pivot_columns):
+            error[column] = rows[row] >> num_columns & 1
         result = np.zeros(num_columns, dtype=np.uint8)
         result[order] = error
         return result
