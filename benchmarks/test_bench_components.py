@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from oracles.bposd_reference import ReferenceBPOSDDecoder
 from oracles.dem_reference import build_detector_error_model as reference_dem
+from oracles.sampler_reference import sample_dense
 
 from repro.api import codes, decoders
 from repro.circuits import build_memory_experiment
@@ -135,14 +136,13 @@ class TestComponentThroughput:
         assert batch.num_shots == 2000
 
     def test_sampler_packed_throughput_d5(self, benchmark, surface_d5_dem):
-        batch = benchmark(
-            sample_detector_error_model, surface_d5_dem, 2048, seed=0, backend="packed"
-        )
+        batch = benchmark(sample_detector_error_model, surface_d5_dem, 2048, seed=0)
         assert batch.num_shots == 2048
 
     def test_sampler_packed_vs_dense_speedup_d5(self, surface_d5_dem):
-        """Acceptance: the bit-packed sampler is >= 5x the dense int64 path
-        at a d=5-scale DEM while remaining bit-identical for a fixed stream.
+        """Acceptance: the bit-packed sampler is >= 5x the dense int64 oracle
+        (``tests/oracles/sampler_reference.py``) at a d=5-scale DEM while
+        remaining bit-identical for a fixed stream.
 
         Timed with a best-of-N ``perf_counter`` loop (not the ``benchmark``
         fixture) so the check also executes under ``--benchmark-disable``
@@ -154,24 +154,22 @@ class TestComponentThroughput:
         """
         shots = 2048
 
-        dense = sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="dense")
-        packed = sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="packed")
-        # Both backends XOR the sampler's one fault draw for this stream.
+        dense_detectors, dense_observables = sample_dense(surface_d5_dem, shots, seed=11)
+        packed = sample_detector_error_model(surface_d5_dem, shots, seed=11)
+        # Both XOR the sampler's one fault draw for this stream.
         priors = surface_d5_dem.priors
         fired = np.random.default_rng(11).random((shots, len(priors))) < priors
         check = surface_d5_dem.check_matrix.T.astype(np.int64)
         expected = (fired.astype(np.int64) @ check) % 2
-        assert np.array_equal(dense.detectors, expected.astype(np.uint8))
-        assert np.array_equal(dense.detectors, packed.detectors)
-        assert np.array_equal(dense.observables, packed.observables)
+        assert np.array_equal(dense_detectors, expected.astype(np.uint8))
+        assert np.array_equal(dense_detectors, packed.detectors)
+        assert np.array_equal(dense_observables, packed.observables)
 
         dense_time = _best_of(
-            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="dense"),
-            repeats=9,
+            lambda: sample_dense(surface_d5_dem, shots, seed=11), repeats=9
         )
         packed_time = _best_of(
-            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11, backend="packed"),
-            repeats=9,
+            lambda: sample_detector_error_model(surface_d5_dem, shots, seed=11), repeats=9
         )
         speedup = dense_time / packed_time
         print(f"\nsampler d=5: dense {dense_time * 1e3:.1f}ms "

@@ -28,6 +28,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The dense references live with the unit tests as oracles; import them by
+# the same name (``oracles.sampler_reference``) as the tests do.
+sys.path.append(str(REPO_ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -40,6 +43,8 @@ from repro.sim import build_detector_error_model, sample_detector_error_model  #
 from repro.io.stim_text import emit_stim_circuit, parse_stim_circuit  # noqa: E402
 from repro.sim.frames import FrameSampler, TableauSampler  # noqa: E402
 from repro.sim.tableau import simulate_circuit  # noqa: E402
+from oracles.sampler_reference import sample_dense  # noqa: E402
+from oracles.tableau_reference import simulate_circuit_dense  # noqa: E402
 
 
 def _round(obj):
@@ -135,15 +140,11 @@ def main() -> int:
 
     print("timing samplers (dense vs packed, d=5) ...")
     shots = 2048
-    dense = sample_detector_error_model(dem_d5, shots, seed=11, backend="dense")
-    packed = sample_detector_error_model(dem_d5, shots, seed=11, backend="packed")
-    assert np.array_equal(dense.detectors, packed.detectors), "packed sampler diverged"
-    dense_s = best_of(
-        lambda: sample_detector_error_model(dem_d5, shots, seed=11, backend="dense"), repeats
-    )
-    packed_s = best_of(
-        lambda: sample_detector_error_model(dem_d5, shots, seed=11, backend="packed"), repeats
-    )
+    dense_detectors, _ = sample_dense(dem_d5, shots, seed=11)
+    packed = sample_detector_error_model(dem_d5, shots, seed=11)
+    assert np.array_equal(dense_detectors, packed.detectors), "packed sampler diverged"
+    dense_s = best_of(lambda: sample_dense(dem_d5, shots, seed=11), repeats)
+    packed_s = best_of(lambda: sample_detector_error_model(dem_d5, shots, seed=11), repeats)
     benchmarks["sampler_d5"] = {
         "shots": shots,
         "dense_ms": dense_s * 1e3,
@@ -179,8 +180,8 @@ def main() -> int:
             target = circuit_d3
         else:
             target = wide_clifford_circuit(width, ops)
-        packed_s = best_of(lambda: simulate_circuit(target, seed=0, mode="packed"), 3)
-        dense_s = best_of(lambda: simulate_circuit(target, seed=0, mode="dense"), 3)
+        packed_s = best_of(lambda: simulate_circuit(target, seed=0), 3)
+        dense_s = best_of(lambda: simulate_circuit_dense(target, seed=0), 3)
         tableau_widths[label] = {
             "num_qubits": target.num_qubits,
             "packed_ms": packed_s * 1e3,

@@ -27,14 +27,13 @@ The same run from the shell::
 
     repro run --code surface:d=3 --decoder mwpm --scheduler alphasyndrome
 
-``get_code`` and ``decoder_factory`` below are deprecated shims over the
-``repro.api`` registries, kept so pre-1.1 imports keep working.
+Codes, decoders, noise models, schedulers and samplers are built by name
+through the ``repro.api`` registries (``repro.api.codes.build("steane")``,
+``repro.api.decoders.build("mwpm")``).
 """
 
 from repro.api import Budget, Pipeline, RunResult, RunSpec
-from repro.codes import get_code
 from repro.core import AlphaSyndrome, MCTSConfig, SynthesisResult, synthesize_schedule
-from repro.decoders import decoder_factory
 from repro.noise import NoiseModel, brisbane_noise, non_uniform_noise, scaled_noise
 from repro.scheduling import (
     Schedule,
@@ -44,19 +43,17 @@ from repro.scheduling import (
 )
 from repro.sim import estimate_logical_error_rates
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Budget",
     "Pipeline",
     "RunResult",
     "RunSpec",
-    "get_code",
     "AlphaSyndrome",
     "MCTSConfig",
     "SynthesisResult",
     "synthesize_schedule",
-    "decoder_factory",
     "NoiseModel",
     "brisbane_noise",
     "scaled_noise",

@@ -123,7 +123,7 @@ def _add_component_flags(parser: argparse.ArgumentParser, *, scheduler: bool = T
     parser.add_argument(
         "--sampler",
         default=None,
-        help='sampling backend spec, e.g. "dem" (default), "frames", "tableau:dense"',
+        help='sampling backend spec: "dem" (default), "frames" or "tableau"',
     )
 
 
@@ -1009,9 +1009,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (KeyError, ValueError, TypeError) as error:
         # Registry lookups raise KeyError with the available names; spec
-        # parsing raises ValueError; builders raise TypeError on arguments
-        # they cannot accept (e.g. a positional arg to a keyword-only
-        # builder).  All are user errors, not crashes.
+        # parsing and argument binding raise ValueError; TypeError covers
+        # values of the wrong type reaching a builder.  All are user
+        # errors, not crashes.
         message = error.args[0] if error.args else str(error)
         print(f"error: {message}", file=sys.stderr)
         return 2

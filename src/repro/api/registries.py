@@ -1,10 +1,10 @@
 """The five concrete registries behind ``repro.api``.
 
 ``codes``, ``decoders``, ``noise``, ``schedulers`` and ``samplers`` are the
-single source of truth for everything the library can construct by name.  They replace the
-legacy ``CODE_BUILDERS`` dict in :mod:`repro.codes.library` and the
-``decoder_factory`` string dispatcher in :mod:`repro.decoders.base`, both of
-which now forward here through thin deprecation shims.
+single source of truth for everything the library can construct by name.
+Every builder declares the spec arguments it takes, so ``repro list`` shows
+them and an unknown one fails at build time (see
+:meth:`repro.api.registry.Registry.build`).
 
 Registered builders follow per-registry conventions:
 
@@ -51,8 +51,13 @@ from repro.codes.surface import (
     rotated_surface_code,
 )
 from repro.codes.xzzx import xzzx_surface_code
-from repro.decoders.bposd import BPOSDDecoder, check_bposd_parameters
-from repro.decoders.lookup import LookupDecoder
+from repro.decoders.bposd import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_SCALING_FACTOR,
+    BPOSDDecoder,
+    check_bposd_parameters,
+)
+from repro.decoders.lookup import DEFAULT_MAX_ORDER, LookupDecoder
 from repro.decoders.matching import MWPMDecoder
 from repro.decoders.union_find import UnionFindDecoder
 from repro.noise.channels import biased_noise, dephasing_noise, drifting_noise
@@ -177,8 +182,8 @@ def _stimfile(path: str = ""):
 
 
 # ----------------------------------------------------------------------
-# Codes: legacy fixed names (kept verbatim from the old CODE_BUILDERS table
-# so every name in historical results files still resolves).
+# Codes: legacy fixed names (kept verbatim from the original named-code
+# table so every name in historical results files still resolves).
 # ----------------------------------------------------------------------
 _FIXED_CODES = {
     # Surface-code family (Figure 12, Figure 15).
@@ -234,29 +239,31 @@ for _name, _builder in _FIXED_CODES.items():
 
 # ----------------------------------------------------------------------
 # Decoders (builders return a DetectorErrorModel -> Decoder factory).
-# The factories are ``functools.partial`` objects rather than lambdas so
-# they pickle into process-pool workers — the sharded hot path
+# The factories are decoder classes or ``functools.partial`` objects rather
+# than lambdas so they pickle into process-pool workers — the sharded hot path
 # (repro.parallel) ships the factory, not the decoder instance.
 # ----------------------------------------------------------------------
 @register_decoder("mwpm", aliases=("matching",), help="Minimum-weight perfect matching")
-def _mwpm(**kwargs):
-    return partial(MWPMDecoder, **kwargs)
+def _mwpm():
+    return MWPMDecoder
 
 
 @register_decoder("unionfind", aliases=("union_find", "uf"), help="(Hypergraph) union-find")
-def _unionfind(**kwargs):
-    return partial(UnionFindDecoder, **kwargs)
+def _unionfind(max_growth_rounds: int | None = None):
+    return partial(UnionFindDecoder, max_growth_rounds=max_growth_rounds)
 
 
 @register_decoder("bposd", aliases=("bp_osd",), help="Belief propagation + ordered statistics")
-def _bposd(**kwargs):
-    check_bposd_parameters(**kwargs)
-    return partial(BPOSDDecoder, **kwargs)
+def _bposd(
+    max_iterations: int = DEFAULT_MAX_ITERATIONS, scaling_factor: float = DEFAULT_SCALING_FACTOR
+):
+    check_bposd_parameters(max_iterations, scaling_factor)
+    return partial(BPOSDDecoder, max_iterations=max_iterations, scaling_factor=scaling_factor)
 
 
 @register_decoder("lookup", help="Most-likely-error table (exact, small DEMs only)")
-def _lookup(**kwargs):
-    return partial(LookupDecoder, **kwargs)
+def _lookup(max_order: int = DEFAULT_MAX_ORDER):
+    return partial(LookupDecoder, max_order=max_order)
 
 
 # ----------------------------------------------------------------------
@@ -368,11 +375,9 @@ def _ibm_bb(code):
 # expose sample(shots, seed=...) -> SampleBatch).  Like decoders, the
 # factories are ``partial`` objects / classes so they pickle into workers.
 # ----------------------------------------------------------------------
-@register_sampler(
-    "dem", help="DEM mechanism sampler, first-order fault decomposition (backend packed|dense)"
-)
-def _dem_sampler(backend: str = "packed"):
-    return partial(DemSampler, backend=backend)
+@register_sampler("dem", help="DEM mechanism sampler, first-order fault decomposition")
+def _dem_sampler():
+    return DemSampler
 
 
 @register_sampler(
@@ -382,11 +387,9 @@ def _frames_sampler():
     return FrameSampler
 
 
-@register_sampler(
-    "tableau", help="Per-shot stabilizer-tableau reference (mode packed|dense)"
-)
-def _tableau_sampler(mode: str = "packed"):
-    return partial(TableauSampler, mode=mode)
+@register_sampler("tableau", help="Per-shot stabilizer-tableau reference")
+def _tableau_sampler():
+    return TableauSampler
 
 
 @register_scheduler(

@@ -1,9 +1,8 @@
 """Generic named-builder registry with decorator registration and spec strings.
 
 A :class:`Registry` maps short names to builder callables and is the single
-dispatch mechanism behind ``repro.api.codes``, ``.decoders``, ``.noise`` and
-``.schedulers`` (replacing the hand-rolled ``CODE_BUILDERS`` dict and
-``decoder_factory`` string dispatcher of earlier versions).
+dispatch mechanism behind ``repro.api.codes``, ``.decoders``, ``.noise``,
+``.schedulers`` and ``.samplers``.
 
 Builders are registered with a decorator::
 
@@ -20,7 +19,9 @@ and looked up with *spec strings* that may carry arguments::
 
 Argument values are coerced ``int`` → ``float`` → ``bool`` → ``str`` in that
 order, so ``"lookup:max_order=3"`` builds ``LookupDecoder(max_order=3)``
-without any per-registry parsing code.
+without any per-registry parsing code.  Arguments the builder does not
+declare fail at build time with a one-line ``ValueError`` naming the entry
+and the arguments it accepts (``"mwpm:foo=2"``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ __all__ = ["Registry", "RegistryEntry", "builder_signature", "parse_spec"]
 #: :meth:`Registry.build`); hidden from rendered signatures because users
 #: never spell them inside a spec string.
 _CONTEXT_PARAMS = frozenset({"code", "noise", "decoder_factory", "budget", "workers"})
+
+#: Keywords :meth:`Registry.build` drops for builders that do not take them.
+#: ``seed`` is offered as context too, but stays visible in rendered
+#: signatures because it is also a spec argument (``random:seed=3``).
+_CONTEXT_EXTRAS = _CONTEXT_PARAMS | {"seed"}
+
+_VARIADIC = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
 
 
 def _coerce(token: str):
@@ -206,41 +214,41 @@ class Registry:
                 f"unknown {self.kind} {name!r}; available: {', '.join(self.available())}"
             ) from None
 
-    def get(self, name: str) -> Callable:
-        """Return the builder registered under ``name`` (aliases resolve)."""
-        return self.entry(name).builder
-
     def build(self, spec: str, **extra):
         """Parse ``spec`` and call the builder with its arguments plus ``extra``.
 
-        ``extra`` keyword arguments are *contextual* (e.g. the code object a
-        noise model is being built for) and are silently dropped when the
-        builder does not accept them, so callers can offer context
-        unconditionally.
+        ``extra`` keyword arguments named in ``_CONTEXT_EXTRAS`` are
+        *contextual* (e.g. the code object a noise model is being built for)
+        and are silently dropped when the builder does not accept them, so
+        callers can offer context unconditionally.  Every other argument,
+        from the spec or from ``extra``, is bound against the builder's
+        signature first: one that does not bind raises a one-line
+        ``ValueError`` naming the kind, the entry, the argument and the
+        accepted names, before anything is built.
         """
         name, positional, keyword = parse_spec(spec)
-        builder = self.get(name)
-        merged = self._accepted(builder, extra)
-        merged.update(keyword)  # explicit spec arguments beat contextual extras
-        return builder(*positional, **merged)
-
-    @staticmethod
-    def _accepted(builder: Callable, extra: dict) -> dict:
-        """Filter ``extra`` down to the kwargs ``builder`` can accept."""
-        if not extra:
-            return {}
-        try:
-            parameters = inspect.signature(builder).parameters
-        except (TypeError, ValueError):
-            return extra
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-            return extra
-        accepted = {
-            name
-            for name, p in parameters.items()
-            if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        entry = self.entry(name)
+        signature = inspect.signature(entry.builder)
+        parameters = signature.parameters
+        takes_any = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
+        merged = {
+            key: value
+            for key, value in extra.items()
+            if takes_any or key in parameters or key not in _CONTEXT_EXTRAS
         }
-        return {key: value for key, value in extra.items() if key in accepted}
+        merged.update(keyword)  # explicit spec arguments beat contextual extras
+        try:
+            signature.bind(*positional, **merged)
+        except TypeError as error:
+            accepted = [
+                p.name
+                for p in parameters.values()
+                if p.kind not in _VARIADIC and p.name not in _CONTEXT_PARAMS
+            ]
+            raise ValueError(
+                f"{self.kind} {entry.name!r}: {error}; accepted: {', '.join(accepted) or 'none'}"
+            ) from None
+        return entry.builder(*positional, **merged)
 
     # ------------------------------------------------------------------
     # Discovery

@@ -122,18 +122,19 @@ class RunSpec:
     sampling streams: when set, the pipeline derives its per-basis streams
     from ``named_stream(seed, eval_stage)`` (:mod:`repro.seeding`) instead
     of ``seed`` directly.  The experiment suites set it to ``"evaluation"``
-    so their runs consume exactly the stage stream the legacy drivers used,
-    keeping suite-backed tables bit-identical to the historical output; the
+    so their runs consume exactly the stage stream the original
+    hand-rolled drivers used, keeping suite-backed tables bit-identical to
+    the historical output; the
     default ``None`` keeps the original ``basis_streams(seed)`` derivation.
 
     ``sampler`` selects the syndrome-sampling backend by registry spec
     string (:data:`repro.api.registries.samplers`): ``"dem"`` (the default
     first-order DEM mechanism sampler, bit-identical to the historical
     behaviour), ``"frames"`` (the batched circuit-level Pauli-frame
-    propagator) or ``"tableau"`` / ``"tableau:dense"`` (the per-shot
-    reference simulator).  Worker-count invariance and the chunk cache
-    apply to every backend: chunk layout and per-chunk seed streams depend
-    only on the shot plan, and the sampler spec enters every chunk address.
+    propagator) or ``"tableau"`` (the per-shot reference simulator).
+    Worker-count invariance and the chunk cache apply to every backend:
+    chunk layout and per-chunk seed streams depend only on the shot plan,
+    and the sampler spec enters every chunk address.
 
     ``rounds`` is the number of consecutive noisy syndrome rounds in the
     memory experiment (the paper uses one).  More rounds grow the detector

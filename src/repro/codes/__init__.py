@@ -9,7 +9,6 @@ from repro.codes.hypergraph_product import (
     repetition_check_matrix,
     toric_code,
 )
-from repro.codes.library import available_codes, get_code
 from repro.codes.small import five_qubit_code, repetition_code, shor_code
 from repro.codes.surface import (
     defect_surface_code,
@@ -23,8 +22,6 @@ __all__ = [
     "StabilizerCode",
     "CSSCode",
     "CodeValidationError",
-    "available_codes",
-    "get_code",
     "rotated_surface_code",
     "rectangular_surface_code",
     "planar_surface_code",

@@ -1,6 +1,6 @@
 """Heuristic decoders operating on detector error models."""
 
-from repro.decoders.base import Decoder, decoder_factory
+from repro.decoders.base import Decoder
 from repro.decoders.bposd import BPOSDDecoder
 from repro.decoders.lookup import LookupDecoder
 from repro.decoders.matching import MWPMDecoder
@@ -8,7 +8,6 @@ from repro.decoders.union_find import UnionFindDecoder
 
 __all__ = [
     "Decoder",
-    "decoder_factory",
     "MWPMDecoder",
     "UnionFindDecoder",
     "BPOSDDecoder",

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.sim.dem import DetectorErrorModel
 
-__all__ = ["Decoder", "decoder_factory"]
+__all__ = ["Decoder"]
 
 
 class Decoder(ABC):
@@ -171,21 +171,3 @@ class Decoder(ABC):
         counts = np.bincount(rows, minlength=syndromes.shape[0])
         return np.split(columns, np.cumsum(counts)[:-1])
 
-
-def decoder_factory(name: str, **kwargs):
-    """Deprecated: use ``repro.api.decoders.build(name, **kwargs)``.
-
-    Thin shim over the ``repro.api.decoders`` registry, kept so existing
-    imports keep working.  Returns the identical
-    ``DetectorErrorModel -> Decoder`` factory the registry builds.
-    """
-    import warnings
-
-    from repro.api.registries import decoders
-
-    warnings.warn(
-        "decoder_factory() is deprecated; use repro.api.decoders.build(name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return decoders.build(name.lower(), **kwargs)

@@ -38,7 +38,16 @@ import numpy as np
 from repro.decoders.base import Decoder
 from repro.sim.dem import DetectorErrorModel
 
-__all__ = ["BPOSDDecoder", "check_bposd_parameters"]
+__all__ = [
+    "BPOSDDecoder",
+    "DEFAULT_MAX_ITERATIONS",
+    "DEFAULT_SCALING_FACTOR",
+    "check_bposd_parameters",
+]
+
+#: Defaults shared by :class:`BPOSDDecoder` and the ``bposd`` registry entry.
+DEFAULT_MAX_ITERATIONS = 30
+DEFAULT_SCALING_FACTOR = 0.75
 
 _LLR_CLIP = 30.0
 
@@ -49,7 +58,9 @@ _LLR_CLIP = 30.0
 _TILE = 64
 
 
-def check_bposd_parameters(max_iterations=30, scaling_factor=0.75) -> None:
+def check_bposd_parameters(
+    max_iterations=DEFAULT_MAX_ITERATIONS, scaling_factor=DEFAULT_SCALING_FACTOR
+) -> None:
     """Raise ``ValueError`` unless the BP parameters are usable.
 
     ``max_iterations`` must be a non-negative integer and
@@ -78,8 +89,8 @@ class BPOSDDecoder(Decoder):
         self,
         dem: DetectorErrorModel,
         *,
-        max_iterations: int = 30,
-        scaling_factor: float = 0.75,
+        max_iterations: int = DEFAULT_MAX_ITERATIONS,
+        scaling_factor: float = DEFAULT_SCALING_FACTOR,
     ) -> None:
         check_bposd_parameters(max_iterations, scaling_factor)
         super().__init__(dem)

@@ -17,13 +17,17 @@ from repro.decoders.base import Decoder
 from repro.sim.bitops import pack_rows
 from repro.sim.dem import DetectorErrorModel
 
-__all__ = ["LookupDecoder"]
+__all__ = ["DEFAULT_MAX_ORDER", "LookupDecoder"]
+
+#: Default fault order, shared by :class:`LookupDecoder` and the ``lookup``
+#: registry entry.
+DEFAULT_MAX_ORDER = 2
 
 
 class LookupDecoder(Decoder):
     """Most-likely-error table decoder (exact up to ``max_order`` faults)."""
 
-    def __init__(self, dem: DetectorErrorModel, *, max_order: int = 2) -> None:
+    def __init__(self, dem: DetectorErrorModel, *, max_order: int = DEFAULT_MAX_ORDER) -> None:
         super().__init__(dem)
         self.max_order = max_order
         self._table: dict[bytes, tuple[float, np.ndarray]] = {}

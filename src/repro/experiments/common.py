@@ -1,10 +1,8 @@
 """Shared plumbing for the experiment drivers.
 
-This module keeps the pieces every driver generation has agreed on:
-
 ``ExperimentBudget``
-    the *legacy* budget dataclass (pre-``repro.api``).  The suite-backed
-    drivers translate it into an :class:`repro.api.Budget` via
+    the budget dataclass the ``run_*`` drivers accept (pre-``repro.api``).
+    The drivers translate it into a :class:`repro.api.Budget` via
     :meth:`repro.experiments.suite.SuiteConfig.from_experiment_budget`;
     new code should construct a :class:`~repro.experiments.suite.SuiteConfig`
     directly.
@@ -14,11 +12,6 @@ This module keeps the pieces every driver generation has agreed on:
     side, mirroring the paper artifact's ``/result`` folder.  The format is
     pinned by golden-file tests (``tests/test_experiments_render.py``); any
     change to it is a deliberate, versioned decision.
-
-The legacy comparison helpers (``compare_with_lowest_depth``,
-``evaluate_schedule``, ``synthesize``, ``baseline_rows``) moved to
-:mod:`repro.experiments.legacy` and are re-exported here for backwards
-compatibility; they emit :class:`DeprecationWarning` when called.
 """
 
 from __future__ import annotations
@@ -27,51 +20,18 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.api.registries import codes
 from repro.core import MCTSConfig
 from repro.seeding import named_stream, stage_seed
 
-#: Registry-backed code lookup shared by the drivers (same call shape as the
-#: deprecated ``repro.codes.get_code`` but without the deprecation warning).
-get_code = codes.build
-
-__all__ = [
-    "ExperimentBudget",
-    "compare_with_lowest_depth",
-    "evaluate_schedule",
-    "render_table",
-    "write_results",
-    "get_code",
-]
-
-#: Names forwarded to :mod:`repro.experiments.legacy` (deprecated shims).
-_LEGACY_FORWARDS = (
-    "baseline_rows",
-    "compare_with_lowest_depth",
-    "evaluate_schedule",
-    "synthesize",
-)
-
-
-def __getattr__(name: str):
-    # Lazy forwarding avoids a common <-> legacy import cycle (legacy needs
-    # ExperimentBudget from here) while keeping the historical import paths
-    # (``from repro.experiments.common import compare_with_lowest_depth``)
-    # alive for one release.
-    if name in _LEGACY_FORWARDS:
-        from repro.experiments import legacy
-
-        return getattr(legacy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ExperimentBudget", "render_table", "write_results"]
 
 
 @dataclass
 class ExperimentBudget:
-    """Compute budget shared by the legacy experiment drivers.
+    """Compute budget accepted by every ``run_*`` experiment driver.
 
     Superseded by :class:`repro.api.Budget` +
-    :class:`repro.experiments.suite.SuiteConfig`; still accepted by every
-    ``run_*`` driver for backwards compatibility.
+    :class:`repro.experiments.suite.SuiteConfig`.
     """
 
     shots: int = 400

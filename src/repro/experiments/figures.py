@@ -279,9 +279,9 @@ def figure15_rows(
     config: SuiteConfig, *, codes: list[str] | None = None
 ) -> list[ExperimentRow]:
     codes = codes or ["rotated_surface_d3"]
-    # The legacy drivers drew the per-ancilla noise profile from the
-    # "noise" stage stream; the registry's `nonuniform` builder re-derives
-    # the same profile from the integer stage seed in the spec string.
+    # The per-ancilla noise profile comes from the "noise" stage: the
+    # registry's `nonuniform` builder derives it from the integer stage
+    # seed in the spec string.
     noise = f"nonuniform:variance=0.6,seed={config.stage_seed('noise')}"
     rows = []
     for code_name in codes:

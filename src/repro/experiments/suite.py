@@ -27,11 +27,11 @@ the hand-rolled paper-table drivers on the other — into one abstraction:
 
 Determinism contract: every evaluation spec carries
 ``eval_stage="evaluation"``, so its sampling streams are derived from
-``named_stream(seed, "evaluation")`` — exactly the stage stream the legacy
-drivers (:mod:`repro.experiments.legacy`) consumed.  At fixed seeds and
-quick budgets the suite output is therefore **bit-identical** to the
-legacy output (pinned by ``tests/test_suite_equivalence.py``), for every
-worker count.
+``named_stream(seed, "evaluation")`` — the stage stream the retired
+hand-rolled drivers consumed.  At fixed seeds and quick budgets the suite
+output is therefore **bit-identical** to their output, frozen in
+``tests/data/suite_equivalence_rows.json`` and pinned by
+``tests/test_suite_equivalence.py``, for every worker count.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ __all__ = [
     "synthesis_scheduler",
 ]
 
-#: Budget reproducing the legacy ``ExperimentBudget`` defaults — the
+#: Budget reproducing the ``ExperimentBudget`` defaults — the
 #: laptop-sized "quick" rendition of the paper's tables.  Paper-scale runs
 #: raise the numbers (and usually set ``target_rse``).
 QUICK_BUDGET = Budget(
     shots=400, synthesis_shots=150, iterations_per_step=4, max_evaluations=24
 )
 
-#: Seeding stage named by every suite evaluation spec; matches the legacy
-#: ``ExperimentBudget.stage_stream("evaluation")`` derivation bit for bit.
+#: Seeding stage named by every suite evaluation spec; matches the retired
+#: drivers' ``named_stream(seed, "evaluation")`` derivation bit for bit.
 EVALUATION_STAGE = "evaluation"
 
 
@@ -93,7 +93,7 @@ class SuiteConfig:
 
     ``budget.target_rse`` switches every evaluation to adaptive
     precision-targeted sampling (see :class:`repro.api.Budget`); with it
-    unset the suite reproduces the fixed-shot legacy output bit for bit.
+    unset the suite reproduces the frozen fixed-shot rows bit for bit.
     ``workers`` pools the sampling/decoding hot path and the synthesis
     evaluator — it never changes any number.
     """
@@ -107,7 +107,7 @@ class SuiteConfig:
     def from_experiment_budget(
         cls, budget, *, quick: bool = True, workers: int = 1
     ) -> "SuiteConfig":
-        """Translate a legacy :class:`ExperimentBudget` into a SuiteConfig."""
+        """Translate an :class:`ExperimentBudget` into a SuiteConfig."""
         return cls(
             budget=Budget(
                 shots=budget.shots,
@@ -165,9 +165,8 @@ class SynthSpec:
     The runner memoises :class:`~repro.core.SynthesisResult` objects on
     this key, so a suite that evaluates one synthesised schedule in many
     cells (Table 4's 2x2 matrix, Figure 12's schedule comparison) searches
-    once per distinct SynthSpec — exactly like the legacy drivers'
-    hand-rolled loops, but derived from the specs instead of re-coded per
-    table.
+    once per distinct SynthSpec, derived from the specs instead of
+    re-coded per table.
     """
 
     code: str

@@ -98,8 +98,8 @@ def run_table2(
 ) -> list[dict]:
     """Regenerate Table 2 rows (logical error rates and depths).
 
-    Historical driver signature, now suite-backed: bit-identical to the
-    legacy loop at fixed seeds, but executed through the Pipeline stack.
+    Historical driver signature, now suite-backed: executed through the
+    Pipeline stack.
     """
     config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
     return SuiteRunner(config).run_rows(table2_rows(config, instances=instances))

@@ -10,8 +10,7 @@ four cells — every (test decoder, compile decoder) combination as its own
 :class:`~repro.api.spec.RunSpec`, the cross cells using the
 ``alphasyndrome:compile_decoder=...`` synthesis-spec variant.  The runner's
 :class:`~repro.experiments.suite.SynthSpec` memo collapses the four cells
-onto two actual searches (one per compile decoder), exactly like the
-legacy driver's hand-rolled loop.
+onto two actual searches (one per compile decoder).
 """
 
 from __future__ import annotations

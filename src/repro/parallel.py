@@ -173,13 +173,10 @@ def merge_chunks(
         )
         return empty, np.zeros((0, dem.num_observables), dtype=np.uint8)
     batches, predictions = zip(*results)
-    packed = [batch.packed_detectors for batch in batches]
     merged = SampleBatch(
         detectors=np.concatenate([batch.detectors for batch in batches]),
         observables=np.concatenate([batch.observables for batch in batches]),
-        packed_detectors=(
-            np.concatenate(packed) if all(p is not None for p in packed) else None
-        ),
+        packed_detectors=np.concatenate([batch.packed_detectors for batch in batches]),
     )
     return merged, np.concatenate(predictions)
 

@@ -20,7 +20,7 @@ from repro.sim.estimator import (
 )
 from repro.sim.frames import FrameSampler, TableauSampler
 from repro.sim.sampler import DemSampler, SampleBatch, sample_detector_error_model
-from repro.sim.tableau import DenseTableauSimulator, TableauSimulator, simulate_circuit
+from repro.sim.tableau import TableauSimulator, simulate_circuit
 
 __all__ = [
     "DetectorErrorModel",
@@ -32,7 +32,6 @@ __all__ = [
     "TableauSampler",
     "sample_detector_error_model",
     "TableauSimulator",
-    "DenseTableauSimulator",
     "simulate_circuit",
     "LogicalErrorRates",
     "basis_streams",

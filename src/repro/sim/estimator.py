@@ -127,7 +127,7 @@ def basis_streams(
 
 
 def decode_predictions(decoder, batch: SampleBatch) -> np.ndarray:
-    """Decode a batch, preferring the bit-packed syndrome path when available.
+    """Decode a batch, preferring the bit-packed syndrome path.
 
     Since the decoder stack went batch-first, ``has_packed_fast_path`` is
     the norm rather than a lookup-table exception: the shared front end in
@@ -139,9 +139,7 @@ def decode_predictions(decoder, batch: SampleBatch) -> np.ndarray:
     defaults to False via ``getattr`` for duck-typed third-party decoders).
     Predictions are bit-identical either way.
     """
-    if batch.packed_detectors is not None and getattr(
-        decoder, "has_packed_fast_path", False
-    ):
+    if getattr(decoder, "has_packed_fast_path", False):
         return decoder.decode_batch_packed(batch.packed_detectors)
     return decoder.decode_batch(batch.detectors)
 

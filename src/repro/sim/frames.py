@@ -38,8 +38,7 @@ rows with :func:`repro.sim.bitops.xor_reduce_rows`, still packed, and the
 batch hands the decoder its syndromes in packed form with zero repacking.
 
 :class:`TableauSampler` is the per-shot reference on the same interface: a
-full stabilizer-tableau run per shot (spec ``"tableau"``, or
-``"tableau:dense"`` for the dense storage backend).  It is the slow,
+full stabilizer-tableau run per shot (spec ``"tableau"``).  It is the slow,
 maximally-trusted baseline the frame propagator is benchmarked and
 cross-validated against.
 
@@ -367,7 +366,7 @@ class FrameSampler:
 
 
 class TableauSampler:
-    """Per-shot stabilizer-tableau sampler (spec ``"tableau[:mode]"``).
+    """Per-shot stabilizer-tableau sampler (spec ``"tableau"``).
 
     Runs one full tableau simulation per shot and reports detector/
     observable values relative to the noiseless reference execution, which
@@ -376,18 +375,15 @@ class TableauSampler:
     and the denominator of the frame propagator's benchmark speedup.
     """
 
-    def __init__(self, circuit: Circuit, dem=None, mode: str = "packed") -> None:
+    def __init__(self, circuit: Circuit, dem=None) -> None:
         self.circuit = circuit
-        self.mode = mode
         self.num_detectors = circuit.num_detectors
         self.num_observables = circuit.num_observables
         # Detector/observable values of the noiseless reference run.  The
         # builders guarantee these are deterministic, so any fixed seed
         # yields the reference (individual measurements may still be
         # random; their detector parities are not).
-        _, detector_values, observable_values = simulate_circuit(
-            circuit.without_noise(), seed=0, mode=mode
-        )
+        _, detector_values, observable_values = simulate_circuit(circuit.without_noise(), seed=0)
         self._reference_detectors = np.asarray(detector_values, dtype=np.uint8)
         self._reference_observables = np.array(
             [observable_values.get(index, 0) for index in range(self.num_observables)],
@@ -403,9 +399,7 @@ class TableauSampler:
         observables = np.zeros((max(shots, 0), self.num_observables), dtype=np.uint8)
         for shot in range(shots):
             # The shared generator threads one RNG stream through all shots.
-            _, detector_values, observable_values = simulate_circuit(
-                self.circuit, seed=rng, mode=self.mode
-            )
+            _, detector_values, observable_values = simulate_circuit(self.circuit, seed=rng)
             detectors[shot] = self._reference_detectors ^ np.asarray(
                 detector_values, dtype=np.uint8
             )

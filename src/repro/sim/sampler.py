@@ -7,22 +7,14 @@ XOR together the detector/observable signatures of the fired mechanisms.
 This is mathematically identical to frame-simulating the Clifford circuit
 with Pauli noise (what stim does), but needs only numpy.
 
-Two backends compute that XOR:
-
-``"packed"`` (the default)
-    Fault draws are bit-packed along the *shot* axis into ``uint64`` words
-    (:mod:`repro.sim.bitops`), and each detector/observable row is one
-    XOR-reduce over the packed rows of the mechanisms that flip it — 64
-    shots per word operation, no multiplies, no ``(shots, mechanisms)``
-    ``int64`` temporaries.
-
-``"dense"``
-    The original ``int64`` matmul-mod-2, kept as the bit-identical
-    reference the packed backend is benchmarked and tested against.
-
-Both backends consume the random stream identically (one
-``rng.random((shots, mechanisms))`` draw), so for a fixed seed they produce
-bit-identical :class:`SampleBatch` contents.
+The XOR runs bit-packed: fault draws are packed along the *shot* axis into
+``uint64`` words (:mod:`repro.sim.bitops`), and each detector/observable
+row is one XOR-reduce over the packed rows of the mechanisms that flip it —
+64 shots per word operation, no multiplies, no ``(shots, mechanisms)``
+``int64`` temporaries.  The original dense ``int64`` matmul-mod-2 lives on
+as the test oracle ``tests/oracles/sampler_reference.py``, which consumes
+the random stream identically (one ``rng.random((shots, mechanisms))``
+draw) and must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,13 +44,12 @@ class SampleBatch:
     front end now consumes it directly — ``decode_batch_packed``
     deduplicates repeated syndromes on the packed words and unpacks only
     the unique rows — so the packed form is the primary hand-off from
-    sampler to decoder, not a fast-path extra.  It is ``None`` only when
-    the batch came from the dense reference backend.
+    sampler to decoder, not a fast-path extra.  Every sampler sets it.
     """
 
     detectors: np.ndarray
     observables: np.ndarray
-    packed_detectors: np.ndarray | None = None
+    packed_detectors: np.ndarray
 
     @property
     def num_shots(self) -> int:
@@ -75,27 +66,22 @@ class DemSampler:
     ``factory(circuit, dem)`` and is unused here.
     """
 
-    def __init__(self, circuit=None, dem: DetectorErrorModel | None = None, backend: str = "packed") -> None:
+    def __init__(self, circuit=None, dem: DetectorErrorModel | None = None) -> None:
         if dem is None:
             raise ValueError("DemSampler requires a detector error model")
-        if backend not in ("packed", "dense"):
-            raise ValueError(f"backend must be 'packed' or 'dense', got {backend!r}")
         self.dem = dem
-        self.backend = backend
 
     def sample(
         self, shots: int, *, seed: "int | np.random.SeedSequence | None" = None
     ) -> SampleBatch:
-        return sample_detector_error_model(
-            self.dem, shots, seed=seed, backend=self.backend
-        )
+        return sample_detector_error_model(self.dem, shots, seed=seed)
 
 
 def _signature_groups(dem: DetectorErrorModel) -> tuple[list[list[int]], list[list[int]]]:
     """Mechanism column indices per detector row / observable row.
 
     This is the sparse, transposed view of ``dem.check_matrix`` /
-    ``dem.observable_matrix`` the XOR backend reduces over.
+    ``dem.observable_matrix`` the packed XOR reduces over.
     """
     detector_groups: list[list[int]] = [[] for _ in range(dem.num_detectors)]
     observable_groups: list[list[int]] = [[] for _ in range(dem.num_observables)]
@@ -107,8 +93,29 @@ def _signature_groups(dem: DetectorErrorModel) -> tuple[list[list[int]], list[li
     return detector_groups, observable_groups
 
 
-def _sample_packed(dem: DetectorErrorModel, shots: int, fired: np.ndarray) -> SampleBatch:
-    """XOR/popcount word-ops backend: fault draws bit-packed along the shot axis."""
+def sample_detector_error_model(
+    dem: DetectorErrorModel,
+    shots: int,
+    *,
+    seed: "int | np.random.SeedSequence | None" = None,
+) -> SampleBatch:
+    """Draw ``shots`` independent samples from the DEM.
+
+    ``seed`` may be an integer, ``None`` (fresh OS entropy), or a
+    :class:`numpy.random.SeedSequence` stream derived with
+    :mod:`repro.seeding` — the latter is what the estimator and the
+    ``repro.api`` pipeline pass so that every stage draws from an
+    independent stream.
+    """
+    rng = np.random.default_rng(seed)
+    if dem.num_mechanisms == 0:
+        detectors = np.zeros((shots, dem.num_detectors), dtype=np.uint8)
+        return SampleBatch(
+            detectors=detectors,
+            observables=np.zeros((shots, dem.num_observables), dtype=np.uint8),
+            packed_detectors=pack_rows(detectors),
+        )
+    fired = rng.random((shots, dem.num_mechanisms)) < dem.priors
     packed_fired = pack_rows(fired.T)  # (mechanisms, shot_words)
     detector_groups, observable_groups = _signature_groups(dem)
     detectors_by_row = xor_reduce_rows(packed_fired, detector_groups)
@@ -120,52 +127,3 @@ def _sample_packed(dem: DetectorErrorModel, shots: int, fired: np.ndarray) -> Sa
         observables=observables,
         packed_detectors=pack_rows(detectors),
     )
-
-
-def _sample_dense(dem: DetectorErrorModel, shots: int, fired: np.ndarray) -> SampleBatch:
-    """Reference dense ``int64`` matmul backend (bit-identical to packed)."""
-    check = dem.check_matrix
-    observable = dem.observable_matrix
-    wide = fired.astype(np.int64)
-    detectors = (wide @ check.T.astype(np.int64)) % 2
-    observables = (wide @ observable.T.astype(np.int64)) % 2
-    return SampleBatch(
-        detectors=detectors.astype(np.uint8),
-        observables=observables.astype(np.uint8),
-    )
-
-
-def sample_detector_error_model(
-    dem: DetectorErrorModel,
-    shots: int,
-    *,
-    seed: "int | np.random.SeedSequence | None" = None,
-    backend: str = "packed",
-) -> SampleBatch:
-    """Draw ``shots`` independent samples from the DEM.
-
-    ``seed`` may be an integer, ``None`` (fresh OS entropy), or a
-    :class:`numpy.random.SeedSequence` stream derived with
-    :mod:`repro.seeding` — the latter is what the estimator and the
-    ``repro.api`` pipeline pass so that every stage draws from an
-    independent stream.
-
-    ``backend`` selects the XOR/popcount bit-packed path (``"packed"``, the
-    default) or the dense ``int64`` matmul reference (``"dense"``).  The two
-    are bit-identical for the same seed; only speed differs.
-    """
-    if backend not in ("packed", "dense"):
-        raise ValueError(f"backend must be 'packed' or 'dense', got {backend!r}")
-    rng = np.random.default_rng(seed)
-    priors = dem.priors
-    if dem.num_mechanisms == 0:
-        detectors = np.zeros((shots, dem.num_detectors), dtype=np.uint8)
-        return SampleBatch(
-            detectors=detectors,
-            observables=np.zeros((shots, dem.num_observables), dtype=np.uint8),
-            packed_detectors=pack_rows(detectors) if backend == "packed" else None,
-        )
-    fired = rng.random((shots, dem.num_mechanisms)) < priors
-    if backend == "dense":
-        return _sample_dense(dem, shots, fired)
-    return _sample_packed(dem, shots, fired)

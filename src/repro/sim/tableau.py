@@ -1,4 +1,4 @@
-"""Aaronson–Gottesman stabilizer tableau simulator (bit-packed + dense).
+"""Aaronson–Gottesman stabilizer tableau simulator (bit-packed).
 
 A Clifford simulator used both as the verification reference and as the
 circuit-level fallback sampler: it executes the circuit IR exactly
@@ -11,25 +11,21 @@ circuit-level fallback sampler: it executes the circuit IR exactly
 
 The implementation follows the CHP construction: ``2n`` rows of X/Z bit
 matrices plus sign bits, the first ``n`` rows being destabilizers and the
-next ``n`` rows stabilizers.  Two storage backends share one gate/measure/
-RNG skeleton (:class:`_TableauBase`):
+next ``n`` rows stabilizers.
 
-:class:`TableauSimulator`
-    the default — X/Z matrices as little-endian packed ``uint64`` words
-    (:mod:`repro.sim.bitops` layout), with rowsum phases computed by
-    word-wide popcount masks (:func:`repro.sim.bitops.rowsum_g_exponents`)
-    and gates as single-bit-column updates.  64 qubits advance per word
-    operation in every row update.
+:class:`TableauSimulator` stores the X/Z matrices as little-endian packed
+``uint64`` words (:mod:`repro.sim.bitops` layout), with rowsum phases
+computed by word-wide popcount masks
+(:func:`repro.sim.bitops.rowsum_g_exponents`) and gates as
+single-bit-column updates.  64 qubits advance per word operation in every
+row update.
 
-:class:`DenseTableauSimulator`
-    the conformance reference — plain ``(2n, n)`` uint8 matrices with the
-    same vectorised row operations, kept for bit-identity regression tests
-    (spec string ``"tableau:dense"``).
-
-Both backends consume the *same* RNG stream in the same order (one
+The gate algebra, the measurement branches and the RNG order (one
 ``integers(0, 2)`` draw per random measurement, plus the per-instruction
-noise draws), so for equal seeds they produce identical measurement
-records bit for bit — that equivalence is pinned by the conformance tests.
+noise draws) live once in :class:`_TableauBase`.  The dense uint8
+reference ``tests/oracles/tableau_reference.py`` subclasses it too, so
+for equal seeds the two produce identical measurement records bit for
+bit — that equivalence is pinned by ``tests/test_tableau_packed.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from repro.sim.bitops import (
 
 __all__ = [
     "TableauSimulator",
-    "DenseTableauSimulator",
     "simulate_circuit",
 ]
 
@@ -62,8 +57,8 @@ class _TableauBase:
     column updates, ``_x_column``, the vectorised rowsum
     ``_multiply_rows_by`` and ``_deterministic_outcome``); everything else —
     gate composition, the measurement branches, and crucially the *order*
-    in which ``self.rng`` is consumed — lives here once, so the packed and
-    dense backends cannot drift apart.
+    in which ``self.rng`` is consumed — lives here once, so the packed
+    simulator and the dense test oracle cannot drift apart.
     """
 
     def __init__(self, num_qubits: int, *, seed=None) -> None:
@@ -383,125 +378,11 @@ class TableauSimulator(_TableauBase):
         return int(sign)
 
 
-class DenseTableauSimulator(_TableauBase):
-    """Dense uint8 reference backend (spec string ``"tableau:dense"``).
-
-    Same row-operation algebra as :class:`TableauSimulator` on plain
-    ``(2n, n)`` bit matrices; kept as the conformance baseline the packed
-    backend is regression-tested against.
-    """
-
-    def __init__(self, num_qubits: int, *, seed=None) -> None:
-        super().__init__(num_qubits, seed=seed)
-        size = 2 * num_qubits
-        self.x_bits = np.zeros((size, num_qubits), dtype=np.uint8)
-        self.z_bits = np.zeros((size, num_qubits), dtype=np.uint8)
-        for qubit in range(num_qubits):
-            self.x_bits[qubit, qubit] = 1                # destabilizers X_i
-            self.z_bits[num_qubits + qubit, qubit] = 1   # stabilizers Z_i
-
-    # ------------------------------------------------------------------
-    # Elementary gates
-    # ------------------------------------------------------------------
-    def hadamard(self, qubit: int) -> None:
-        x_col = self.x_bits[:, qubit].copy()
-        z_col = self.z_bits[:, qubit].copy()
-        self.signs ^= x_col & z_col
-        self.x_bits[:, qubit] = z_col
-        self.z_bits[:, qubit] = x_col
-
-    def phase(self, qubit: int) -> None:
-        x_col = self.x_bits[:, qubit]
-        z_col = self.z_bits[:, qubit]
-        self.signs ^= x_col & z_col
-        self.z_bits[:, qubit] = z_col ^ x_col
-
-    def cnot(self, control: int, target: int) -> None:
-        x_c = self.x_bits[:, control]
-        z_c = self.z_bits[:, control]
-        x_t = self.x_bits[:, target]
-        z_t = self.z_bits[:, target]
-        self.signs ^= x_c & z_t & (x_t ^ z_c ^ 1)
-        self.x_bits[:, target] = x_t ^ x_c
-        self.z_bits[:, control] = z_c ^ z_t
-
-    def x_gate(self, qubit: int) -> None:
-        self.signs ^= self.z_bits[:, qubit]
-
-    def z_gate(self, qubit: int) -> None:
-        self.signs ^= self.x_bits[:, qubit]
-
-    # ------------------------------------------------------------------
-    # Measurement storage primitives
-    # ------------------------------------------------------------------
-    def _x_column(self, qubit: int) -> np.ndarray:
-        return self.x_bits[:, qubit]
-
-    def _g_sums(self, source_row: int, target_x, target_z) -> np.ndarray:
-        """Vectorised ``sum_q g(source, target)`` over one or many target rows."""
-        x1 = self.x_bits[source_row].astype(np.int64)
-        z1 = self.z_bits[source_row].astype(np.int64)
-        x2 = np.asarray(target_x, dtype=np.int64)
-        z2 = np.asarray(target_z, dtype=np.int64)
-        g = (
-            x1 * z1 * (z2 - x2)
-            + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-            + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-        )
-        return g.sum(axis=-1)
-
-    def _multiply_rows_by(self, rows: np.ndarray, pivot: int) -> None:
-        g_sum = self._g_sums(pivot, self.x_bits[rows], self.z_bits[rows])
-        exponent = g_sum + 2 * (int(self.signs[pivot]) + self.signs[rows].astype(np.int64))
-        self.signs[rows] = ((exponent % 4) // 2).astype(np.uint8)
-        self.x_bits[rows] ^= self.x_bits[pivot]
-        self.z_bits[rows] ^= self.z_bits[pivot]
-
-    def _promote_pivot(self, pivot: int, qubit: int) -> None:
-        n = self.num_qubits
-        self.x_bits[pivot - n] = self.x_bits[pivot]
-        self.z_bits[pivot - n] = self.z_bits[pivot]
-        self.signs[pivot - n] = self.signs[pivot]
-        self.x_bits[pivot] = 0
-        self.z_bits[pivot] = 0
-        self.z_bits[pivot, qubit] = 1
-
-    def _deterministic_outcome(self, x_column: np.ndarray) -> int:
-        n = self.num_qubits
-        scratch_x = np.zeros(n, dtype=np.uint8)
-        scratch_z = np.zeros(n, dtype=np.uint8)
-        sign = 0
-        for destab_row in np.nonzero(x_column[:n])[0]:
-            stab_row = int(destab_row) + n
-            g_sum = int(self._g_sums(stab_row, scratch_x, scratch_z))
-            sign = ((g_sum + 2 * (int(self.signs[stab_row]) + sign)) % 4) // 2
-            scratch_x ^= self.x_bits[stab_row]
-            scratch_z ^= self.z_bits[stab_row]
-        return int(sign)
-
-
-#: Storage backends by spec mode string.
-_SIMULATOR_MODES = {
-    "packed": TableauSimulator,
-    "dense": DenseTableauSimulator,
-}
-
-
 def simulate_circuit(
-    circuit: Circuit, *, seed=None, mode: str = "packed"
+    circuit: Circuit, *, seed=None
 ) -> tuple[list[int], list[int], dict[int, int]]:
-    """Run ``circuit`` once; return (measurements, detector values, observable values).
-
-    ``mode`` selects the storage backend (``"packed"`` default,
-    ``"dense"`` reference); both produce identical output for equal seeds.
-    """
-    try:
-        simulator_class = _SIMULATOR_MODES[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown tableau mode {mode!r}; expected one of {sorted(_SIMULATOR_MODES)}"
-        ) from None
-    simulator = simulator_class(circuit.num_qubits, seed=seed)
+    """Run ``circuit`` once; return (measurements, detector values, observable values)."""
+    simulator = TableauSimulator(circuit.num_qubits, seed=seed)
     measurements = simulator.run(circuit)
     detector_values = [
         int(sum(measurements[m] for m in members) % 2)

@@ -109,6 +109,7 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((0, 3), dtype=np.uint8),
             observables=np.zeros((0, 2), dtype=np.uint8),
+            packed_detectors=np.zeros((0, 1), dtype=np.uint64),
         )
         predictions = np.zeros((0, 2), dtype=np.uint8)
         assert count_wrong(predictions, batch) == 0
@@ -118,6 +119,7 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((0, 3), dtype=np.uint8),
             observables=np.zeros((0, 2), dtype=np.uint8),
+            packed_detectors=np.zeros((0, 1), dtype=np.uint64),
         )
         with pytest.raises(ValueError, match="shape"):
             fraction_wrong(np.zeros((0, 3), dtype=np.uint8), batch)
@@ -126,6 +128,7 @@ class TestFractionWrongEdges:
         batch = SampleBatch(
             detectors=np.zeros((4, 1), dtype=np.uint8),
             observables=np.array([[0], [1], [0], [1]], dtype=np.uint8),
+            packed_detectors=np.zeros((4, 1), dtype=np.uint64),
         )
         predictions = np.array([[0], [0], [0], [1]], dtype=np.uint8)
         assert count_wrong(predictions, batch) == 1
@@ -202,6 +205,7 @@ def _fixed_chunk_counts(dem, factory, sampler, stream, shots, chunk_shots):
         sub = SampleBatch(
             detectors=batch.detectors[start:stop],
             observables=batch.observables[start:stop],
+            packed_detectors=batch.packed_detectors[start:stop],
         )
         counts.append((size, count_wrong(predictions[start:stop], sub)))
         start = stop

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import codes, decoders, noise, schedulers
+from repro.api.registries import samplers
 from repro.api.registry import Registry, parse_spec
 from repro.codes.surface import rotated_surface_code
 from repro.decoders import BPOSDDecoder, LookupDecoder, MWPMDecoder, UnionFindDecoder
@@ -184,51 +185,52 @@ class TestSchedulerRegistry:
         assert schedule.depth > 0
 
 
-class TestDeprecationShims:
-    def test_get_code_warns_and_matches_registry(self):
-        from repro.codes import get_code
+class TestSpecArgumentErrors:
+    """Spec arguments a builder does not declare fail at build time, in one line."""
 
-        with pytest.warns(DeprecationWarning):
-            legacy = get_code("steane")
-        fresh = codes.build("steane")
-        assert legacy.num_qubits == fresh.num_qubits
-        assert legacy.num_stabilizers == fresh.num_stabilizers
+    @pytest.mark.parametrize(
+        "registry, spec, fragment",
+        [
+            (decoders, "mwpm:foo=2", "decoder 'mwpm': got an unexpected keyword argument 'foo'"),
+            (decoders, "bposd:max_iter=5", "argument 'max_iter'; accepted: max_iterations, "),
+            (decoders, "uf:rounds=3", "decoder 'unionfind': got an unexpected keyword argument"),
+            (decoders, "lookup:2,3", "decoder 'lookup': too many positional arguments"),
+            (samplers, "frames:foo=1", "sampler 'frames': got an unexpected keyword argument"),
+            (samplers, "dem:backend=dense", "keyword argument 'backend'; accepted: none"),
+            (samplers, "tableau:dense", "sampler 'tableau': too many positional arguments"),
+            (codes, "surface:e=5", "code 'surface': got an unexpected keyword argument 'e'"),
+        ],
+    )
+    def test_unbindable_argument_is_a_one_line_value_error(self, registry, spec, fragment):
+        with pytest.raises(ValueError) as raised:
+            registry.build(spec)
+        message = str(raised.value)
+        assert fragment in message
+        assert "\n" not in message
 
-    def test_get_code_unknown_name_message_unchanged(self):
-        from repro.codes import get_code
+    @pytest.mark.parametrize(
+        "spec, keywords, fragment",
+        [
+            ("mwpm", {"foo": 2}, "decoder 'mwpm': got an unexpected keyword argument 'foo'"),
+            ("bposd", {"max_iter": 5}, "argument 'max_iter'; accepted: max_iterations, "),
+        ],
+    )
+    def test_unknown_python_keyword_is_a_one_line_value_error(self, spec, keywords, fragment):
+        with pytest.raises(ValueError) as raised:
+            decoders.build(spec, **keywords)
+        message = str(raised.value)
+        assert fragment in message
+        assert "\n" not in message
 
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError, match="available"):
-            get_code("not_a_code")
+    def test_decoder_builders_list_their_keywords(self):
+        syntax = {name: decoders.entry(name).spec_syntax for name in decoders.available()}
+        assert syntax == {
+            "bposd": "bposd:max_iterations=30,scaling_factor=0.75",
+            "lookup": "lookup:max_order=2",
+            "mwpm": "mwpm",
+            "unionfind": "unionfind:max_growth_rounds=none",
+        }
 
-    def test_available_codes_warns_and_matches_registry(self):
-        from repro.codes import available_codes
-
-        with pytest.warns(DeprecationWarning):
-            names = available_codes()
-        assert names == codes.available()
-
-    def test_code_builders_dict_still_importable(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.codes.library import CODE_BUILDERS
-        assert "steane" in CODE_BUILDERS
-        assert CODE_BUILDERS["steane"]().num_qubits == 7
-
-    def test_decoder_factory_warns_and_builds_identical_decoder(self, steane, brisbane):
-        from repro.circuits import build_memory_experiment
-        from repro.decoders import decoder_factory
-        from repro.scheduling import lowest_depth_schedule
-        from repro.sim import build_detector_error_model
-
-        experiment = build_memory_experiment(
-            steane, lowest_depth_schedule(steane), brisbane, basis="Z"
-        )
-        dem = build_detector_error_model(experiment.circuit)
-        with pytest.warns(DeprecationWarning):
-            factory = decoder_factory("mwpm")
-        assert isinstance(factory(dem), MWPMDecoder)
-
-    def test_decoder_factory_unknown_name(self):
-        from repro.decoders import decoder_factory
-
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError, match="available"):
-            decoder_factory("not_a_decoder")
+    def test_builder_errors_past_binding_pass_through(self):
+        with pytest.raises(ValueError, match="scaling_factor must be in"):
+            decoders.build("bposd:scaling_factor=2")

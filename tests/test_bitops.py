@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.sampler_reference import sample_dense
 
 from repro.circuits import build_memory_experiment
 from repro.pauli.gf2 import gf2_matmul
@@ -102,31 +103,22 @@ class TestSamplerBackends:
 
     def test_packed_bit_identical_to_dense(self, dem):
         """Acceptance: same stream -> same faults, detectors, observables."""
-        dense = sample_detector_error_model(dem, 700, seed=17, backend="dense")
-        packed = sample_detector_error_model(dem, 700, seed=17, backend="packed")
-        # Both backends XOR the sampler's one fault draw for this stream.
+        dense_detectors, dense_observables = sample_dense(dem, 700, seed=17)
+        packed = sample_detector_error_model(dem, 700, seed=17)
+        # Both XOR the sampler's one fault draw for this stream.
         fired = np.random.default_rng(17).random((700, dem.num_mechanisms)) < dem.priors
         expected = (fired.astype(np.int64) @ dem.check_matrix.T.astype(np.int64)) % 2
-        assert np.array_equal(dense.detectors, expected.astype(np.uint8))
-        assert np.array_equal(dense.detectors, packed.detectors)
-        assert np.array_equal(dense.observables, packed.observables)
-        assert dense.packed_detectors is None
+        assert np.array_equal(dense_detectors, expected.astype(np.uint8))
+        assert np.array_equal(dense_detectors, packed.detectors)
+        assert np.array_equal(dense_observables, packed.observables)
         assert np.array_equal(
             unpack_rows(packed.packed_detectors, dem.num_detectors), packed.detectors
         )
-
-    def test_packed_is_default_backend(self, dem):
-        batch = sample_detector_error_model(dem, 10, seed=0)
-        assert batch.packed_detectors is not None
 
     def test_zero_shots(self, dem):
         batch = sample_detector_error_model(dem, 0, seed=0)
         assert batch.detectors.shape == (0, dem.num_detectors)
         assert batch.packed_detectors.shape == (0, packed_words(dem.num_detectors))
-
-    def test_unknown_backend_rejected(self, dem):
-        with pytest.raises(ValueError, match="backend"):
-            sample_detector_error_model(dem, 5, seed=0, backend="sparse")
 
     def test_decode_batch_packed_matches_decode_batch(self, dem):
         from repro.api import registries

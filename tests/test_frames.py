@@ -23,7 +23,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles.tableau_reference import simulate_circuit_dense
 
+import repro.sim.frames
 from repro.analysis.stats import wilson_halfwidth
 from repro.api import Budget, Pipeline, RunSpec, registries
 from repro.api.cli import main
@@ -228,13 +230,14 @@ class TestFrameVersusTableau:
             # Deterministic noise: every frame shot is the same row.
             assert (frame_batch.detectors == frame_batch.detectors[0]).all()
 
-    def test_tableau_modes_agree_batchwise(self):
+    def test_tableau_backends_agree_batchwise(self, monkeypatch):
         pipeline = Pipeline(
             RunSpec(code="surface:d=3", noise="brisbane", budget=Budget(shots=1))
         )
         circuit = pipeline.circuit["Z"]
-        packed = TableauSampler(circuit, mode="packed").sample(6, seed=9)
-        dense = TableauSampler(circuit, mode="dense").sample(6, seed=9)
+        packed = TableauSampler(circuit).sample(6, seed=9)
+        monkeypatch.setattr(repro.sim.frames, "simulate_circuit", simulate_circuit_dense)
+        dense = TableauSampler(circuit).sample(6, seed=9)
         assert np.array_equal(packed.detectors, dense.detectors)
         assert np.array_equal(packed.observables, dense.observables)
 
@@ -312,33 +315,24 @@ class TestFrameVersusDem:
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("sampler", ["frames", "tableau:dense"])
-    def test_registry_builds_samplers(self, sampler):
+    @pytest.mark.parametrize(
+        "sampler, expected",
+        [("dem", DemSampler), ("frames", FrameSampler), ("tableau", TableauSampler)],
+    )
+    def test_registry_builds_samplers(self, sampler, expected):
         pipeline = Pipeline(
             RunSpec(code="surface:d=3", noise="noiseless", budget=Budget(shots=1))
         )
         factory = registries.samplers.build(sampler)
         built = factory(pipeline.circuit["Z"], pipeline.dem["Z"])
-        expected = FrameSampler if sampler == "frames" else TableauSampler
         assert isinstance(built, expected)
-        if sampler == "tableau:dense":
-            assert built.mode == "dense"
-
-    def test_dem_backend_spec(self):
-        pipeline = Pipeline(
-            RunSpec(code="surface:d=3", noise="brisbane", budget=Budget(shots=1))
-        )
-        factory = registries.samplers.build("dem:backend=dense")
-        built = factory(pipeline.circuit["Z"], pipeline.dem["Z"])
-        assert isinstance(built, DemSampler)
-        assert built.backend == "dense"
 
     def test_default_spec_uses_direct_dem_path(self):
-        """The default spec builds a packed DemSampler, bit-identical to a
+        """The default spec builds a DemSampler, bit-identical to a
         direct sample_detector_error_model call on the same stream."""
         pipeline = Pipeline(RunSpec(code="surface:d=3", budget=Budget(shots=1)))
         for basis, sampler in pipeline.samplers.items():
-            assert isinstance(sampler, DemSampler) and sampler.backend == "packed"
+            assert isinstance(sampler, DemSampler)
             batch = sampler.sample(50, seed=4)
             direct = sample_detector_error_model(pipeline.dem[basis], 50, seed=4)
             assert np.array_equal(batch.detectors, direct.detectors)

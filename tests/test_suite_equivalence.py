@@ -1,24 +1,29 @@
-"""Equivalence regression: suite-backed drivers == legacy drivers, bit for bit.
+"""Equivalence regression: suite-backed drivers == frozen rows, bit for bit.
 
-Each quick-budget paper asset is produced twice — once through the
-deprecated hand-rolled loops in :mod:`repro.experiments.legacy` (the
-pre-suite reference implementation) and once through the declarative
-suites — and pinned row-for-row identical: same keys in the same order,
-same floats to the last bit (rates, depths, reductions), because both
-paths consume identical ``SeedSequence`` streams ("synthesis" and
-"evaluation" stages) and identical sampling kernels.
+Each quick-budget paper asset is produced through the declarative suites
+and pinned row-for-row against ``tests/data/suite_equivalence_rows.json``:
+same keys in the same order, same floats to the last bit (rates, depths,
+reductions).  That file holds what the original hand-rolled drivers
+returned for these exact cases — the drivers consumed identical
+``SeedSequence`` streams ("synthesis" and "evaluation" stages) and
+identical sampling kernels, so their rows equal the suites' — and it
+outlives them as the pin on what the suites publish.
 
-This is the satellite guarantee that lets the legacy path retire after one
-release without any doubt about what the suites publish.
+The checked-in golden rows under ``results/`` get the same treatment for
+the two cheapest assets: a fresh quick-budget run must reproduce every
+stored ``row`` and ``fingerprint``.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import (
     ExperimentBudget,
-    legacy,
+    SuiteConfig,
     run_figure7,
     run_figure12,
     run_figure13,
@@ -27,73 +32,68 @@ from repro.experiments import (
     run_table2,
     run_table3,
     run_table4,
+    run_suite,
 )
+from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.suite import QUICK_BUDGET
 
 #: Minuscule budget: the point is bit-identity, not statistics.
 TINY = ExperimentBudget(
     shots=60, synthesis_shots=40, iterations_per_step=1, max_evaluations=2, seed=0
 )
 
-
-def assert_rows_identical(suite_rows: list[dict], legacy_rows: list[dict]) -> None:
-    assert [list(row) for row in suite_rows] == [list(row) for row in legacy_rows]
-    assert suite_rows == legacy_rows
+FROZEN_ROWS = Path(__file__).parent / "data" / "suite_equivalence_rows.json"
+GOLDEN_RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
-def legacy_rows(driver, **kwargs) -> list[dict]:
-    with pytest.warns(DeprecationWarning):
-        return driver(TINY, **kwargs)
+@pytest.fixture(scope="module")
+def frozen_rows() -> dict[str, list[dict]]:
+    return json.loads(FROZEN_ROWS.read_text())
+
+
+def assert_rows_identical(suite_rows: list[dict], frozen: list[dict]) -> None:
+    assert [list(row) for row in suite_rows] == [list(row) for row in frozen]
+    assert suite_rows == frozen
 
 
 class TestTableEquivalence:
-    def test_table2_row_identical(self):
-        kwargs = dict(instances=[("hexagonal_color_d3", "unionfind")])
-        assert_rows_identical(
-            run_table2(TINY, **kwargs), legacy_rows(legacy.run_table2, **kwargs)
-        )
+    def test_table2_row_identical(self, frozen_rows):
+        rows = run_table2(TINY, instances=[("hexagonal_color_d3", "unionfind")])
+        assert_rows_identical(rows, frozen_rows["table2"])
 
-    def test_table3_row_identical(self):
-        kwargs = dict(
-            pairs=[("hexagonal_color", "hexagonal_color_d3", "hexagonal_color_d5", "unionfind")]
+    def test_table3_row_identical(self, frozen_rows):
+        rows = run_table3(
+            TINY,
+            pairs=[("hexagonal_color", "hexagonal_color_d3", "hexagonal_color_d5", "unionfind")],
         )
-        assert_rows_identical(
-            run_table3(TINY, **kwargs), legacy_rows(legacy.run_table3, **kwargs)
-        )
+        assert_rows_identical(rows, frozen_rows["table3"])
 
-    def test_table4_cross_decoder_matrix_identical(self):
-        kwargs = dict(instances=["hexagonal_color_d3"])
-        assert_rows_identical(
-            run_table4(TINY, **kwargs), legacy_rows(legacy.run_table4, **kwargs)
-        )
+    def test_table4_cross_decoder_matrix_identical(self, frozen_rows):
+        rows = run_table4(TINY, instances=["hexagonal_color_d3"])
+        assert_rows_identical(rows, frozen_rows["table4"])
 
 
 class TestFigureEquivalence:
-    def test_figure7_identical(self):
-        assert_rows_identical(run_figure7(TINY), legacy_rows(legacy.run_figure7))
+    def test_figure7_identical(self, frozen_rows):
+        assert_rows_identical(run_figure7(TINY), frozen_rows["figure7"])
 
-    def test_figure12_identical(self):
-        kwargs = dict(codes=["rotated_surface_d3"])
-        assert_rows_identical(
-            run_figure12(TINY, **kwargs), legacy_rows(legacy.run_figure12, **kwargs)
-        )
+    def test_figure12_identical(self, frozen_rows):
+        rows = run_figure12(TINY, codes=["rotated_surface_d3"])
+        assert_rows_identical(rows, frozen_rows["figure12"])
 
-    def test_figure13_identical_on_small_bb_code(self):
-        kwargs = dict(code_name="bb_18")
-        assert_rows_identical(
-            run_figure13(TINY, **kwargs), legacy_rows(legacy.run_figure13, **kwargs)
-        )
+    def test_figure13_identical_on_small_bb_code(self, frozen_rows):
+        rows = run_figure13(TINY, code_name="bb_18")
+        assert_rows_identical(rows, frozen_rows["figure13"])
 
-    def test_figure14_identical_across_the_noise_sweep(self):
-        kwargs = dict(codes=[("hexagonal_color_d3", "unionfind")], error_rates=[1e-2, 1e-5])
-        assert_rows_identical(
-            run_figure14(TINY, **kwargs), legacy_rows(legacy.run_figure14, **kwargs)
+    def test_figure14_identical_across_the_noise_sweep(self, frozen_rows):
+        rows = run_figure14(
+            TINY, codes=[("hexagonal_color_d3", "unionfind")], error_rates=[1e-2, 1e-5]
         )
+        assert_rows_identical(rows, frozen_rows["figure14"])
 
-    def test_figure15_identical_under_nonuniform_noise(self):
-        kwargs = dict(codes=["rotated_surface_d3"])
-        assert_rows_identical(
-            run_figure15(TINY, **kwargs), legacy_rows(legacy.run_figure15, **kwargs)
-        )
+    def test_figure15_identical_under_nonuniform_noise(self, frozen_rows):
+        rows = run_figure15(TINY, codes=["rotated_surface_d3"])
+        assert_rows_identical(rows, frozen_rows["figure15"])
 
 
 class TestWorkerInvariance:
@@ -114,15 +114,16 @@ class TestWorkerInvariance:
         assert serial == pooled
 
 
-class TestLegacyShim:
-    def test_common_reexports_warn_on_call(self):
-        from repro.experiments.common import compare_with_lowest_depth
-
-        with pytest.warns(DeprecationWarning):
-            compare_with_lowest_depth("steane", "lookup", TINY)
-
-    def test_unknown_common_attribute_raises(self):
-        import repro.experiments.common as common
-
-        with pytest.raises(AttributeError):
-            common.no_such_helper
+class TestGoldenRows:
+    @pytest.mark.parametrize("asset", ["figure7", "threshold"])
+    def test_fresh_quick_run_reproduces_checked_in_rows(self, asset, tmp_path):
+        """``results/<asset>.jsonl`` is what ``repro experiments run`` prints today."""
+        golden = {
+            record["key"]: record for record in ArtifactStore(GOLDEN_RESULTS).load(asset).values()
+        }
+        config = SuiteConfig(budget=QUICK_BUDGET, seed=0)
+        result = run_suite(asset, config, store=tmp_path, resume=False)
+        assert [outcome.key for outcome in result.outcomes] == list(golden)
+        for outcome in result.outcomes:
+            assert outcome.fingerprint == golden[outcome.key]["fingerprint"], outcome.key
+            assert outcome.row == golden[outcome.key]["row"], outcome.key

@@ -7,7 +7,8 @@ Two layers of pinning:
   against a scalar reimplementation of the Aaronson–Gottesman ``g``
   function, at widths straddling the word boundary (1/63/64/65/127).
 * **Full-simulator conformance** — the packed :class:`TableauSimulator` and
-  the dense :class:`DenseTableauSimulator` must be *bit-identical* on whole
+  the dense oracle ``DenseTableauSimulator``
+  (``tests/oracles/tableau_reference.py``) must be *bit-identical* on whole
   circuits: same measurement record, same detector/observable values, same
   final tableau, for the same seed.  This holds because both backends share
   one RNG-consumption skeleton; these tests are the regression net pinning
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.tableau_reference import DenseTableauSimulator, simulate_circuit_dense
 
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Budget, RunSpec
@@ -31,7 +33,7 @@ from repro.sim.bitops import (
     rowsum_g_exponents,
     xor_bit_column,
 )
-from repro.sim.tableau import DenseTableauSimulator, TableauSimulator, simulate_circuit
+from repro.sim.tableau import TableauSimulator, simulate_circuit
 
 #: Widths straddling the uint64 word boundary (the bitops suite convention).
 WIDTHS = [1, 63, 64, 65, 127]
@@ -159,8 +161,8 @@ class TestPackedDenseConformance:
     def test_random_circuits_bit_identical(self, num_qubits, with_noise):
         for seed in range(3):
             circuit = _random_circuit(num_qubits, seed, with_noise=with_noise)
-            packed = simulate_circuit(circuit, seed=seed + 100, mode="packed")
-            dense = simulate_circuit(circuit, seed=seed + 100, mode="dense")
+            packed = simulate_circuit(circuit, seed=seed + 100)
+            dense = simulate_circuit_dense(circuit, seed=seed + 100)
             assert packed == dense
 
     def test_final_tableau_state_matches(self):
@@ -197,24 +199,19 @@ class TestPackedDenseConformance:
         for basis in ("Z", "X"):
             circuit = pipeline.circuit[basis]
             for seed in (0, 1, 2):
-                assert simulate_circuit(circuit, seed=seed, mode="packed") == simulate_circuit(
-                    circuit, seed=seed, mode="dense"
+                assert simulate_circuit(circuit, seed=seed) == simulate_circuit_dense(
+                    circuit, seed=seed
                 )
 
     def test_wide_circuit_crosses_word_boundary(self):
         """d=7 surface (97 qubits) exercises multi-word rows end to end."""
         pipeline = Pipeline(RunSpec(code="surface:d=7", noise="noiseless", budget=Budget(shots=1)))
         circuit = pipeline.circuit["Z"]
-        packed = simulate_circuit(circuit, seed=11, mode="packed")
-        dense = simulate_circuit(circuit, seed=11, mode="dense")
+        packed = simulate_circuit(circuit, seed=11)
+        dense = simulate_circuit_dense(circuit, seed=11)
         assert packed == dense
         # Noiseless detectors are deterministic zeros in both backends.
         assert not any(packed[1])
-
-    def test_unknown_mode_rejected(self):
-        circuit = Circuit()
-        with pytest.raises(ValueError, match="unknown tableau mode"):
-            simulate_circuit(circuit, mode="sparse")
 
     def test_forced_measurement_consumes_no_rng(self):
         """``forced`` outcomes skip the RNG draw identically in both backends."""
