@@ -1,40 +1,46 @@
 """Minimum-weight perfect matching decoder.
 
-The decoding graph has one node per detector plus a virtual boundary node.
-Every mechanism that flips one or two detectors becomes a weighted edge
-(weight ``log((1-p)/p)``); mechanisms flipping more than two detectors are
-decomposed into existing edges when possible (the standard treatment of
-Y-type faults in surface-code DEMs) and otherwise approximated by chaining
-their detectors.
+The decoding graph has one node per detector plus a virtual boundary node
+at index ``num_detectors``.  Every mechanism that flips one or two
+detectors becomes a weighted edge (weight ``log((1-p)/p)``); parallel
+mechanisms merge as ``p1(1-p2) + p2(1-p1)`` and keep the observables of
+the dominant contribution.  Mechanisms flipping more than two detectors
+are approximated by chaining their sorted detectors pairwise (an odd one
+out goes to the boundary) — the standard treatment of Y-type faults in
+surface-code DEMs.
 
-Decoding a syndrome: take the defect nodes, look up the pre-computed
-all-pairs shortest-path distances, build a complete graph on the defects
-(plus one boundary copy per defect) and find a minimum-weight perfect
-matching with networkx's blossom implementation.  The predicted logical
-flip is the XOR of the observable flips accumulated along the matched
-shortest paths — functionally the same algorithm as PyMatching, traded for
-portability over speed.
+Construction is plain arrays: the edges live in an int-indexed adjacency
+list with observable sets as int bitmasks, and one ``heapq`` Dijkstra per
+source fills the dense ``(N+1, N+1)`` distance matrix while carrying each
+shortest path's observable parity (``parity[u] = parity[v] ^ obs(v, u)``
+at every improvement) instead of storing the path.  The heap order and tie
+rule are networkx's ``_dijkstra_multisource`` exactly — entries
+``(dist, counter, node)``, neighbours in first-insertion order, strict
+``<`` improvements — so distances and parities are bit-identical to the
+historical networkx shortest-path construction, which is kept as the
+oracle ``tests/oracles/matching_reference.py`` and pinned by
+``tests/test_matching_kernel.py``.
 
-Batch decoding is organised around the base class's dedup front end:
-matching runs once per *unique* syndrome (a 5–50x shot reduction at
-paper-regime error rates) and defect extraction is one vectorised
-``nonzero`` over the unique block.  Unique syndromes are then grouped by
-defect count and matched in bulk: for small defect sets (the overwhelming
-majority at paper-regime rates) every possible pairing — defect-defect or
-defect-boundary — is enumerated from a cached per-count table and all
-pairings of a whole group are costed with one gather/sum against the dense
-distance matrix, replacing a blossom run per shot with an exact argmin.
-Blossom remains the fallback for large defect sets and for the rare
-degenerate optimum whose tied pairings disagree on the predicted flip;
-either way predictions are bit-identical to the historical per-shot
-implementation (the enumerated argmin *is* the minimum-weight perfect
-matching, and ties that cannot change the prediction are the only ones
-resolved without blossom).
+Decoding is organised around the base class's dedup front end: matching
+runs once per *unique* syndrome (a 5–50x shot reduction at paper-regime
+error rates).  Unique syndromes are grouped by defect count and matched in
+bulk: for small defect sets (the overwhelming majority at paper-regime
+rates) every possible pairing — defect-defect or defect-boundary — is
+enumerated from a cached per-count table, all pairings of a whole group
+are costed with one gather/sum against the distance matrix, and the first
+optimum's prediction is one gathered XOR-reduce per block.  networkx's
+blossom (``nx.max_weight_matching``) is used only as the fallback for
+large defect sets and for the rare degenerate optimum whose tied pairings
+disagree on the predicted flip; either way predictions are bit-identical
+to the historical per-shot implementation (the enumerated argmin *is* the
+minimum-weight perfect matching, and ties that cannot change the
+prediction are the only ones resolved without blossom).
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import networkx as nx
 import numpy as np
@@ -44,9 +50,11 @@ from repro.sim.dem import DetectorErrorModel
 
 __all__ = ["MWPMDecoder"]
 
-_BOUNDARY = "boundary"
 #: Probabilities are clipped away from 0/1 to keep weights finite.
 _MIN_PROBABILITY = 1e-12
+#: Observables of an edge no contribution dominates, and of a hyperedge's
+#: odd boundary link.
+_NO_OBSERVABLES: frozenset[int] = frozenset()
 #: Distance assigned to node pairs the decoding graph does not connect.
 _UNREACHABLE = 1e9
 #: Defect sets up to this size are matched by exact pairing enumeration
@@ -59,6 +67,122 @@ _ENUM_BLOCK_ELEMENTS = 1 << 21
 def _edge_weight(probability: float) -> float:
     probability = min(max(probability, _MIN_PROBABILITY), 1 - _MIN_PROBABILITY)
     return math.log((1 - probability) / probability)
+
+
+def _decoding_edges(dem: DetectorErrorModel) -> "list[list[tuple[int, float, int]]]":
+    """Adjacency list of the decoding graph: ``(neighbour, weight, obs_mask)``.
+
+    Node ``num_detectors`` is the boundary.  Edges keep their first-insertion
+    order (one- and two-detector mechanisms first, then the chained
+    hyperedges), so every node lists its neighbours in the order the
+    historical networkx graph did.  A merged probability above 0.5 would give
+    a negative weight, which Dijkstra cannot handle, and is rejected here.
+    """
+    boundary = dem.num_detectors
+    # (u, v, probability, observables) in the historical insertion order:
+    # one- and two-detector mechanisms, then the chained hyperedges.
+    contributions = []
+    pending = []
+    for mechanism in dem.mechanisms:
+        detectors = mechanism.detectors
+        if len(detectors) == 2:
+            u, v = detectors
+            contributions.append((u, v, mechanism.probability, mechanism.observables))
+        elif len(detectors) == 1:
+            (u,) = detectors
+            contributions.append((u, boundary, mechanism.probability, mechanism.observables))
+        elif detectors:
+            pending.append(mechanism)
+    for mechanism in pending:
+        detectors = sorted(mechanism.detectors)
+        probability, observables = mechanism.probability, mechanism.observables
+        for first, second in zip(detectors[::2], detectors[1::2]):
+            contributions.append((first, second, probability, observables))
+        if len(detectors) % 2:
+            contributions.append((detectors[-1], boundary, probability, _NO_OBSERVABLES))
+
+    # (u, v) -> [merged probability, dominant contribution, its observables];
+    # dict order is first-insertion order.
+    merged: dict[tuple[int, int], list] = {}
+    for u, v, probability, observables in contributions:
+        key = (u, v) if u < v else (v, u)
+        entry = merged.get(key)
+        if entry is None:
+            entry = merged[key] = [0.0, 0.0, _NO_OBSERVABLES]
+        previous = entry[0]
+        entry[0] = previous * (1 - probability) + probability * (1 - previous)
+        # Keep the observable signature of the dominant contribution.
+        if probability > entry[1]:
+            entry[1] = probability
+            entry[2] = observables
+
+    adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(boundary + 1)]
+    for (u, v), (probability, _, observables) in merged.items():
+        if probability > 0.5:
+            target = "the boundary" if v == boundary else f"detector {v}"
+            raise ValueError(
+                f"MWPM edge between detector {u} and {target} has merged probability "
+                f"{probability!r} > 0.5 (negative matching weight)"
+            )
+        weight = _edge_weight(probability)
+        mask = sum(1 << observable for observable in observables)
+        adjacency[u].append((v, weight, mask))
+        adjacency[v].append((u, weight, mask))
+    return adjacency
+
+
+def _all_pairs_paths(
+    adjacency: "list[list[tuple[int, float, int]]]", num_observables: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Dense shortest-path distances and path observable parities.
+
+    One heap Dijkstra per source with networkx's tie rule (heap entries
+    ``(dist, counter, node)``, adjacency order, strict ``<``); the parity
+    of a node is fixed by the relaxation that last improved it, which is
+    exactly the parity of the path networkx reconstructs from its
+    predecessor map.  Returns the ``(N+1, N+1)`` float distances (``1e9``
+    for unconnected pairs) and ``(N+1, N+1, num_observables)`` uint8
+    parities.
+    """
+    size = len(adjacency)
+    infinity = math.inf
+    distance_rows = []
+    parity_rows = []
+    for source in range(size):
+        seen = [infinity] * size
+        parity = [0] * size
+        seen[source] = 0
+        fringe = [(0, 0, source)]
+        counter = 1
+        while fringe:
+            dist_v, _, v = heappop(fringe)
+            if dist_v > seen[v]:
+                continue  # stale entry: v was already settled closer
+            parity_v = parity[v]
+            for u, weight, mask in adjacency[v]:
+                dist_u = dist_v + weight
+                if dist_u < seen[u]:
+                    seen[u] = dist_u
+                    parity[u] = parity_v ^ mask
+                    heappush(fringe, (dist_u, counter, u))
+                    counter += 1
+        distance_rows.append(seen)
+        parity_rows.append(parity)
+    distance = np.array(distance_rows, dtype=np.float64)
+    distance[distance == infinity] = _UNREACHABLE
+    return distance, _mask_bits(parity_rows, size, num_observables)
+
+
+def _mask_bits(rows: "list[list[int]]", size: int, width: int) -> np.ndarray:
+    """Expand a ``size x size`` grid of int bitmasks to ``(size, size, width)`` bits."""
+    nbytes = max(1, (width + 7) // 8)
+    raw = b"".join(mask.to_bytes(nbytes, "little") for row in rows for mask in row)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(size, size, nbytes),
+        axis=2,
+        bitorder="little",
+    )
+    return np.ascontiguousarray(bits[:, :, :width])
 
 
 def _enumerate_pairings(count: int) -> np.ndarray:
@@ -100,106 +224,10 @@ class MWPMDecoder(Decoder):
 
     def __init__(self, dem: DetectorErrorModel) -> None:
         super().__init__(dem)
-        self.graph = self._build_graph(dem)
-        self._distances, self._path_observables = self._all_pairs_paths()
-        self._build_path_matrices()
-
-    # ------------------------------------------------------------------
-    # Graph construction
-    # ------------------------------------------------------------------
-    def _build_graph(self, dem: DetectorErrorModel) -> nx.Graph:
-        edges: dict[tuple, dict] = {}
-
-        def add_edge(u, v, probability: float, observables: frozenset[int]) -> None:
-            key = (u, v) if str(u) <= str(v) else (v, u)
-            entry = edges.setdefault(
-                key, {"probability": 0.0, "observables": frozenset()}
-            )
-            combined = entry["probability"] * (1 - probability) + probability * (
-                1 - entry["probability"]
-            )
-            entry["probability"] = combined
-            # Keep the observable signature of the dominant contribution.
-            if probability > entry.get("max_contribution", 0.0):
-                entry["observables"] = observables
-                entry["max_contribution"] = probability
-
-        pending: list = []
-        for mechanism in dem.mechanisms:
-            detectors = sorted(mechanism.detectors)
-            if len(detectors) == 0:
-                continue
-            if len(detectors) == 1:
-                add_edge(detectors[0], _BOUNDARY, mechanism.probability, mechanism.observables)
-            elif len(detectors) == 2:
-                add_edge(detectors[0], detectors[1], mechanism.probability, mechanism.observables)
-            else:
-                pending.append(mechanism)
-
-        # Decompose hyperedges (e.g. Y faults) into chains of graph edges.
-        for mechanism in pending:
-            detectors = sorted(mechanism.detectors)
-            for first, second in zip(detectors[::2], detectors[1::2]):
-                add_edge(first, second, mechanism.probability, mechanism.observables)
-            if len(detectors) % 2:
-                add_edge(detectors[-1], _BOUNDARY, mechanism.probability, frozenset())
-
-        graph = nx.Graph()
-        graph.add_node(_BOUNDARY)
-        graph.add_nodes_from(range(dem.num_detectors))
-        for (u, v), entry in edges.items():
-            graph.add_edge(
-                u,
-                v,
-                weight=_edge_weight(entry["probability"]),
-                observables=entry["observables"],
-            )
-        return graph
-
-    def _all_pairs_paths(self):
-        """Pre-compute distances and path observable parities between all nodes."""
-        distances: dict = {}
-        observables: dict = {}
-        for source in self.graph.nodes:
-            lengths, paths = nx.single_source_dijkstra(self.graph, source, weight="weight")
-            distances[source] = lengths
-            source_observables: dict = {}
-            for target, path in paths.items():
-                parity: set[int] = set()
-                for u, v in zip(path, path[1:]):
-                    parity.symmetric_difference_update(
-                        self.graph.edges[u, v]["observables"]
-                    )
-                source_observables[target] = frozenset(parity)
-            observables[source] = source_observables
-        return distances, observables
-
-    def _build_path_matrices(self) -> None:
-        """Densify the all-pairs results for the batch decode inner loop.
-
-        Node indices: detectors ``0..N-1``, boundary ``N``.  ``_distance``
-        holds exactly the dijkstra lengths the dict form holds (missing
-        pairs get the same ``1e9`` sentinel the historical ``dict.get``
-        used), so matching-graph weights are bit-identical.  Path
-        observable parities become one uint8 matrix per pair, flattened to
-        ``(N+1, N+1, num_observables)`` — XOR-accumulated directly into the
-        prediction rows.
-        """
-        n = self.dem.num_detectors
-        node_index = {node: node for node in range(n)}
-        node_index[_BOUNDARY] = n
-        self._boundary_index = n
-        self._distance = np.full((n + 1, n + 1), _UNREACHABLE, dtype=np.float64)
-        self._parity = np.zeros((n + 1, n + 1, self.dem.num_observables), dtype=np.uint8)
-        for source, lengths in self._distances.items():
-            si = node_index[source]
-            for target, length in lengths.items():
-                self._distance[si, node_index[target]] = length
-        for source, targets in self._path_observables.items():
-            si = node_index[source]
-            for target, parity in targets.items():
-                for observable in parity:
-                    self._parity[si, node_index[target], observable] = 1
+        self._boundary_index = dem.num_detectors
+        self._distance, self._parity = _all_pairs_paths(
+            _decoding_edges(dem), dem.num_observables
+        )
 
     # ------------------------------------------------------------------
     # Decoding
@@ -208,19 +236,16 @@ class MWPMDecoder(Decoder):
         predictions = np.zeros(
             (syndromes.shape[0], self.dem.num_observables), dtype=np.uint8
         )
-        defect_lists = self._defects_per_row(syndromes)
-        counts = np.fromiter(
-            (d.size for d in defect_lists), dtype=np.int64, count=len(defect_lists)
-        )
+        counts = np.count_nonzero(syndromes, axis=1)
         for count in np.unique(counts):
             if count == 0:
                 continue
             rows = np.nonzero(counts == count)[0]
+            group = np.nonzero(syndromes[rows])[1].reshape(rows.size, count)
             if count > _ENUM_MAX_DEFECTS:
-                for row in rows:
-                    self._match_defects(defect_lists[row], predictions[row])
+                for row, defects in zip(rows, group):
+                    self._match_defects(defects, predictions[row])
                 continue
-            group = np.stack([defect_lists[row] for row in rows])
             self._match_group(rows, group, predictions)
         return predictions
 
@@ -232,10 +257,11 @@ class MWPMDecoder(Decoder):
         ``group`` is ``(g, count)`` defect indices.  Every candidate pairing
         of the whole group is costed with one fancy-indexed gather over the
         dense distance matrix; the argmin pairing is the minimum-weight
-        perfect matching.  A cost tie between pairings that *agree* on the
-        predicted flip is resolved for free; tied pairings that disagree
-        (a genuinely degenerate optimum) defer to blossom so the historical
-        tie-breaking is preserved bit for bit.
+        perfect matching, and the first optimum's prediction is one gathered
+        XOR-reduce for the whole block.  A cost tie between pairings that
+        *agree* on the predicted flip is resolved for free; tied pairings
+        that disagree (a genuinely degenerate optimum) defer to blossom so
+        the historical tie-breaking is preserved bit for bit.
         """
         count = group.shape[1]
         table = self._pairing_table(count)  # (P, count, 2) local indices
@@ -254,24 +280,21 @@ class MWPMDecoder(Decoder):
             u = nodes[:, left]  # (g, P, count) global node indices
             v = nodes[:, right]
             costs = self._distance[u, v].sum(axis=2)  # (g, P)
-            best = costs.min(axis=1)
-            for k, row in enumerate(rows_block):
-                optimal = np.nonzero(costs[k] == best[k])[0]
-                prediction = np.bitwise_xor.reduce(
-                    self._parity[u[k, optimal[0]], v[k, optimal[0]]], axis=0
+            tied = costs == costs.min(axis=1)[:, None]
+            first = tied.argmax(axis=1)
+            local = np.arange(rows_block.size)
+            block_predictions = np.bitwise_xor.reduce(
+                self._parity[u[local, first], v[local, first]], axis=1
+            )
+            for k in np.nonzero(np.count_nonzero(tied, axis=1) > 1)[0]:
+                optimal = np.nonzero(tied[k])[0]
+                candidates = np.bitwise_xor.reduce(
+                    self._parity[u[k, optimal], v[k, optimal]], axis=1
                 )
-                if optimal.size > 1 and not all(
-                    np.array_equal(
-                        np.bitwise_xor.reduce(
-                            self._parity[u[k, other], v[k, other]], axis=0
-                        ),
-                        prediction,
-                    )
-                    for other in optimal[1:]
-                ):
-                    self._match_defects(group[start + k], predictions[row])
-                    continue
-                predictions[row] ^= prediction
+                if not (candidates == candidates[0]).all():
+                    block_predictions[k] = 0
+                    self._match_defects(group[start + k], block_predictions[k])
+            predictions[rows_block] = block_predictions
 
     _pairing_tables: "dict[int, np.ndarray]" = {}
 
@@ -284,32 +307,29 @@ class MWPMDecoder(Decoder):
         return table
 
     def _match_defects(self, defects: np.ndarray, prediction: np.ndarray) -> None:
-        """Match one defect set and XOR the path parities into ``prediction``.
+        """Match one defect set with blossom; XOR path parities into ``prediction``.
 
-        Mirrors the historical per-shot implementation exactly — same
-        matching-graph nodes, edges, insertion order and float weights — so
-        ``nx.max_weight_matching`` returns the identical matching; only the
-        distance/parity lookups moved from dicts to arrays.
+        The matching graph has the historical nodes, edges, insertion order
+        and float weights, so ``nx.max_weight_matching`` returns the
+        identical matching.
         """
         boundary = self._boundary_index
         distance = self._distance
-        matching_graph = nx.Graph()
         num_defects = len(defects)
+        edges = []
         for i in range(num_defects):
             u = defects[i]
             for j in range(i + 1, num_defects):
-                matching_graph.add_edge(
-                    ("d", i), ("d", j), weight=-float(distance[u, defects[j]])
+                edges.append(
+                    (("d", i), ("d", j), {"weight": -float(distance[u, defects[j]])})
                 )
-            matching_graph.add_edge(
-                ("d", i), ("b", i), weight=-float(distance[u, boundary])
-            )
+            edges.append((("d", i), ("b", i), {"weight": -float(distance[u, boundary])}))
         # Boundary copies may pair among themselves at zero cost.
         for i in range(num_defects):
             for j in range(i + 1, num_defects):
-                matching_graph.add_edge(("b", i), ("b", j), weight=0.0)
+                edges.append((("b", i), ("b", j), {"weight": 0.0}))
 
-        matching = nx.max_weight_matching(matching_graph, maxcardinality=True)
+        matching = nx.max_weight_matching(nx.from_edgelist(edges), maxcardinality=True)
         for first, second in matching:
             kinds = {first[0], second[0]}
             if kinds == {"b"}:

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from repro.api import Budget, Pipeline, RunSpec
-from repro.seeding import as_seed_sequence, named_stream, spawn_streams, stream_to_int
+from repro.seeding import (
+    as_seed_sequence,
+    named_stream,
+    spawn_streams,
+    stage_seed,
+    stream_to_int,
+)
 from repro.sim import estimate_logical_error_rates
 
 
@@ -99,9 +105,14 @@ class TestSeeding:
         from repro.experiments import ExperimentBudget
 
         budget = ExperimentBudget(seed=5)
-        assert budget.stage_seed("synthesis") == budget.stage_seed("synthesis")
-        assert budget.stage_seed("synthesis") != budget.stage_seed("evaluation")
-        assert budget.mcts_config().seed == budget.stage_seed("synthesis")
+        with pytest.warns(DeprecationWarning, match="ExperimentBudget.stage_seed"):
+            assert budget.stage_seed("synthesis") == budget.stage_seed("synthesis")
+            assert budget.stage_seed("synthesis") != budget.stage_seed("evaluation")
+        with pytest.warns(DeprecationWarning, match="ExperimentBudget.mcts_config"):
+            assert budget.mcts_config().seed == stage_seed(5, "synthesis")
+        with pytest.warns(DeprecationWarning, match="ExperimentBudget.stage_stream"):
+            stream = budget.stage_stream("synthesis")
+        assert stream.entropy == named_stream(5, "synthesis").entropy
 
 
 class TestPipeline:

@@ -153,9 +153,17 @@ class TestDecodingAccuracy:
 
 
 class TestMWPMInternals:
-    def test_graph_contains_boundary(self, surface_d3):
-        decoder = MWPMDecoder(_surface_dem(surface_d3))
-        assert "boundary" in decoder.graph.nodes
+    def test_boundary_is_the_last_node(self, surface_d3):
+        dem = _surface_dem(surface_d3)
+        decoder = MWPMDecoder(dem)
+        boundary = dem.num_detectors
+        assert decoder._boundary_index == boundary
+        assert decoder._distance.shape == (boundary + 1, boundary + 1)
+        single = {d for m in dem.mechanisms if len(m.detectors) == 1 for d in m.detectors}
+        assert single
+        for detector in single:
+            assert np.isfinite(decoder._distance[detector, boundary])
+            assert decoder._distance[detector, boundary] < 1e9
 
     def test_graphlike_property_reported(self, surface_d3):
         dem = _surface_dem(surface_d3)
