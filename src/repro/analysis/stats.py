@@ -2,11 +2,12 @@
 
 Besides the original summary helpers (:func:`wilson_interval`,
 :func:`relative_reduction`, :func:`geometric_mean`), this module hosts the
-:class:`StoppingRule` behind the adaptive estimation engine: sampling
-proceeds in fixed deterministic chunks (:mod:`repro.parallel`) and stops as
-soon as the Wilson score interval around the observed error fraction is
-tight enough — ``halfwidth / estimate <= target_rse`` — or the shot budget
-``max_shots`` is exhausted.  With zero observed errors the relative error is
+:class:`StoppingRule` that drives every logical-error-rate estimate:
+sampling proceeds in fixed deterministic chunks (:mod:`repro.parallel`) and
+stops as soon as the Wilson score interval around the observed error
+fraction is tight enough — ``halfwidth / estimate <= target_rse`` — or the
+shot budget ``max_shots`` is exhausted.  A fixed-shot run is a rule with no
+``target_rse``: it always consumes ``max_shots``.  With zero observed errors the relative error is
 undefined (:func:`relative_error` returns ``inf``), so a run can only stop
 on the budget, never on a spuriously "precise" zero estimate.
 """
@@ -125,10 +126,9 @@ class StoppingRule:
     """When to stop chunked Monte-Carlo sampling of a binomial rate.
 
     ``max_shots`` bounds the total sample size (it also fixes the
-    deterministic chunk layout of an adaptive run — see
-    :func:`repro.parallel.adaptive_sample_and_decode`).  ``target_rse`` is
-    the Wilson relative-error target; ``None`` disables precision stopping
-    and the rule degenerates to the fixed budget.
+    deterministic chunk layout — see :func:`repro.parallel.sample_and_decode`).
+    ``target_rse`` is the Wilson relative-error target; ``None`` disables
+    precision stopping and the rule degenerates to the fixed budget.
     """
 
     max_shots: int

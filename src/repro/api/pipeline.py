@@ -14,10 +14,12 @@ The sampling/decoding hot path is sharded into fixed-size chunks
 (:mod:`repro.parallel`), so its output is **worker-count invariant**:
 ``Pipeline(workers=1)`` and ``Pipeline(workers=8)`` produce bit-identical
 samples, predictions and rates for a fixed seed — ``workers`` only decides
-whether the chunks run in process or on a process pool.  The rates also
-equal :func:`repro.sim.estimate_logical_error_rates` at the same seed and
-shot count bit for bit — same SeedSequence streams, same chunk loop —
-which the test suite pins.
+whether the chunks run in process or on a process pool.  The rates stream
+per-chunk counts through the budget's stopping rule (a fixed-shot budget is
+a rule without a precision target), so they equal
+:func:`repro.sim.estimate_logical_error_rates` at the same seed and budget
+bit for bit — same SeedSequence streams, same chunk loop — which the test
+suite pins.
 """
 
 from __future__ import annotations
@@ -33,14 +35,9 @@ from repro.api import registries
 from repro.api.spec import Budget, RunSpec
 from repro.circuits.memory import build_memory_experiment
 from repro.core.alphasyndrome import SynthesisResult
-from repro.parallel import AdaptiveEstimate, adaptive_sample_and_decode, sample_and_decode
+from repro.parallel import AdaptiveEstimate, sample_and_decode, sample_batches
 from repro.sim.dem import DemDecompositionError, build_detector_error_model
-from repro.sim.estimator import (
-    LogicalErrorRates,
-    basis_streams,
-    fraction_wrong,
-    rates_from_adaptive_estimates,
-)
+from repro.sim.estimator import LogicalErrorRates, basis_streams, rates_from_estimates
 
 __all__ = ["Pipeline", "RunResult", "adaptive_report"]
 
@@ -136,8 +133,8 @@ class Pipeline:
 
             cache = ResultCache(cache)
         #: Optional :class:`repro.cache.ResultCache`; consulted (and
-        #: populated) only by the adaptive hot path — the fixed-shot path
-        #: stays byte-identical to its pinned legacy behaviour.
+        #: populated) only by adaptive runs — a fixed-shot run never reads
+        #: or writes it.
         self.cache = cache
 
     def __repr__(self) -> str:
@@ -321,17 +318,18 @@ class Pipeline:
 
     @cached_property
     def _executed(self) -> dict:
-        """Per-basis ``(SampleBatch, predictions)`` from the sampling/decoding hot path.
+        """Per-basis ``(SampleBatch, predictions)`` of the fixed-shot plan.
 
-        Chunk layout and per-chunk seed streams come from
-        :mod:`repro.parallel` and depend only on the shot count, so the
-        result is bit-identical for every ``workers`` value; the pool is
-        purely an execution detail.
+        Only :attr:`syndromes` / :attr:`predictions` materialise batches;
+        :attr:`rates` streams counts instead.  Chunk layout and per-chunk
+        seed streams come from :mod:`repro.parallel` and depend only on the
+        shot count, so the batches are bit-identical for every ``workers``
+        value and are exactly the shots :attr:`rates` counts.
         """
         shots = self.spec.budget.shots
 
         def run_basis(basis, stream, pool):
-            return sample_and_decode(
+            return sample_batches(
                 self.dem[basis],
                 self.decoder_factory,
                 self.samplers[basis],
@@ -343,7 +341,7 @@ class Pipeline:
         return self._per_basis(run_basis, pooled=self.spec.workers > 1 and shots > 0)
 
     # ------------------------------------------------------------------
-    # Adaptive (precision-targeted) execution
+    # Rate estimation: the budget's stopping rule over the chunk loop
     # ------------------------------------------------------------------
     @property
     def adaptive(self) -> bool:
@@ -351,31 +349,30 @@ class Pipeline:
         return self.spec.budget.adaptive
 
     @cached_property
-    def estimates(self) -> "dict[str, AdaptiveEstimate] | None":
-        """Per-basis :class:`~repro.parallel.AdaptiveEstimate` (adaptive mode only).
+    def estimates(self) -> "dict[str, AdaptiveEstimate]":
+        """Per-basis :class:`~repro.parallel.AdaptiveEstimate` (per-chunk counts).
 
         The chunk plan is laid out for ``budget.plan_shots`` and consumed in
-        chunk order through the budget's Wilson stopping rule; a pool only
-        speculates on upcoming chunks, so — like the fixed path — the result
-        is bit-identical for every ``workers`` value.  When the pipeline
-        holds a :class:`repro.cache.ResultCache`, cached chunk summaries are
+        chunk order through ``budget.stopping_rule()``; a fixed-shot budget
+        has no precision target and consumes the whole plan.  A pool only
+        speculates on upcoming chunks, so the result is bit-identical for
+        every ``workers`` value.  When an adaptive pipeline holds a
+        :class:`repro.cache.ResultCache`, cached chunk summaries are
         replayed instead of resampled and fresh chunks are persisted.
         """
-        if not self.adaptive:
-            return None
         rule = self.spec.budget.stopping_rule()
         chunk_shots = parallel.DEFAULT_CHUNK_SHOTS
         stores = {
             basis: (
                 self.cache.chunk_store(self.spec, basis, chunk_shots)
-                if self.cache is not None
+                if self.cache is not None and self.adaptive
                 else None
             )
             for basis in _BASES
         }
 
         def run_basis(basis, stream, pool) -> AdaptiveEstimate:
-            return adaptive_sample_and_decode(
+            return sample_and_decode(
                 self.dem[basis],
                 self.decoder_factory,
                 self.samplers[basis],
@@ -387,10 +384,10 @@ class Pipeline:
                 store=stores[basis],
             )
 
-        # A fully warm cache replays without sampling; skip process-pool
-        # startup entirely in that case (the advertised cheap-resume path).
-        # The probe itself costs cache reads, so it only runs when a pool
-        # would otherwise be created.
+        # No process pool when nothing needs sampling: an empty plan or a
+        # fully warm cache (the advertised cheap-resume path).  The probe
+        # itself costs cache reads, so it only runs when a pool would
+        # otherwise be created.
         pooled = self.spec.workers > 1 and not all(
             parallel.store_satisfies_rule(rule, stores[basis], chunk_shots=chunk_shots)
             for basis in _BASES
@@ -400,10 +397,9 @@ class Pipeline:
     @property
     def adaptive_report(self) -> dict | None:
         """JSON-ready summary of the adaptive run (``None`` in fixed mode)."""
-        estimates = self.estimates
-        if estimates is None:
+        if not self.adaptive:
             return None
-        return adaptive_report(self.spec.budget, estimates)
+        return adaptive_report(self.spec.budget, self.estimates)
 
     def _require_materialised(self, artifact: str) -> None:
         if self.adaptive:
@@ -430,20 +426,12 @@ class Pipeline:
     def rates(self) -> LogicalErrorRates:
         """Logical error rates; equal to :func:`repro.sim.estimate_logical_error_rates`.
 
-        In adaptive mode the rates derive from the streamed chunk counts
-        (``shots`` then reports the larger per-basis sample size and
-        ``shots_by_basis`` / ``converged`` are populated).
+        Derived from :attr:`estimates`.  In adaptive mode ``shots`` reports
+        the larger per-basis sample size and ``shots_by_basis`` /
+        ``converged`` are populated.
         """
-        if self.adaptive:
-            return rates_from_adaptive_estimates(self.schedule.depth, self.estimates)
-        batch_z, predictions_z = self._executed["Z"]
-        batch_x, predictions_x = self._executed["X"]
-        return LogicalErrorRates(
-            error_x=fraction_wrong(predictions_z, batch_z),
-            error_z=fraction_wrong(predictions_x, batch_x),
-            shots=self.spec.budget.shots,
-            depth=self.schedule.depth,
-        )
+        rule = self.spec.budget.stopping_rule()
+        return rates_from_estimates(self.schedule.depth, self.estimates, rule)
 
     @cached_property
     def result(self) -> RunResult:

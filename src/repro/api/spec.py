@@ -63,17 +63,26 @@ class Budget:
 
     @property
     def plan_shots(self) -> int:
-        """The shot ceiling that fixes an adaptive run's deterministic chunk plan.
+        """The shot count that fixes a run's deterministic chunk plan.
 
-        An adaptive run lays out the chunk sizes and per-chunk seed streams
-        for ``plan_shots`` up front and consumes a prefix, so any early stop
-        is bit-identical to the first chunks of the fixed-shot run at
-        ``shots=plan_shots`` (the prefix-reproducibility guarantee).
+        A fixed-shot run consumes the whole plan, ``shots``.  An adaptive
+        run lays out the chunk sizes and per-chunk seed streams for its
+        ceiling, ``max_shots`` (default ``shots``), and consumes a prefix,
+        so any early stop is bit-identical to the first chunks of the
+        fixed-shot run at ``shots=plan_shots`` (the prefix-reproducibility
+        guarantee).  ``max_shots`` is only that ceiling: without a
+        ``target_rse`` it is ignored.
         """
-        return self.max_shots if self.max_shots is not None else self.shots
+        if self.adaptive and self.max_shots is not None:
+            return self.max_shots
+        return self.shots
 
     def stopping_rule(self):
-        """The :class:`repro.analysis.stats.StoppingRule` for this budget."""
+        """The :class:`repro.analysis.stats.StoppingRule` for this budget.
+
+        Every rate estimate runs one: without ``target_rse`` the rule never
+        stops early and the run samples exactly ``shots`` per basis.
+        """
         # Imported here so the spec layer stays import-light for CLI startup.
         from repro.analysis.stats import StoppingRule, z_for_confidence
 

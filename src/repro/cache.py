@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache of per-chunk estimation results.
 
-The adaptive estimation engine (:func:`repro.parallel
-.adaptive_sample_and_decode`) consumes fixed deterministic chunks whose
+The chunk engine (:func:`repro.parallel.sample_and_decode`) consumes
+fixed deterministic chunks whose
 content is a pure function of the run's configuration: the code, noise,
 scheduler and decoder specs, the synthesis budget, the master seed, the
 chunk plan (``Budget.plan_shots`` + chunk size) and the chunk index.  That
@@ -94,7 +94,7 @@ class ChunkSummary:
 class ChunkStore:
     """One run-and-basis view of a :class:`ResultCache`.
 
-    The adaptive engine talks to this narrow interface only; the store
+    The chunk engine talks to this narrow interface only; the store
     resolves chunk indices to content-addressed files underneath.
     """
 

@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import StoppingRule
+from repro.api.spec import Budget
 from repro.codes.base import StabilizerCode
 from repro.noise.models import NoiseModel
 from repro.scheduling.schedule import Schedule
@@ -39,8 +40,7 @@ from repro.sim.estimator import (
     _estimate_basis,
     basis_streams,
     estimate_logical_error_rates,
-    estimate_logical_error_rates_adaptive,
-    rates_from_adaptive_estimates,
+    rates_from_estimates,
 )
 
 __all__ = ["ScheduleEvaluator"]
@@ -81,8 +81,10 @@ class ScheduleEvaluator:
         stopping rule (:mod:`repro.analysis.stats`) per basis and stops
         early once the observed rate is precise enough, up to ``max_shots``
         (default: ``shots``).  Scores stay deterministic for any worker
-        count; ``target_rse=None`` keeps the fixed-shot behaviour
-        bit-identical to before.
+        count; ``target_rse=None`` samples exactly ``shots`` per basis.
+        The stopping rule is built at construction, so an invalid budget
+        (``shots < 0``, ``confidence`` outside ``(0, 1)``) raises there,
+        not in the middle of a search.
     """
 
     code: StabilizerCode
@@ -97,28 +99,17 @@ class ScheduleEvaluator:
     confidence: float = 0.95
     _cache: dict[tuple, LogicalErrorRates] = field(default_factory=dict, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False, compare=False)
+    _rule: StoppingRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.objective not in ("inverse", "neg_log"):
             raise ValueError("objective must be 'inverse' or 'neg_log'")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.target_rse is not None and self.target_rse <= 0:
-            raise ValueError(f"target_rse must be positive, got {self.target_rse}")
-
-    def _stopping_rule(self):
-        """The Wilson stopping rule (``None`` in fixed-shot mode).
-
-        Derived through :meth:`repro.api.spec.Budget.stopping_rule` — the
-        single place that encodes the max_shots-defaults-to-shots fallback
-        and the confidence-to-z conversion — so the evaluator can never
-        drift from the Pipeline's derivation.
-        """
-        if self.target_rse is None:
-            return None
-        from repro.api.spec import Budget
-
-        return Budget(
+        # Derived through Budget.stopping_rule — the single place that
+        # encodes the max_shots fallback and the confidence-to-z conversion
+        # — so the evaluator can never drift from the Pipeline's rule.
+        self._rule = Budget(
             shots=self.shots,
             target_rse=self.target_rse,
             max_shots=self.max_shots,
@@ -143,20 +134,9 @@ class ScheduleEvaluator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        rule = self._stopping_rule()
-        if rule is not None:
-            rates, _estimates = estimate_logical_error_rates_adaptive(
-                self.code, schedule, self.noise, self.decoder_factory, rule=rule, seed=self.seed
-            )
-        else:
-            rates = estimate_logical_error_rates(
-                self.code,
-                schedule,
-                self.noise,
-                self.decoder_factory,
-                shots=self.shots,
-                seed=self.seed,
-            )
+        rates = estimate_logical_error_rates(
+            self.code, schedule, self.noise, self.decoder_factory, seed=self.seed, rule=self._rule
+        )
         self._cache[key] = rates
         return rates
 
@@ -187,8 +167,6 @@ class ScheduleEvaluator:
         serial.  Each task runs its whole chunk loop in-worker, keeping an
         adaptive stopping point worker-count independent."""
         pool = self._ensure_pool()
-        adaptive = self._stopping_rule()
-        rule = adaptive or StoppingRule(max_shots=self.shots)
         submitted = []
         for key, schedule in misses.items():
             futures = {
@@ -199,7 +177,7 @@ class ScheduleEvaluator:
                     self.noise,
                     self.decoder_factory,
                     basis,
-                    rule,
+                    self._rule,
                     stream,
                 )
                 for basis, stream in basis_streams(self.seed)
@@ -207,15 +185,7 @@ class ScheduleEvaluator:
             submitted.append((key, schedule, futures))
         for key, schedule, futures in submitted:
             estimates = {basis: future.result() for basis, future in futures.items()}
-            if adaptive is not None:
-                self._cache[key] = rates_from_adaptive_estimates(schedule.depth, estimates)
-            else:
-                self._cache[key] = LogicalErrorRates(
-                    error_x=estimates["Z"].rate,
-                    error_z=estimates["X"].rate,
-                    shots=self.shots,
-                    depth=schedule.depth,
-                )
+            self._cache[key] = rates_from_estimates(schedule.depth, estimates, self._rule)
 
     # ------------------------------------------------------------------
     def _score_of(self, rates: LogicalErrorRates) -> float:

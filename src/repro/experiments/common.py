@@ -17,12 +17,8 @@
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-
-from repro.core import MCTSConfig
-from repro.seeding import named_stream, stage_seed
 
 __all__ = ["ExperimentBudget", "render_table", "write_results"]
 
@@ -40,47 +36,6 @@ class ExperimentBudget:
     iterations_per_step: int = 4
     max_evaluations: int = 24
     seed: int = 0
-
-    def stage_stream(self, stage: str):
-        """Independent ``SeedSequence`` stream for a named stage of a driver.
-
-        Replaces the historical ``seed``, ``seed + 1``, ``seed + 11``
-        offsets: streams for distinct stage names are independent by
-        construction and stable under the addition of new stages.
-
-        Deprecated: use :func:`repro.seeding.named_stream` directly.
-        """
-        _deprecated("stage_stream", "repro.seeding.named_stream(budget.seed, stage)")
-        return named_stream(self.seed, stage)
-
-    def stage_seed(self, stage: str) -> int:
-        """Integer form of :meth:`stage_stream` for ``seed: int`` APIs.
-
-        Deprecated: use :func:`repro.seeding.stage_seed` directly.
-        """
-        _deprecated("stage_seed", "repro.seeding.stage_seed(budget.seed, stage)")
-        return stage_seed(self.seed, stage)
-
-    def mcts_config(self) -> MCTSConfig:
-        """MCTS settings for this budget.
-
-        Deprecated: build a :class:`repro.core.MCTSConfig` directly.
-        """
-        _deprecated("mcts_config", "repro.core.MCTSConfig(...)")
-        return MCTSConfig(
-            iterations_per_step=self.iterations_per_step,
-            seed=stage_seed(self.seed, "synthesis"),
-            max_total_evaluations=self.max_evaluations,
-        )
-
-
-def _deprecated(method: str, replacement: str) -> None:
-    warnings.warn(
-        f"ExperimentBudget.{method} is deprecated and will be removed in the next "
-        f"release; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def render_table(rows: list[dict], *, float_format: str = "{:.3e}") -> str:

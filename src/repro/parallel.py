@@ -17,18 +17,19 @@ The loop (:func:`_chunk_results`) runs the chunks in process, with one
 decoder per basis run, or speculatively on a process pool, and hands the
 results back strictly in chunk order.  It has two consumers:
 
-* :func:`sample_and_decode` keeps every chunk's batch and predictions
-  (what :attr:`repro.api.Pipeline.syndromes` exposes);
-* :func:`adaptive_sample_and_decode` keeps only per-chunk
-  ``(shots, errors)`` counts and stops as soon as a
-  :class:`~repro.analysis.stats.StoppingRule` says so.  A fixed-shot
-  estimate is the same call with a rule that never stops early, so its
-  memory is bounded by one chunk, not by the shot count.
+* :func:`sample_and_decode` — the one logical-error-rate path — keeps only
+  per-chunk ``(shots, errors)`` counts and stops as soon as a
+  :class:`~repro.analysis.stats.StoppingRule` says so.  A fixed-shot run is
+  a rule without a precision target, which consumes the whole plan; either
+  way memory is bounded by one chunk, not by the shot count;
+* :func:`sample_batches` keeps every chunk's batch and predictions (only
+  :attr:`repro.api.Pipeline.syndromes` / ``.predictions`` use it).
 
 :func:`repro.sim.estimate_logical_error_rates`, the serial and pooled
-:class:`repro.core.ScheduleEvaluator` and :class:`repro.api.Pipeline` all
-reach this loop, so for the same seed and shot count they report the same
-rates bit for bit.
+:class:`repro.core.ScheduleEvaluator`, :class:`repro.api.Pipeline` and the
+``repro serve`` scheduler all reduce these counts through
+:func:`repro.sim.estimator.rates_from_estimates`, so for the same seed and
+budget they report the same rates bit for bit.
 
 The chunk tasks are free functions so they pickle into
 :class:`~concurrent.futures.ProcessPoolExecutor` workers; decoder factories
@@ -62,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_CHUNK_SHOTS",
     "AdaptiveEstimate",
-    "adaptive_sample_and_decode",
     "chunk_error_counts",
     "chunk_sizes",
     "chunk_streams",
@@ -70,6 +70,7 @@ __all__ = [
     "merge_chunks",
     "store_satisfies_rule",
     "sample_and_decode",
+    "sample_batches",
 ]
 
 #: Fixed shard granularity of the hot path.  The worker-invariance
@@ -148,8 +149,8 @@ def chunk_error_counts(
 ) -> tuple[int, int]:
     """:func:`run_chunk` reduced to ``(shots, logical errors)``.
 
-    The count-only unit of the adaptive engine, the result cache and the
-    ``repro serve`` workers: the batch collapses to its error count, so
+    The count-only unit of :func:`sample_and_decode`, the result cache and
+    the ``repro serve`` workers: the batch collapses to its error count, so
     chunks are cheap to ship, merge and persist.
     """
     batch, predictions = run_chunk(dem, decoder_factory, sampler, shots, stream, decoder)
@@ -231,7 +232,7 @@ def _chunk_results(
             future.cancel()
 
 
-def sample_and_decode(
+def sample_batches(
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
     sampler,
@@ -256,18 +257,19 @@ def sample_and_decode(
 
 
 # ----------------------------------------------------------------------
-# Count-only chunk streaming (fixed-shot and precision-targeted)
+# Count-only chunk streaming: the logical-error-rate path
 # ----------------------------------------------------------------------
 @dataclass
 class AdaptiveEstimate:
-    """Outcome of one adaptively sampled binomial estimation.
+    """Outcome of one basis run of :func:`sample_and_decode`.
 
     ``chunk_counts`` records the consumed prefix as ``(shots, errors)`` per
     chunk in chunk order — by construction bit-identical to the first
-    ``len(chunk_counts)`` chunks of the fixed-shot run whose budget equals
-    the stopping rule's ``max_shots``.  ``cache_hits`` / ``fresh_chunks``
-    split the prefix into chunks replayed from a :class:`repro.cache
-    .ChunkStore` and chunks actually sampled in this process.
+    ``len(chunk_counts)`` chunks of the fixed-shot run (a rule without a
+    precision target, which consumes every chunk).  ``cache_hits`` /
+    ``fresh_chunks`` split the prefix into chunks replayed from a
+    :class:`repro.cache.ChunkStore` and chunks actually sampled in this
+    process.
     """
 
     shots: int = 0
@@ -290,20 +292,19 @@ class AdaptiveEstimate:
 def store_satisfies_rule(
     rule: "StoppingRule", store, *, chunk_shots: int | None = None
 ) -> bool:
-    """True when cached summaries alone carry ``rule`` to its stopping point.
+    """True when ``rule`` stops without a fresh chunk: its plan is empty, or
+    cached summaries alone carry it to its stopping point.
 
     Walks the same chunk plan and rule evaluation as
-    :func:`adaptive_sample_and_decode`, but consults only the store — no
-    sampling, no decoding.  Callers use it to skip expensive setup (e.g.
-    process-pool startup) for fully warm-cache replays; a ``True`` answer
-    guarantees the engine will report ``fresh_chunks == 0``.
+    :func:`sample_and_decode`, but consults only the store — no sampling,
+    no decoding.  Callers use it to skip expensive setup (e.g. process-pool
+    startup) when nothing needs sampling; a ``True`` answer guarantees the
+    engine will report ``fresh_chunks == 0``.
     """
-    if store is None:
-        return False
     sizes = chunk_sizes(rule.max_shots, chunk_shots)
     shots = errors = 0
     for index, size in enumerate(sizes):
-        summary = store.get(index)
+        summary = store.get(index) if store is not None else None
         if summary is None or summary.shots != size:
             return False
         shots += summary.shots
@@ -313,7 +314,7 @@ def store_satisfies_rule(
     return True  # the whole plan is cached
 
 
-def adaptive_sample_and_decode(
+def sample_and_decode(
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
     sampler,
@@ -328,13 +329,13 @@ def adaptive_sample_and_decode(
     """Stream the fixed chunk plan through ``rule`` until it says stop.
 
     The chunk layout and per-chunk seed streams are derived for
-    ``rule.max_shots`` exactly as :func:`sample_and_decode` would derive
-    them, and the chunk loop hands back counts strictly in chunk order with
-    the rule evaluated after each one.  Consequently:
+    ``rule.max_shots`` exactly as :func:`sample_batches` would derive them,
+    and the chunk loop hands back counts strictly in chunk order with the
+    rule evaluated after each one.  Consequently:
 
-    * the consumed prefix is bit-identical to the fixed-shot run at
-      ``shots=rule.max_shots`` truncated to the same chunks, and a rule
-      without a precision target consumes exactly that fixed-shot run;
+    * a rule without a precision target consumes the whole plan — the
+      fixed-shot run at ``shots=rule.max_shots`` — and any earlier stop is
+      bit-identical to that run truncated to the same chunks;
     * the stopping point depends only on the accumulated counts, so the
       result is invariant to ``pool``/``lookahead`` — a pool merely
       *speculates* on upcoming chunks (results of chunks past the stopping

@@ -19,10 +19,12 @@ spec returns the finished job immediately.
 1024-shot chunks laid out for ``budget.plan_shots``
 (:func:`repro.parallel.chunk_sizes`) with per-chunk spawned seed streams.
 Chunk *results* are consumed strictly in chunk order through the budget's
-:class:`~repro.analysis.stats.StoppingRule`; out-of-order completions are
-buffered and speculative chunks past an adaptive stopping point are
-discarded — byte-for-byte the offline engine's contract, which is what
-makes served results bit-identical to offline runs.
+:class:`~repro.analysis.stats.StoppingRule` (a fixed-shot budget's rule
+never stops early); out-of-order completions are buffered and speculative
+chunks past an adaptive stopping point are discarded, and the finished job
+reduces through :func:`repro.sim.estimator.rates_from_estimates` —
+byte-for-byte the offline engine's contract, which is what makes served
+results bit-identical to offline runs.
 
 **Leases.**  Workers are granted chunk ranges under a deadline
 (``lease_timeout``); every reported chunk renews the lease, and remote
@@ -59,7 +61,7 @@ from repro.analysis.stats import relative_error
 from repro.api.pipeline import RunResult, adaptive_report
 from repro.api.spec import RunSpec, canonical_spec
 from repro.parallel import DEFAULT_CHUNK_SHOTS, AdaptiveEstimate, chunk_sizes
-from repro.sim.estimator import LogicalErrorRates, rates_from_adaptive_estimates
+from repro.sim.estimator import rates_from_estimates
 
 __all__ = [
     "BasisProgress",
@@ -115,7 +117,7 @@ class BasisProgress:
     Chunk results arrive in any order (workers race) but are *consumed* —
     accumulated into ``shots``/``errors`` and fed to the stopping rule —
     strictly by chunk index, exactly like
-    :func:`repro.parallel.adaptive_sample_and_decode`.  ``done`` flips when
+    :func:`repro.parallel.sample_and_decode`.  ``done`` flips when
     the rule converges or the plan is exhausted; anything buffered or
     reported after that is speculation and is discarded.
     """
@@ -225,9 +227,9 @@ class Job:
         self.state = JobState.QUEUED
         self.submissions = 1
         sizes = chunk_sizes(spec.budget.plan_shots, DEFAULT_CHUNK_SHOTS)
-        rule = spec.budget.stopping_rule()
+        self.rule = spec.budget.stopping_rule()
         self.progress: dict[str, BasisProgress] = {
-            basis: BasisProgress(list(sizes), rule) for basis in BASES
+            basis: BasisProgress(list(sizes), self.rule) for basis in BASES
         }
         #: Expired-lease chunks to re-dispatch before fresh speculation.
         self.requeued: list[ChunkTask] = []
@@ -266,26 +268,14 @@ class Job:
     def finalize(self) -> dict:
         """Assemble the RunResult payload — the offline pipeline's, bit for bit.
 
-        Adaptive jobs reduce exactly like
-        :func:`repro.sim.estimator.rates_from_adaptive_estimates`; fixed
-        jobs reproduce ``count_wrong / shots`` (integer counts divided once,
-        the same float the offline ``fraction_wrong`` computes over the
-        merged batch).
+        The consumed per-basis counts reduce through
+        :func:`repro.sim.estimator.rates_from_estimates` with the job's
+        stopping rule, exactly as the offline pipeline does.
         """
         depth = self.depth if self.depth is not None else 0
         estimates = {basis: progress.estimate() for basis, progress in self.progress.items()}
-        if self.adaptive:
-            rates = rates_from_adaptive_estimates(depth, estimates)
-            report = adaptive_report(self.spec.budget, estimates)
-        else:
-            shots = self.spec.budget.shots
-            rates = LogicalErrorRates(
-                error_x=self.progress["Z"].rate,
-                error_z=self.progress["X"].rate,
-                shots=shots,
-                depth=depth,
-            )
-            report = None
+        rates = rates_from_estimates(depth, estimates, self.rule)
+        report = adaptive_report(self.spec.budget, estimates) if self.adaptive else None
         self.result = RunResult(
             spec=self.spec,
             rates=rates,

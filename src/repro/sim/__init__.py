@@ -14,9 +14,7 @@ from repro.sim.estimator import (
     count_wrong,
     decode_predictions,
     estimate_logical_error_rates,
-    estimate_logical_error_rates_adaptive,
-    fraction_wrong,
-    rates_from_adaptive_estimates,
+    rates_from_estimates,
 )
 from repro.sim.frames import FrameSampler, TableauSampler
 from repro.sim.sampler import DemSampler, SampleBatch, sample_detector_error_model
@@ -37,10 +35,8 @@ __all__ = [
     "basis_streams",
     "decode_predictions",
     "estimate_logical_error_rates",
-    "estimate_logical_error_rates_adaptive",
     "count_wrong",
-    "fraction_wrong",
-    "rates_from_adaptive_estimates",
+    "rates_from_estimates",
     "pack_rows",
     "unpack_rows",
     "popcount",

@@ -32,9 +32,7 @@ __all__ = [
     "count_wrong",
     "decode_predictions",
     "estimate_logical_error_rates",
-    "estimate_logical_error_rates_adaptive",
-    "fraction_wrong",
-    "rates_from_adaptive_estimates",
+    "rates_from_estimates",
 ]
 
 #: A decoder factory takes a DEM and returns an object with ``decode_batch``.
@@ -82,9 +80,11 @@ class LogicalErrorRates:
 def count_wrong(predictions: np.ndarray, batch: SampleBatch) -> int:
     """Number of shots where a prediction misses at least one observable.
 
-    The integer form of :func:`fraction_wrong`; the adaptive engine
-    accumulates these counts across chunks so a resumed or early-stopped run
-    scores exactly like the concatenated batch would.
+    A shot counts as a logical error when the decoder's predicted observable
+    flip disagrees with the actual flip for at least one logical qubit.  The
+    chunk engine accumulates these integer counts across chunks, so a
+    resumed or early-stopped run scores exactly like the concatenated batch
+    would.  Zero shots count 0 (shapes are still validated).
     """
     if predictions.shape != batch.observables.shape:
         raise ValueError(
@@ -94,21 +94,6 @@ def count_wrong(predictions: np.ndarray, batch: SampleBatch) -> int:
     if batch.num_shots == 0:
         return 0
     return int(np.count_nonzero((predictions != batch.observables).any(axis=1)))
-
-
-def fraction_wrong(predictions: np.ndarray, batch: SampleBatch) -> float:
-    """Fraction of shots where a prediction misses at least one observable.
-
-    A shot counts as a logical error when the decoder's predicted observable
-    flip disagrees with the actual flip for at least one logical qubit.  This
-    is the scoring kernel of the staged :class:`repro.api.Pipeline`; the
-    chunk engine scores with the integer :func:`count_wrong`, which gives
-    the same rate for the same samples.  Zero shots report rate 0.0.
-    """
-    if batch.num_shots == 0:
-        count_wrong(predictions, batch)  # still validate the shapes
-        return 0.0
-    return count_wrong(predictions, batch) / batch.num_shots
 
 
 def basis_streams(
@@ -156,20 +141,49 @@ def _estimate_basis(
 ):
     """One basis run: memory experiment -> DEM -> the chunk loop.
 
-    The single per-basis unit behind both estimator entry points and the
-    pooled :class:`repro.core.ScheduleEvaluator` tasks (it is module-level
-    so it pickles to pool workers).  ``basis='Z'`` measures logical Z
-    operators and therefore estimates the logical X error rate.  Returns
-    the :class:`repro.parallel.AdaptiveEstimate`; only per-chunk counts are
-    kept, so memory is bounded by one chunk, not by ``rule.max_shots``.
+    The single per-basis unit behind :func:`estimate_logical_error_rates`
+    and the pooled :class:`repro.core.ScheduleEvaluator` tasks (it is
+    module-level so it pickles to pool workers).  ``basis='Z'`` measures
+    logical Z operators and therefore estimates the logical X error rate.
+    Returns the :class:`repro.parallel.AdaptiveEstimate`; only per-chunk
+    counts are kept, so memory is bounded by one chunk, not by
+    ``rule.max_shots``.
     """
     # Imported lazily: repro.parallel imports this module at load time.
-    from repro.parallel import adaptive_sample_and_decode
+    from repro.parallel import sample_and_decode
 
     experiment = build_memory_experiment(code, schedule, noise, basis=basis)
     dem = build_detector_error_model(experiment.circuit)
-    return adaptive_sample_and_decode(
-        dem, decoder_factory, DemSampler(dem=dem), stream, rule, store=store
+    return sample_and_decode(dem, decoder_factory, DemSampler(dem=dem), stream, rule, store=store)
+
+
+def rates_from_estimates(depth: int, estimates: dict, rule: StoppingRule) -> LogicalErrorRates:
+    """Assemble :class:`LogicalErrorRates` from per-basis chunk-loop estimates.
+
+    ``estimates`` maps basis (``"Z"``/``"X"``) to any object exposing
+    ``rate`` / ``shots`` / ``converged`` (a
+    :class:`repro.parallel.AdaptiveEstimate`).  This is the single place
+    that encodes the basis-Z-measures-``error_x`` convention and the
+    ``shots = max(per basis)`` summary — shared by this module,
+    :class:`repro.api.Pipeline`, :class:`repro.core.ScheduleEvaluator` and
+    the ``repro serve`` scheduler so the paths cannot drift.  A ``rule``
+    without a precision target (a fixed-shot run) leaves ``shots_by_basis``
+    and ``converged`` at ``None``.
+    """
+    precision = rule.target_rse is not None
+    return LogicalErrorRates(
+        error_x=estimates["Z"].rate,
+        error_z=estimates["X"].rate,
+        shots=max((estimate.shots for estimate in estimates.values()), default=0),
+        depth=depth,
+        shots_by_basis=(
+            {basis: estimate.shots for basis, estimate in estimates.items()}
+            if precision
+            else None
+        ),
+        converged=(
+            all(estimate.converged for estimate in estimates.values()) if precision else None
+        ),
     )
 
 
@@ -181,73 +195,27 @@ def estimate_logical_error_rates(
     *,
     shots: int = 2000,
     seed: "int | np.random.SeedSequence | None" = None,
+    rule: StoppingRule | None = None,
+    store_factory=None,
 ) -> LogicalErrorRates:
     """Estimate logical X, Z and overall error rates of ``schedule``.
 
     The two per-basis sampling streams are independent ``SeedSequence``
     children of ``seed`` (:func:`basis_streams`: basis Z first, then basis
     X), replacing the old ``seed`` / ``seed + 1`` convention that correlated
-    streams across call sites.  Each basis runs the fixed chunk plan of
-    :mod:`repro.parallel` with a rule that never stops early, so the rates
-    equal a fixed-shot :class:`repro.api.Pipeline` run bit for bit.
+    streams across call sites.  Each basis streams the fixed chunk plan of
+    :mod:`repro.parallel` through ``rule`` (e.g. ``budget.stopping_rule()``);
+    without one, ``shots`` stands for ``StoppingRule(max_shots=shots)``, a
+    rule that never stops early.  A precision-targeted rule stops each basis
+    on the first chunk prefix that meets the target, bit-identical to the
+    fixed run's first chunks.  The rates equal a :class:`repro.api.Pipeline`
+    run of the same budget bit for bit, for every worker count.
+
+    ``store_factory(basis)`` may supply a :class:`repro.cache.ChunkStore`
+    per basis to resume from (and refine) previously measured chunks.
     """
-    rule = StoppingRule(max_shots=shots)
-    estimates = {
-        basis: _estimate_basis(code, schedule, noise, decoder_factory, basis, rule, stream)
-        for basis, stream in basis_streams(seed)
-    }
-    return LogicalErrorRates(
-        error_x=estimates["Z"].rate, error_z=estimates["X"].rate, shots=shots, depth=schedule.depth
-    )
-
-
-def rates_from_adaptive_estimates(depth: int, estimates: dict) -> LogicalErrorRates:
-    """Assemble :class:`LogicalErrorRates` from per-basis adaptive estimates.
-
-    ``estimates`` maps basis (``"Z"``/``"X"``) to any object exposing
-    ``rate`` / ``shots`` / ``converged`` (a
-    :class:`repro.parallel.AdaptiveEstimate`).  This is the single place
-    that encodes the basis-Z-measures-``error_x`` convention and the
-    ``shots = max(per basis)`` summary for adaptive runs — shared by this
-    module, :class:`repro.api.Pipeline` and
-    :class:`repro.core.ScheduleEvaluator` so the three paths cannot drift.
-    """
-    return LogicalErrorRates(
-        error_x=estimates["Z"].rate,
-        error_z=estimates["X"].rate,
-        shots=max((estimate.shots for estimate in estimates.values()), default=0),
-        depth=depth,
-        shots_by_basis={basis: estimate.shots for basis, estimate in estimates.items()},
-        converged=all(estimate.converged for estimate in estimates.values()),
-    )
-
-
-def estimate_logical_error_rates_adaptive(
-    code: StabilizerCode,
-    schedule: Schedule,
-    noise: NoiseModel,
-    decoder_factory: DecoderFactory,
-    *,
-    rule: StoppingRule,
-    seed: "int | np.random.SeedSequence | None" = None,
-    store_factory=None,
-) -> "tuple[LogicalErrorRates, dict]":
-    """Adaptive (precision-targeted) variant of :func:`estimate_logical_error_rates`.
-
-    Each basis streams the same fixed deterministic chunks a fixed-shot run
-    at ``shots=rule.max_shots`` would consume (same :func:`basis_streams`
-    derivation, same per-chunk spawned streams) and stops as soon as the
-    Wilson relative error of the observed rate reaches the rule's target —
-    so the sampled prefix is bit-identical to the fixed run's first chunks,
-    for every worker count.  ``rule`` is the one
-    :class:`~repro.analysis.stats.StoppingRule` derivation (e.g.
-    ``budget.stopping_rule()``).  ``store_factory(basis)`` may supply a
-    :class:`repro.cache.ChunkStore` per basis to resume from (and refine)
-    previously measured chunks.
-
-    Returns the rates plus the per-basis
-    :class:`repro.parallel.AdaptiveEstimate` dict (``{"Z": ..., "X": ...}``).
-    """
+    if rule is None:
+        rule = StoppingRule(max_shots=shots)
     estimates = {
         basis: _estimate_basis(
             code,
@@ -261,4 +229,4 @@ def estimate_logical_error_rates_adaptive(
         )
         for basis, stream in basis_streams(seed)
     }
-    return rates_from_adaptive_estimates(schedule.depth, estimates), estimates
+    return rates_from_estimates(schedule.depth, estimates, rule)

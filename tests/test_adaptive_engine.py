@@ -26,8 +26,8 @@ from repro.analysis.stats import (
 from repro.api import Budget, Pipeline, RunSpec
 from repro.cache import ResultCache, chunk_address
 from repro.core.evaluator import ScheduleEvaluator
-from repro.parallel import adaptive_sample_and_decode, chunk_sizes, sample_and_decode
-from repro.sim import count_wrong, fraction_wrong
+from repro.parallel import chunk_sizes, sample_and_decode, sample_batches
+from repro.sim import count_wrong
 from repro.sim.sampler import DemSampler, SampleBatch
 
 
@@ -104,8 +104,8 @@ class TestStoppingRule:
             StoppingRule(max_shots=-1)
 
 
-class TestFractionWrongEdges:
-    def test_zero_shots_counts_and_fraction(self):
+class TestCountWrongEdges:
+    def test_zero_shots_count(self):
         batch = SampleBatch(
             detectors=np.zeros((0, 3), dtype=np.uint8),
             observables=np.zeros((0, 2), dtype=np.uint8),
@@ -113,7 +113,6 @@ class TestFractionWrongEdges:
         )
         predictions = np.zeros((0, 2), dtype=np.uint8)
         assert count_wrong(predictions, batch) == 0
-        assert fraction_wrong(predictions, batch) == 0.0
 
     def test_zero_shots_still_validates_shapes(self):
         batch = SampleBatch(
@@ -122,9 +121,9 @@ class TestFractionWrongEdges:
             packed_detectors=np.zeros((0, 1), dtype=np.uint64),
         )
         with pytest.raises(ValueError, match="shape"):
-            fraction_wrong(np.zeros((0, 3), dtype=np.uint8), batch)
+            count_wrong(np.zeros((0, 3), dtype=np.uint8), batch)
 
-    def test_count_matches_fraction(self):
+    def test_count_of_mixed_batch(self):
         batch = SampleBatch(
             detectors=np.zeros((4, 1), dtype=np.uint8),
             observables=np.array([[0], [1], [0], [1]], dtype=np.uint8),
@@ -132,7 +131,6 @@ class TestFractionWrongEdges:
         )
         predictions = np.array([[0], [0], [0], [1]], dtype=np.uint8)
         assert count_wrong(predictions, batch) == 1
-        assert fraction_wrong(predictions, batch) == 0.25
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +150,10 @@ class TestBudgetPrecisionKnobs:
 
     def test_plan_shots_defaults_to_shots(self):
         assert Budget(shots=500).plan_shots == 500
-        assert Budget(shots=500, max_shots=9000).plan_shots == 9000
+        # max_shots is the adaptive ceiling: a fixed-shot budget ignores it.
+        assert Budget(shots=500, max_shots=9000).plan_shots == 500
+        assert Budget(shots=500, max_shots=9000).stopping_rule().max_shots == 500
+        assert Budget(shots=500, target_rse=0.1, max_shots=9000).plan_shots == 9000
 
     def test_stopping_rule_uses_confidence(self):
         rule = Budget(shots=100, target_rse=0.1, confidence=0.99).stopping_rule()
@@ -196,7 +197,7 @@ def problem():
 
 def _fixed_chunk_counts(dem, factory, sampler, stream, shots, chunk_shots):
     """Per-chunk (shots, errors) of the *fixed-shot* run, for comparison."""
-    batch, predictions = sample_and_decode(
+    batch, predictions = sample_batches(
         dem, factory, sampler, shots, stream, chunk_shots=chunk_shots
     )
     counts, start = [], 0
@@ -217,7 +218,7 @@ class TestAdaptiveEngine:
         """A never-converging target consumes the whole plan bit-identically."""
         dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=600, target_rse=1e-9)
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         assert estimate.shots == 600
@@ -230,7 +231,7 @@ class TestAdaptiveEngine:
         """Acceptance: any consumed prefix is bit-identical to the fixed run."""
         dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=4096, target_rse=0.6, z=1.96)
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         assert estimate.converged
@@ -242,7 +243,7 @@ class TestAdaptiveEngine:
         """The engine stops at the *first* chunk where the rule fires."""
         dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=4096, target_rse=0.6, z=1.96)
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=128
         )
         shots = errors = 0
@@ -259,19 +260,19 @@ class TestAdaptiveEngine:
         """Edge case: the plan is a single short chunk, stream unspawned."""
         dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=100, target_rse=1e-9)
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=1024
         )
         assert estimate.shots == 100
         assert estimate.chunks == 1
         # Single-chunk plans must be bit-identical to the unchunked fixed
         # path (which passes the caller's stream through unspawned).
-        batch, predictions = sample_and_decode(dem, factory, sampler, 100, make_stream())
+        batch, predictions = sample_batches(dem, factory, sampler, 100, make_stream())
         assert estimate.errors == count_wrong(predictions, batch)
 
     def test_zero_max_shots(self, problem):
         dem, factory, sampler, make_stream = problem
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), StoppingRule(max_shots=0, target_rse=0.1)
         )
         assert estimate.shots == 0
@@ -284,11 +285,11 @@ class TestAdaptiveEngine:
 
         dem, factory, sampler, make_stream = problem
         rule = StoppingRule(max_shots=2048, target_rse=0.6, z=1.96)
-        serial = adaptive_sample_and_decode(
+        serial = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=256
         )
         with ProcessPoolExecutor(max_workers=3) as pool:
-            pooled = adaptive_sample_and_decode(
+            pooled = sample_and_decode(
                 dem, factory, sampler, make_stream(), rule, chunk_shots=256, pool=pool, lookahead=3
             )
         assert pooled == serial
@@ -313,7 +314,9 @@ class TestAdaptivePipeline:
         pipeline = Pipeline(ADAPTIVE_SPEC.replace(budget=Budget(shots=400)))
         assert not pipeline.adaptive
         assert pipeline.adaptive_report is None
-        assert pipeline.estimates is None
+        # The fixed run streams the same count-only engine, whole plan consumed.
+        assert {basis: e.shots for basis, e in pipeline.estimates.items()} == {"Z": 400, "X": 400}
+        assert pipeline.rates.shots_by_basis is None and pipeline.rates.converged is None
         assert pipeline.result.to_dict().get("adaptive") is None
 
     def test_adaptive_rates_and_report(self):
@@ -407,7 +410,7 @@ class TestChunkAddress:
         store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024)
         store.put(0, shots=999, errors=1)  # wrong size for a 100-shot plan
         rule = StoppingRule(max_shots=100, target_rse=1e-9)
-        estimate = adaptive_sample_and_decode(
+        estimate = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=1024, store=store
         )
         assert estimate.cache_hits == 0
@@ -510,9 +513,14 @@ class TestAdaptiveEvaluator:
         assert rates.shots_by_basis is None
 
     def test_validation(self, context):
+        """An invalid budget fails at construction, not mid-search."""
         code, noise, factory, _, _ = context
         with pytest.raises(ValueError, match="target_rse"):
             ScheduleEvaluator(code, noise, factory, target_rse=0.0)
+        with pytest.raises(ValueError, match="confidence"):
+            ScheduleEvaluator(code, noise, factory, target_rse=0.1, confidence=1.5)
+        with pytest.raises(ValueError, match="max_shots"):
+            ScheduleEvaluator(code, noise, factory, shots=-5)
 
 
 class TestDefaultChunkGranularityInvariance:
@@ -529,21 +537,20 @@ class TestDefaultChunkGranularityInvariance:
 
 
 class TestEstimatorAdaptiveEntryPoint:
-    """estimate_logical_error_rates_adaptive is THE shared adaptive path."""
+    """estimate_logical_error_rates(rule=...) is THE shared adaptive path."""
 
     def test_matches_evaluator_and_is_deterministic(self, steane, brisbane, lookup_factory):
         from repro.scheduling import lowest_depth_schedule
-        from repro.sim import estimate_logical_error_rates_adaptive
+        from repro.sim import estimate_logical_error_rates
 
         schedule = lowest_depth_schedule(steane)
         rule = StoppingRule(max_shots=2000, target_rse=0.4, z=z_for_confidence(0.95))
-        rates, estimates = estimate_logical_error_rates_adaptive(
+        rates = estimate_logical_error_rates(
             steane, schedule, brisbane, lookup_factory, rule=rule, seed=4,
         )
-        assert set(estimates) == {"Z", "X"}
-        assert rates.error_x == estimates["Z"].rate
-        assert rates.error_z == estimates["X"].rate
-        assert rates.shots == max(e.shots for e in estimates.values())
+        assert set(rates.shots_by_basis) == {"Z", "X"}
+        assert rates.shots == max(rates.shots_by_basis.values())
+        assert rates.converged is not None
         via_evaluator = ScheduleEvaluator(
             steane, brisbane, lookup_factory, shots=300, seed=4,
             target_rse=0.4, max_shots=2000,
@@ -552,29 +559,32 @@ class TestEstimatorAdaptiveEntryPoint:
 
     def test_store_factory_persists_chunks(self, steane, brisbane, lookup_factory, tmp_path):
         from repro.scheduling import lowest_depth_schedule
-        from repro.sim import estimate_logical_error_rates_adaptive
+        from repro.sim import estimate_logical_error_rates
 
         schedule = lowest_depth_schedule(steane)
         cache = ResultCache(tmp_path / "cache")
         spec = RunSpec(code="steane", decoder="lookup", scheduler="lowest_depth", seed=4)
+        puts = []
 
         def factory(basis):
-            return cache.chunk_store(spec, basis, 1024)
+            store = cache.chunk_store(spec, basis, 1024)
+            put = store.put
+            store.put = lambda *args, **kwargs: (puts.append(basis), put(*args, **kwargs))
+            return store
 
         rule = StoppingRule(max_shots=2000, target_rse=0.4, z=z_for_confidence(0.95))
-        _rates, first = estimate_logical_error_rates_adaptive(
+        first = estimate_logical_error_rates(
             steane, schedule, brisbane, lookup_factory,
             rule=rule, seed=4, store_factory=factory,
         )
-        assert sum(e.fresh_chunks for e in first.values()) > 0
-        _rates, again = estimate_logical_error_rates_adaptive(
+        assert len(puts) > 0 and len(cache) == len(puts)
+        fresh = len(puts)
+        again = estimate_logical_error_rates(
             steane, schedule, brisbane, lookup_factory,
             rule=rule, seed=4, store_factory=factory,
         )
-        assert sum(e.fresh_chunks for e in again.values()) == 0
-        assert again == first or all(
-            a.chunk_counts == b.chunk_counts for a, b in zip(again.values(), first.values())
-        )
+        assert len(puts) == fresh  # the replay sampled (and stored) nothing
+        assert again == first
 
 
 class TestStoreSatisfiesRule:
@@ -586,12 +596,12 @@ class TestStoreSatisfiesRule:
         store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 256)
         rule = StoppingRule(max_shots=1024, target_rse=0.6, z=1.96)
         assert not store_satisfies_rule(rule, store, chunk_shots=256)
-        adaptive_sample_and_decode(
+        sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
         )
         assert store_satisfies_rule(rule, store, chunk_shots=256)
         # A warm probe guarantees a zero-sampling replay.
-        replay = adaptive_sample_and_decode(
+        replay = sample_and_decode(
             dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
         )
         assert replay.fresh_chunks == 0

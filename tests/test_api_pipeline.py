@@ -13,7 +13,6 @@ from repro.seeding import (
     as_seed_sequence,
     named_stream,
     spawn_streams,
-    stage_seed,
     stream_to_int,
 )
 from repro.sim import estimate_logical_error_rates
@@ -100,19 +99,6 @@ class TestSeeding:
             steane, schedule, brisbane, lookup_factory, shots=300, seed=11
         )
         assert (first.error_x, first.error_z) == (second.error_x, second.error_z)
-
-    def test_experiment_budget_stage_seeds(self):
-        from repro.experiments import ExperimentBudget
-
-        budget = ExperimentBudget(seed=5)
-        with pytest.warns(DeprecationWarning, match="ExperimentBudget.stage_seed"):
-            assert budget.stage_seed("synthesis") == budget.stage_seed("synthesis")
-            assert budget.stage_seed("synthesis") != budget.stage_seed("evaluation")
-        with pytest.warns(DeprecationWarning, match="ExperimentBudget.mcts_config"):
-            assert budget.mcts_config().seed == stage_seed(5, "synthesis")
-        with pytest.warns(DeprecationWarning, match="ExperimentBudget.stage_stream"):
-            stream = budget.stage_stream("synthesis")
-        assert stream.entropy == named_stream(5, "synthesis").entropy
 
 
 class TestPipeline:

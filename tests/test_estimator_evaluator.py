@@ -6,10 +6,14 @@ import tracemalloc
 
 import pytest
 
+from repro.api import Pipeline, RunSpec
 from repro.core import ScheduleEvaluator
 from repro.noise import NoiseModel
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule, trivial_schedule
-from repro.sim import LogicalErrorRates, estimate_logical_error_rates
+from repro.sim import LogicalErrorRates, count_wrong, estimate_logical_error_rates
+
+#: Fixed-shot surface d=3 pipeline with MWPM (the chunk-memory bound's subject).
+_MEMORY_SPEC = RunSpec(code="surface:d=3", decoder="mwpm", scheduler="lowest_depth", seed=1)
 
 
 class TestLogicalErrorRates:
@@ -82,23 +86,41 @@ class TestEstimator:
         )
         assert google.overall < trivial.overall
 
-    def test_peak_memory_bounded_by_the_chunk(self, surface_d3, mwpm_factory, brisbane):
+    @pytest.mark.parametrize("path", ["estimator", "pipeline"])
+    def test_peak_memory_bounded_by_the_chunk(self, path, surface_d3, mwpm_factory, brisbane):
         """A fixed-shot estimate streams per-chunk counts, so 16x the shots
-        may cost at most 1.5x the traced peak memory."""
+        may cost at most 1.5x the traced peak memory — through the
+        estimator and through ``Pipeline.run()`` (stages built untraced)."""
         schedule = lowest_depth_schedule(surface_d3)
 
-        def peak(shots):
-            tracemalloc.start()
-            try:
-                estimate_logical_error_rates(
+        def run(shots):
+            if path == "estimator":
+                return lambda: estimate_logical_error_rates(
                     surface_d3, schedule, brisbane, mwpm_factory, shots=shots, seed=1
                 )
+            pipeline = Pipeline(_MEMORY_SPEC, shots=shots)
+            pipeline.schedule, pipeline.dem, pipeline.decoder_factory, pipeline.samplers
+            return pipeline.run
+
+        def peak(shots):
+            work = run(shots)
+            tracemalloc.start()
+            try:
+                work()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(64)  # first-use caches (imports, matching tables) stay out of the ratio
         assert peak(16_384) <= 1.5 * peak(1_024)
+
+    def test_pipeline_rates_count_the_materialised_batches(self):
+        """The count-only rates equal counting the kept batches, per basis."""
+        pipeline = Pipeline(_MEMORY_SPEC, shots=1_500)
+        rates = pipeline.rates
+        for basis, rate in (("Z", rates.error_x), ("X", rates.error_z)):
+            wrong = count_wrong(pipeline.predictions[basis], pipeline.syndromes[basis])
+            assert wrong / 1_500 == rate
 
     def test_depth_reported(self, steane, lookup_factory, brisbane):
         schedule = trivial_schedule(steane)

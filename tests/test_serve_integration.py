@@ -127,6 +127,17 @@ def test_adaptive_job_matches_offline_early_stop():
     assert result["shots"] < ADAPTIVE_SPEC.budget.plan_shots
 
 
+def test_fixed_budget_with_max_shots_matches_offline():
+    """max_shots is the adaptive ceiling: without target_rse a served job
+    samples ``shots``, as offline does, not ``max_shots``."""
+    spec = SPEC.replace(budget=Budget(shots=500, max_shots=2048))
+    offline = Pipeline(spec).run().to_dict()
+    with serve_in_thread(fast_config()) as server:
+        result = ServeClient(server.url).run(spec, timeout=180.0)
+    assert result == offline
+    assert result["shots"] == 500
+
+
 def test_served_chunks_replay_from_shared_cache(tmp_path, offline_result):
     cache_dir = str(tmp_path / "cache")
     # A first server publishes the job's chunks into the shared cache...
