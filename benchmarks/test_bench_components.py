@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from oracles.bposd_reference import ReferenceBPOSDDecoder
 from oracles.dem_reference import build_detector_error_model as reference_dem
+from oracles.frame_program_reference import ReferenceFrameProgram
 from oracles.matching_reference import ReferenceMWPMDecoder
 from oracles.sampler_reference import sample_dense
 
+import repro.sim.dem
 from repro.api import codes, decoders
 from repro.circuits import build_memory_experiment
 from repro.core import MCTSConfig, PartitionMCTS, ScheduleEvaluator
@@ -102,6 +105,39 @@ class TestComponentThroughput:
         print(f"\nDEM bb_18: reference {per_mechanism * 1e3:.0f}ms one-pass "
               f"{one_pass * 1e3:.1f}ms speedup {speedup:.1f}x")
         assert speedup >= 5.0
+
+    def test_frame_program_fused_vs_reference_speedup_d3(self):
+        """Acceptance: the moment-fused frame program builds the surface
+        d=3 DEM (lowest-depth schedule, basis Z) >= 1.3x faster than the
+        per-instruction reference program, with an equal mechanism list.
+
+        This is the DEM every synthesis rollout builds on a cache miss.
+        Best-of-N ``perf_counter`` timings, alternating the two sides; the hard >=1.3x
+        gate arms only under ``REPRO_BENCH_ASSERT_SPEEDUP`` (the bench-quick
+        CI job) and relaxes to "fused is not slower" in the ordinary
+        matrix.  Bit-identity of DEMs and sampler batches on many more
+        circuits is pinned in ``tests/test_frame_program.py``.
+        """
+        code = codes.build("surface:d=3")
+        circuit = build_memory_experiment(
+            code, lowest_depth_schedule(code), brisbane_noise(), basis="Z"
+        ).circuit
+
+        def reference_build():
+            with mock.patch.object(repro.sim.dem, "FrameProgram", ReferenceFrameProgram):
+                return build_detector_error_model(circuit)
+
+        assert build_detector_error_model(circuit).mechanisms == reference_build().mechanisms
+        # Alternate the two builds so host load drifts hit both sides alike.
+        fused, reference = float("inf"), float("inf")
+        for _ in range(50):
+            fused = min(fused, _best_of(lambda: build_detector_error_model(circuit), repeats=1))
+            reference = min(reference, _best_of(reference_build, repeats=1))
+        speedup = reference / fused
+        print(f"\nDEM surface d=3: per-instruction {reference * 1e3:.2f}ms "
+              f"fused {fused * 1e3:.2f}ms speedup {speedup:.2f}x")
+        required = 1.3 if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") else 1.0
+        assert speedup >= required
 
     def test_bposd_kernel_vs_reference_speedup_bb18(self):
         """Acceptance: the tiled, compacting BP+OSD kernel decodes a

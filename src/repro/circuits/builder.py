@@ -118,14 +118,12 @@ def append_syndrome_round(
     ticks = schedule.ticks()
     active_stabilizers = sorted({check.stabilizer for check in schedule.assignment})
     ancilla_of = {s: schedule.ancilla_of(s) for s in active_stabilizers}
-    first_tick = {
-        s: min(t for check, t in schedule.assignment.items() if check.stabilizer == s)
-        for s in active_stabilizers
-    }
-    last_tick = {
-        s: max(t for check, t in schedule.assignment.items() if check.stabilizer == s)
-        for s in active_stabilizers
-    }
+    first_tick: dict[int, int] = {}
+    last_tick: dict[int, int] = {}
+    for check, tick in schedule.assignment.items():
+        stabilizer = check.stabilizer
+        first_tick[stabilizer] = min(first_tick.get(stabilizer, tick), tick)
+        last_tick[stabilizer] = max(last_tick.get(stabilizer, tick), tick)
 
     # Ancilla preparation.  The reset site covers every prepared ancilla at
     # once, so reset-flip channels emit one multi-qubit instruction (the

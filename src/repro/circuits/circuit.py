@@ -65,6 +65,7 @@ NOISE_NAMES = frozenset(
     }
 )
 _ANNOTATIONS = frozenset({"TICK", "DETECTOR", "OBSERVABLE"})
+_KNOWN_NAMES = GATE_NAMES | NOISE_NAMES | _ANNOTATIONS
 
 #: Canonical non-identity Pauli order of ``PAULI_CHANNEL_1`` probabilities.
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
@@ -139,11 +140,61 @@ class Instruction:
         return " ".join(parts)
 
 
+class _Tally:
+    """Qubit, measurement and detector totals over a prefix of an instruction list.
+
+    The totals cover ``instructions[:seen]``; :meth:`catch_up` counts only
+    the instructions appended since, which keeps a circuit built by
+    appending linear however often it asks for its totals.
+    """
+
+    __slots__ = ("instructions", "seen", "last", "highest", "measurements", "detectors")
+
+    def __init__(self, instructions: list[Instruction]) -> None:
+        self.instructions = instructions
+        self.seen = 0
+        self.last = None
+        self.highest = -1
+        self.measurements = 0
+        self.detectors = 0
+
+    def follows(self, instructions: list[Instruction]) -> bool:
+        """True when ``instructions`` only grew at the end since the last count."""
+        return (
+            instructions is self.instructions
+            and self.seen <= len(instructions)
+            and (not self.seen or instructions[self.seen - 1] is self.last)
+        )
+
+    def catch_up(self) -> "_Tally":
+        instructions = self.instructions
+        for instruction in instructions[self.seen :]:
+            name = instruction.name
+            if instruction.qubits:
+                self.highest = max(self.highest, max(instruction.qubits))
+            if name in ("M", "MX"):
+                self.measurements += len(instruction.qubits)
+            elif name == "DETECTOR":
+                self.detectors += 1
+        self.seen = len(instructions)
+        self.last = instructions[-1] if instructions else None
+        return self
+
+
 @dataclass
 class Circuit:
-    """An ordered list of instructions plus derived bookkeeping."""
+    """An ordered list of instructions plus derived bookkeeping.
+
+    ``num_qubits``, ``num_measurements`` and ``num_detectors`` are kept as
+    running totals: a query counts only the instructions appended since the
+    previous one, whether through :meth:`append` or directly on
+    ``instructions``.  Any other edit of the list that moves its last
+    counted instruction (an insert, a removal, a new list) starts a fresh
+    count.
+    """
 
     instructions: list[Instruction] = field(default_factory=list)
+    _tally: _Tally | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -154,7 +205,7 @@ class Circuit:
 
     def _check(self, instruction: Instruction) -> None:
         name = instruction.name
-        if name not in GATE_NAMES | NOISE_NAMES | _ANNOTATIONS:
+        if name not in _KNOWN_NAMES:
             raise ValueError(f"unknown instruction {name!r}")
         if name in _PAULI_CHANNEL_SIZES:
             expected = _PAULI_CHANNEL_SIZES[name]
@@ -284,25 +335,23 @@ class Circuit:
     # ------------------------------------------------------------------
     # Derived properties
     # ------------------------------------------------------------------
+    def _totals(self) -> _Tally:
+        tally = self._tally
+        if tally is None or not tally.follows(self.instructions):
+            tally = self._tally = _Tally(self.instructions)
+        return tally.catch_up()
+
     @property
     def num_qubits(self) -> int:
-        highest = -1
-        for instruction in self.instructions:
-            if instruction.qubits:
-                highest = max(highest, max(instruction.qubits))
-        return highest + 1
+        return self._totals().highest + 1
 
     @property
     def num_measurements(self) -> int:
-        return sum(
-            len(inst.qubits)
-            for inst in self.instructions
-            if inst.name in ("M", "MX")
-        )
+        return self._totals().measurements
 
     @property
     def num_detectors(self) -> int:
-        return sum(1 for inst in self.instructions if inst.name == "DETECTOR")
+        return self._totals().detectors
 
     @property
     def num_observables(self) -> int:

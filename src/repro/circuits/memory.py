@@ -26,11 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.builder import (
-    ancilla_qubits,
-    append_logical_measurement,
-    append_syndrome_round,
-)
+from repro.circuits.builder import append_logical_measurement, append_syndrome_round
 from repro.circuits.circuit import Circuit
 from repro.codes.base import StabilizerCode
 from repro.noise.models import NoiseModel
@@ -125,9 +121,6 @@ def build_memory_experiment(
     for observable_index, (first, second) in enumerate(observable_pairs):
         circuit.observable(observable_index, [first, second])
 
-    # The logical ancillas appear before the syndrome ancillas in the
-    # instruction stream, but index allocation guarantees they never clash.
-    _ = ancilla_qubits(code)
     return MemoryExperiment(
         circuit=circuit,
         code=code,

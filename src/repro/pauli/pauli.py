@@ -133,7 +133,7 @@ class PauliString:
     @property
     def support(self) -> list[int]:
         """Sorted list of qubit indices acted on non-trivially."""
-        return list(np.nonzero(self.xs | self.zs)[0])
+        return np.flatnonzero(self.xs | self.zs).tolist()
 
     def pauli_at(self, qubit: int) -> str:
         """Return the single-qubit Pauli letter acting on ``qubit``."""

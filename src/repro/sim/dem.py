@@ -7,8 +7,8 @@ observables they flip is found in one forward pass of the packed frame
 kernel (:class:`repro.sim.frames.FrameProgram`): each mechanism owns one
 bit column of the ``(num_qubits, words)`` X/Z frames — the
 :mod:`repro.sim.bitops` layout with mechanisms in place of shots — and at
-its noise instruction every mechanism's Pauli is XOR-ed into its own
-column in one vectorised step.  The resulting list of
+its run of noise instructions every mechanism's Pauli is XOR-ed into its
+own column in one vectorised step.  The resulting list of
 ``(probability, detectors, observables)`` triples is the detector error
 model, exactly analogous to stim's DEM.
 
@@ -176,35 +176,44 @@ def build_detector_error_model(circuit: Circuit) -> DetectorErrorModel:
                 "detector error model: fault propagation only understands the "
                 "stochastic-Pauli instruction set"
             )
-    # Mechanisms take consecutive frame columns in enumeration order — qubit
-    # (or pair) outer, Pauli inner, zero-probability Paulis skipped.
+    # Mechanisms take consecutive frame columns in enumeration order —
+    # instruction, then qubit (or pair), then Pauli; zero-probability Paulis
+    # skipped.
     probabilities: list[float] = []
 
-    def compile_noise(instruction):
-        """The packed X/Z rows that put each mechanism's Pauli in its column."""
-        letters, shares = _channel(instruction)
-        kept = [index for index, p in enumerate(shares) if p > 0]
-        qubits = instruction.qubits
-        if not kept or not qubits:
-            return None
-        if len(kept) == len(letters):
-            masks = _FULL_MASKS[letters]
-        else:
-            letters = [letters[index] for index in kept]
-            shares = [shares[index] for index in kept]
-            masks = _masks(letters)
-        arity = len(letters[0])
-        first, shift = divmod(len(probabilities), WORD_BITS)
-        probabilities.extend(shares * (len(qubits) // arity))
+    def compile_noise(run):
+        """The packed X/Z rows that put each mechanism of a noise run in its column.
+
+        The run's instructions are adjacent in the program, so all their
+        mechanisms go in with one injection block.
+        """
+        first = len(probabilities) // WORD_BITS
         # Each touched qubit's X and Z rows as integers, bit i for column
-        # 64 * first + i; a pair on one qubit XORs both letters into one row.
+        # 64 * first + i; a qubit hit twice XORs both letters into one row.
         rows: dict[int, list[int]] = {}
-        for index, qubit in enumerate(qubits):
-            group, half = divmod(index, arity)
-            row = rows.setdefault(qubit, [0, 0])
-            offset = shift + group * len(letters)
-            row[0] ^= masks[half][0] << offset
-            row[1] ^= masks[half][1] << offset
+        for instruction in run:
+            letters, shares = _channel(instruction)
+            kept = [index for index, p in enumerate(shares) if p > 0]
+            qubits = instruction.qubits
+            if not kept or not qubits:
+                continue
+            if len(kept) == len(letters):
+                masks = _FULL_MASKS[letters]
+            else:
+                letters = [letters[index] for index in kept]
+                shares = [shares[index] for index in kept]
+                masks = _masks(letters)
+            arity = len(letters[0])
+            shift = len(probabilities) - WORD_BITS * first
+            probabilities.extend(shares * (len(qubits) // arity))
+            for index, qubit in enumerate(qubits):
+                group, half = divmod(index, arity)
+                row = rows.setdefault(qubit, [0, 0])
+                offset = shift + group * len(letters)
+                row[0] ^= masks[half][0] << offset
+                row[1] ^= masks[half][1] << offset
+        if not rows:
+            return None
         words = packed_words(len(probabilities) - WORD_BITS * first)
         packed = np.frombuffer(
             b"".join(bits.to_bytes(8 * words, "little") for row in rows.values() for bits in row),

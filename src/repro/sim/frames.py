@@ -9,27 +9,34 @@ every shot through the circuit — so it stays correct for workloads the DEM
 cannot express, at batch speed.
 
 :class:`FrameProgram` is the one Pauli-propagation kernel of the package:
-the circuit compiled into a flat op list and replayed over packed frames.
-:class:`FrameSampler` puts shots in the bit columns and realises noise with
-random draws; :func:`repro.sim.dem.build_detector_error_model` puts one
-fault mechanism in each bit column and injects it at its noise instruction.
-Compilation splits an instruction that repeats a qubit into consecutive
-ops over disjoint qubits (stim's in-order semantics: ``H 0 0`` is H twice)
-and refuses DETECTOR/OBSERVABLE targets outside the measurement record, so
-both paths read every circuit the same way and fail on the same malformed
-ones with the same message.
+the circuit compiled moment by moment into a short op list and replayed
+over packed frames.  :class:`FrameSampler` puts shots in the bit columns
+and realises noise with random draws;
+:func:`repro.sim.dem.build_detector_error_model` puts one fault mechanism
+in each bit column and injects it at its noise instruction.  Compilation
+splits an instruction that repeats a qubit into consecutive pieces over
+disjoint qubits (stim's in-order semantics: ``H 0 0`` is H twice), refuses
+DETECTOR/OBSERVABLE targets outside the measurement record, and then fuses
+what commutes: nothing before the first noise instruction emits an op (the
+frames are still zero there), disjoint ``CPAULI`` gates with one check
+Pauli share an op, consecutive resets and same-basis measurements share
+an op, and each run of noise instructions reaches the consumer as one
+list, in circuit order.  Both paths read every circuit the same way and
+fail on the same malformed ones with the same message.
 
 :class:`FrameSampler` carries ``N`` shots at once: the X/Z frames are
 ``(num_qubits, ceil(N / 64))`` little-endian ``uint64`` arrays in the
 :mod:`repro.sim.bitops` layout — shots packed along the word axis — and
-every circuit instruction becomes one vectorised pass over those rows:
+every op becomes one vectorised pass over those rows:
 
 * Clifford gates permute/XOR whole frame rows (H swaps a qubit's X and Z
-  rows; ``CPAULI`` XORs the control's X row into the target per its check
-  Pauli and kicks a Z back onto the control when the target anticommutes);
-* noise instructions draw their Bernoulli/categorical realisations for all
-  shots in one ``rng`` call and XOR the packed draws into the frame rows;
-* measurements snapshot the measured qubit's X row (Z row for ``MX``) —
+  rows; a ``CPAULI`` op XORs each control's X row into its target per the
+  check Pauli and kicks a Z back onto the control when the target
+  anticommutes);
+* each noise instruction of a run draws its Bernoulli/categorical
+  realisations for all shots in one ``rng`` call and XORs the packed draws
+  into the frame rows;
+* measurements snapshot the measured qubits' X rows (Z rows for ``MX``) —
   the frame bit that anticommutes with the readout basis *is* the
   measurement flip — and resets clear the frame rows.
 
@@ -131,15 +138,31 @@ def _check_record_targets(circuit: Circuit, num_measurements: int) -> None:
 
 
 class FrameProgram:
-    """A circuit compiled into one flat op list over packed Pauli frames.
+    """A circuit compiled moment by moment into a short op list over packed frames.
 
     Gates, resets and measurements compile to kernel ops (index arrays and
-    check-Pauli bits precomputed); each noise instruction compiles to
-    whatever ``compile_noise(instruction)`` returns, and is skipped when
-    that is ``None``.  :meth:`run` replays the ops over ``(num_qubits,
-    words)`` frames and hands every noise op back to the caller.  This is
-    the one Pauli-propagation kernel: :class:`FrameSampler` realises noise
-    with random draws per shot, and
+    check-Pauli bits precomputed); each maximal run of noise instructions
+    compiles to whatever ``compile_noise(run)`` returns for the list, and is
+    skipped when that is ``None``.  Compilation fuses instructions into
+    moments:
+
+    * nothing before the first noise instruction emits an op — every frame
+      is still zero there and ``flips`` starts zeroed — but record indices
+      advance and malformed instructions still raise;
+    * a ``CPAULI`` joins the latest ``CPAULI`` op with the same check Pauli
+      and disjoint qubits, moving back only past noise and ``CPAULI`` ops
+      whose qubits are disjoint from its own (disjoint ops commute, so the
+      frames are exact); any other op is a barrier;
+    * consecutive resets fuse, and so do consecutive measurements in one
+      basis (their record indices are contiguous);
+    * noise instructions never move, so a consumer sees its noise in
+      circuit order: the sampler's RNG stream and the DEM's mechanism
+      enumeration are those of one op per instruction.
+
+    :meth:`run` replays the ops over ``(num_qubits, words)`` frames and
+    hands every noise op back to the caller.  This is the one
+    Pauli-propagation kernel: :class:`FrameSampler` realises noise with
+    random draws per shot, and
     :func:`repro.sim.dem.build_detector_error_model` injects one fixed
     fault per bit column.
     """
@@ -153,38 +176,72 @@ class FrameProgram:
         self.observable_groups = [
             list(observables.get(index, ())) for index in range(circuit.num_observables)
         ]
-        self.ops: list[tuple] = []
-        measurement_index = 0
+        # Moments under construction: ``[kind, qubits touched, *fields]``,
+        # with qubit fields kept as lists until they become index arrays.
+        # Only noise and CPAULI moments track the qubits they touch.
+        moments: list[list] = []
+        live = False
+        measured = 0
         for whole in circuit.instructions:
             for instruction in _disjoint_runs(whole):
                 name = instruction.name
+                qubits = instruction.qubits
+                last = moments[-1] if moments else None
                 if instruction.is_noise():
-                    noise = compile_noise(instruction)
-                    if noise is not None:
-                        self.ops.append(("noise", noise))
-                    continue
-                # X/Y/Z gates commute with the frame up to sign; TICK/DETECTOR/
-                # OBSERVABLE are annotations.  All are no-ops here.
-                if name in ("X", "Y", "Z") or not instruction.qubits:
-                    continue
-                qubits = _qubit_array(instruction.qubits)
-                if name == "H":
-                    self.ops.append(("swapxz", qubits))
-                elif name == "S":
-                    self.ops.append(("s", qubits))
+                    live = True
+                    if last is not None and last[0] == "noise":
+                        last[1].update(qubits)
+                        last[2].append(instruction)
+                    else:
+                        moments.append(["noise", set(qubits), [instruction]])
                 elif name == "CPAULI":
-                    control, target = qubits.tolist()
+                    control, target = qubits
                     if control == target:
                         raise ValueError(f"CPAULI needs two distinct qubits, got {control} twice")
-                    check_x, check_z = _CHECK_BITS[instruction.pauli]
-                    self.ops.append(("cpauli", control, target, check_x, check_z))
-                elif name == "SWAP":
-                    self.ops.append(("swap", qubits[::2], qubits[1::2]))
-                elif name in ("R", "RX"):
-                    self.ops.append(("reset", qubits))
+                    if live:
+                        _place_cpauli(moments, control, target, instruction.pauli)
                 elif name in ("M", "MX"):
-                    self.ops.append(("measure", qubits, name == "MX", measurement_index))
-                    measurement_index += qubits.size
+                    x_basis = name == "MX"
+                    # Once live, no measurement is elided, so a measurement
+                    # right after another continues its record range.
+                    if live and last is not None and last[0] == "measure" and last[3] == x_basis:
+                        last[2].extend(qubits)
+                    elif live:
+                        moments.append(["measure", None, list(qubits), x_basis, measured])
+                    measured += len(qubits)
+                # X/Y/Z gates commute with the frame up to sign; TICK/DETECTOR/
+                # OBSERVABLE are annotations.  All are no-ops here, as is
+                # every gate on the still-zero frames of the dead prefix.
+                elif not live or not qubits or name in ("X", "Y", "Z"):
+                    continue
+                elif name in ("R", "RX"):
+                    if last is not None and last[0] == "reset":
+                        last[2].extend(qubits)
+                    else:
+                        moments.append(["reset", None, list(qubits)])
+                elif name == "H":
+                    moments.append(["swapxz", None, qubits])
+                elif name == "S":
+                    moments.append(["s", None, qubits])
+                elif name == "SWAP":
+                    moments.append(["swap", None, qubits[::2], qubits[1::2]])
+        self.ops: list[tuple] = []
+        for kind, _, *fields in moments:
+            if kind == "noise":
+                noise = compile_noise(fields[0])
+                if noise is not None:
+                    self.ops.append(("noise", noise))
+            elif kind == "cpauli":
+                controls, targets, pauli = fields
+                check_x, check_z = _CHECK_BITS[pauli]
+                self.ops.append(
+                    ("cpauli", _qubit_array(controls), _qubit_array(targets), check_x, check_z)
+                )
+            elif kind == "measure":
+                qubits, x_basis, start = fields
+                self.ops.append(("measure", _qubit_array(qubits), x_basis, start))
+            else:
+                self.ops.append((kind, *(_qubit_array(field) for field in fields)))
 
     def run(self, words: int, apply_noise) -> tuple[np.ndarray, np.ndarray]:
         """Propagate ``words``-wide frames; return packed detector and observable rows.
@@ -199,30 +256,36 @@ class FrameProgram:
             kind = op[0]
             if kind == "noise":
                 apply_noise(op[1], frame_x, frame_z)
+            elif kind == "cpauli":
+                # The pairs of one op are disjoint, so each index array
+                # updates distinct rows.
+                _, controls, targets, check_x, check_z = op
+                # X (or Y) on a control propagates the check Pauli onto its
+                # target.
+                if check_x:
+                    frame_x[targets] ^= frame_x[controls]
+                if check_z:
+                    frame_z[targets] ^= frame_x[controls]
+                # A target frame anticommuting with the check Pauli kicks a
+                # Z onto the control (phase kickback).  The update above
+                # leaves the target's anticommutation bit unchanged, so it
+                # is read after the fact without a copy.
+                if check_x and check_z:
+                    frame_z[controls] ^= frame_x[targets] ^ frame_z[targets]
+                elif check_x:
+                    frame_z[controls] ^= frame_z[targets]
+                else:
+                    frame_z[controls] ^= frame_x[targets]
             elif kind == "measure":
                 # The frame bit that anticommutes with the readout basis is
                 # the measurement flip.
                 _, qubits, x_basis, start = op
                 source = frame_z if x_basis else frame_x
                 flips[start : start + qubits.size] = source[qubits]
-            elif kind == "cpauli":
-                _, control, target, check_x, check_z = op
-                # X (or Y) on the control propagates the check Pauli onto
-                # the target.
-                if check_x:
-                    frame_x[target] ^= frame_x[control]
-                if check_z:
-                    frame_z[target] ^= frame_x[control]
-                # A target frame anticommuting with the check Pauli kicks a
-                # Z onto the control (phase kickback).  The update above
-                # leaves the target's anticommutation bit unchanged, so it
-                # is read after the fact without a copy.
-                if check_x and check_z:
-                    frame_z[control] ^= frame_x[target] ^ frame_z[target]
-                elif check_x:
-                    frame_z[control] ^= frame_z[target]
-                else:
-                    frame_z[control] ^= frame_x[target]
+            elif kind == "reset":
+                _, qubits = op
+                frame_x[qubits] = 0
+                frame_z[qubits] = 0
             elif kind == "swapxz":
                 _, qubits = op
                 swapped = frame_x[qubits]
@@ -236,17 +299,38 @@ class FrameProgram:
                 first_x, first_z = frame_x[firsts], frame_z[firsts]
                 frame_x[firsts], frame_z[firsts] = frame_x[seconds], frame_z[seconds]
                 frame_x[seconds], frame_z[seconds] = first_x, first_z
-            elif kind == "reset":
-                _, qubits = op
-                frame_x[qubits] = 0
-                frame_z[qubits] = 0
         return (
             xor_reduce_rows(flips, self.detector_groups),
             xor_reduce_rows(flips, self.observable_groups),
         )
 
 
-def _compile_noise(instruction) -> tuple:
+def _place_cpauli(moments: list[list], control: int, target: int, pauli: str) -> None:
+    """Add one live ``CPAULI`` to the latest op it can join, or open a new op.
+
+    The gate moves back over noise and ``CPAULI`` moments whose qubits are
+    disjoint from its pair — it commutes with them — and joins the first
+    ``CPAULI`` moment with its check Pauli; anything else stops it.
+    """
+    pair = (control, target)
+    for moment in reversed(moments):
+        kind, touched = moment[0], moment[1]
+        if kind not in ("noise", "cpauli") or not touched.isdisjoint(pair):
+            break
+        if kind == "cpauli" and moment[4] == pauli:
+            touched.update(pair)
+            moment[2].append(control)
+            moment[3].append(target)
+            return
+    moments.append(["cpauli", set(pair), [control], [target], pauli])
+
+
+def _compile_noise(run) -> list[tuple]:
+    """The sampler's draw ops for one run of noise instructions, in circuit order."""
+    return [_draw_op(instruction) for instruction in run]
+
+
+def _draw_op(instruction) -> tuple:
     """The sampler's op for one noise instruction (thresholds precomputed)."""
     name = instruction.name
     if name in ("X_ERROR", "Y_ERROR", "Z_ERROR"):
@@ -282,54 +366,56 @@ def _compile_noise(instruction) -> tuple:
     )
 
 
-def _draw_noise(op: tuple, frame_x, frame_z, rng: np.random.Generator, shots: int) -> None:
-    """Realise one noise op for every shot and XOR the packed draws in."""
-    kind = op[0]
-    if kind == "flip":
-        _, qubits, probability, flip_x, flip_z = op
-        draws = pack_rows(rng.random((qubits.size, shots)) < probability)
-        if flip_x:
-            frame_x[qubits] ^= draws
-        if flip_z:
-            frame_z[qubits] ^= draws
-    elif kind == "dep1":
-        _, qubits, probability = op
-        fired = rng.random((qubits.size, shots)) < probability
-        which = rng.integers(0, 3, size=(qubits.size, shots))
-        frame_x[qubits] ^= pack_rows(fired & (which != 2))  # X or Y
-        frame_z[qubits] ^= pack_rows(fired & (which != 0))  # Y or Z
-    elif kind == "dep2":
-        _, firsts, seconds, probability = op
-        fired = rng.random((firsts.size, shots)) < probability
-        pair = rng.integers(1, 16, size=(firsts.size, shots))
-        frame_x[firsts] ^= pack_rows(fired & _PAIR_FIRST_X[pair])
-        frame_z[firsts] ^= pack_rows(fired & _PAIR_FIRST_Z[pair])
-        frame_x[seconds] ^= pack_rows(fired & _PAIR_SECOND_X[pair])
-        frame_z[seconds] ^= pack_rows(fired & _PAIR_SECOND_Z[pair])
-    elif kind == "pc1":
-        _, qubits, x_below, z_from, z_below = op
-        draws = rng.random((qubits.size, shots))
-        frame_x[qubits] ^= pack_rows(draws < x_below)
-        frame_z[qubits] ^= pack_rows((draws >= z_from) & (draws < z_below))
-    else:  # pc2
-        _, firsts, seconds, cumulative = op
-        draws = rng.random((firsts.size, shots))
-        # Categorical draw over the 15 Pauli pairs (+ identity in the
-        # remaining tail mass); choice k in 0..14 realises canonical pair
-        # index k + 1.
-        choice = np.searchsorted(cumulative, draws, side="right")
-        pair = np.where(choice < 15, choice + 1, 0)
-        frame_x[firsts] ^= pack_rows(_PAIR_FIRST_X[pair])
-        frame_z[firsts] ^= pack_rows(_PAIR_FIRST_Z[pair])
-        frame_x[seconds] ^= pack_rows(_PAIR_SECOND_X[pair])
-        frame_z[seconds] ^= pack_rows(_PAIR_SECOND_Z[pair])
+def _draw_noise(ops: list, frame_x, frame_z, rng: np.random.Generator, shots: int) -> None:
+    """Realise a run's noise ops in order for every shot and XOR the packed draws in."""
+    for op in ops:
+        kind = op[0]
+        if kind == "flip":
+            _, qubits, probability, flip_x, flip_z = op
+            draws = pack_rows(rng.random((qubits.size, shots)) < probability)
+            if flip_x:
+                frame_x[qubits] ^= draws
+            if flip_z:
+                frame_z[qubits] ^= draws
+        elif kind == "dep1":
+            _, qubits, probability = op
+            fired = rng.random((qubits.size, shots)) < probability
+            which = rng.integers(0, 3, size=(qubits.size, shots))
+            frame_x[qubits] ^= pack_rows(fired & (which != 2))  # X or Y
+            frame_z[qubits] ^= pack_rows(fired & (which != 0))  # Y or Z
+        elif kind == "dep2":
+            _, firsts, seconds, probability = op
+            fired = rng.random((firsts.size, shots)) < probability
+            pair = rng.integers(1, 16, size=(firsts.size, shots))
+            frame_x[firsts] ^= pack_rows(fired & _PAIR_FIRST_X[pair])
+            frame_z[firsts] ^= pack_rows(fired & _PAIR_FIRST_Z[pair])
+            frame_x[seconds] ^= pack_rows(fired & _PAIR_SECOND_X[pair])
+            frame_z[seconds] ^= pack_rows(fired & _PAIR_SECOND_Z[pair])
+        elif kind == "pc1":
+            _, qubits, x_below, z_from, z_below = op
+            draws = rng.random((qubits.size, shots))
+            frame_x[qubits] ^= pack_rows(draws < x_below)
+            frame_z[qubits] ^= pack_rows((draws >= z_from) & (draws < z_below))
+        else:  # pc2
+            _, firsts, seconds, cumulative = op
+            draws = rng.random((firsts.size, shots))
+            # Categorical draw over the 15 Pauli pairs (+ identity in the
+            # remaining tail mass); choice k in 0..14 realises canonical pair
+            # index k + 1.
+            choice = np.searchsorted(cumulative, draws, side="right")
+            pair = np.where(choice < 15, choice + 1, 0)
+            frame_x[firsts] ^= pack_rows(_PAIR_FIRST_X[pair])
+            frame_z[firsts] ^= pack_rows(_PAIR_FIRST_Z[pair])
+            frame_x[seconds] ^= pack_rows(_PAIR_SECOND_X[pair])
+            frame_z[seconds] ^= pack_rows(_PAIR_SECOND_Z[pair])
 
 
 class FrameSampler:
     """Batched Pauli-frame sampler over one circuit (spec ``"frames"``).
 
     Construction compiles the circuit into a :class:`FrameProgram`;
-    :meth:`sample` replays it once per instruction for all shots.
+    :meth:`sample` replays its ops once for all shots, drawing each noise
+    instruction's realisations in circuit order.
     Instances are small and picklable, so the chunked process pool ships
     them to workers as-is.
     """
@@ -354,7 +440,7 @@ class FrameSampler:
         rng = np.random.default_rng(seed)
         detector_rows, observable_rows = self._program.run(
             packed_words(shots),
-            lambda op, frame_x, frame_z: _draw_noise(op, frame_x, frame_z, rng, shots),
+            lambda ops, frame_x, frame_z: _draw_noise(ops, frame_x, frame_z, rng, shots),
         )
         detectors = np.ascontiguousarray(unpack_rows(detector_rows, shots).T)
         observables = np.ascontiguousarray(unpack_rows(observable_rows, shots).T)

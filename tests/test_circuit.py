@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.circuits import Circuit, Instruction
+from repro.io.stim_text import load_stim_circuit
 
 
 class TestInstructionValidation:
@@ -119,3 +122,73 @@ class TestBookkeeping:
         circuit.depolarize2(0.01, 0, 1)
         text = str(circuit)
         assert "CPAULI" in text and "DEPOLARIZE2" in text
+
+
+def _recount(circuit: Circuit) -> tuple[int, int, int]:
+    """``(num_qubits, num_measurements, num_detectors)`` by a plain scan."""
+    instructions = circuit.instructions
+    qubits = [q for inst in instructions for q in inst.qubits]
+    return (
+        max(qubits) + 1 if qubits else 0,
+        sum(len(inst.qubits) for inst in instructions if inst.name in ("M", "MX")),
+        sum(inst.name == "DETECTOR" for inst in instructions),
+    )
+
+
+def _totals(circuit: Circuit) -> tuple[int, int, int]:
+    return circuit.num_qubits, circuit.num_measurements, circuit.num_detectors
+
+
+class TestRunningTotals:
+    """The running totals always equal a recount of the instruction list."""
+
+    def _grown(self) -> Circuit:
+        circuit = Circuit()
+        assert _totals(circuit) == (0, 0, 0)
+        circuit.reset(0, 1)
+        assert _totals(circuit) == _recount(circuit)
+        circuit.x_error(0.1, 4)
+        assert circuit.measure(0, 1) == [0, 1]
+        assert circuit.detector([0]) == 0
+        assert _totals(circuit) == _recount(circuit) == (5, 2, 1)
+        return circuit
+
+    def test_appends(self):
+        circuit = self._grown()
+        circuit.measure(2, basis="X")
+        circuit.detector([1, 2])
+        assert _totals(circuit) == _recount(circuit) == (5, 3, 2)
+
+    def test_in_place_add(self):
+        circuit = self._grown()
+        other = Circuit()
+        other.cx(3, 8)
+        other.measure(8)
+        other.detector([0])
+        assert _totals(other) == (9, 1, 1)
+        circuit += other
+        assert _totals(circuit) == _recount(circuit) == (9, 3, 2)
+
+    def test_constructed_from_a_list(self):
+        circuit = Circuit(instructions=list(self._grown().instructions))
+        assert _totals(circuit) == _recount(circuit) == (5, 2, 1)
+
+    def test_without_noise(self):
+        quiet = self._grown().without_noise()
+        assert _totals(quiet) == _recount(quiet) == (2, 2, 1)
+
+    def test_direct_list_edits(self):
+        circuit = self._grown()
+        circuit.instructions.append(Instruction("M", (6,)))
+        assert _totals(circuit) == _recount(circuit) == (7, 3, 1)
+        circuit.instructions.insert(0, Instruction("DETECTOR", targets=(0,)))
+        assert _totals(circuit) == _recount(circuit) == (7, 3, 2)
+        del circuit.instructions[-1]
+        assert _totals(circuit) == _recount(circuit) == (5, 2, 2)
+        circuit.instructions = [Instruction("H", (3,))]
+        assert _totals(circuit) == _recount(circuit) == (4, 0, 0)
+
+    def test_stim_import(self):
+        circuit = load_stim_circuit(Path(__file__).parent / "data" / "stim" / "memory_d3.stim")
+        assert _totals(circuit) == _recount(circuit)
+        assert circuit.num_measurements > 0 and circuit.num_detectors > 0

@@ -144,3 +144,10 @@ class TestHashingAndEquality:
     def test_repr_round_trip_text(self):
         pauli = PauliString.from_string("XIZY")
         assert "XIZY" in repr(pauli)
+
+
+class TestSupportTypes:
+    def test_support_holds_python_ints(self):
+        support = PauliString.from_string("IXZIY").support
+        assert support == [1, 2, 4]
+        assert all(type(qubit) is int for qubit in support)

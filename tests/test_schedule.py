@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import build_memory_experiment
 from repro.codes import rotated_surface_code, steane_code
+from repro.noise import brisbane_noise
 from repro.scheduling import (
     PauliCheck,
     Schedule,
@@ -27,6 +30,29 @@ class TestPauliCheck:
     def test_checks_of_code_counts_weights(self, steane):
         checks = checks_of_code(steane)
         assert len(checks) == sum(s.weight for s in steane.stabilizers)
+
+    def test_checks_carry_python_ints(self):
+        code = rotated_surface_code(3)
+        checks = checks_of_code(code)
+        assert all(type(check.data_qubit) is int for check in checks)
+        circuit = build_memory_experiment(
+            code, random_order_schedule(code, rng=random.Random(2)), brisbane_noise()
+        ).circuit
+        gates = [inst for inst in circuit.instructions if inst.name == "CPAULI"]
+        assert gates and all(type(q) is int for inst in gates for q in inst.qubits)
+
+    def test_schedule_checks_round_trip_through_json(self):
+        code = rotated_surface_code(3)
+        schedule = random_order_schedule(code, rng=random.Random(5))
+        rows = [
+            [check.stabilizer, check.data_qubit, check.pauli, tick]
+            for check, tick in schedule.assignment.items()
+        ]
+        again = Schedule(code)
+        for stabilizer, data_qubit, pauli, tick in json.loads(json.dumps(rows)):
+            again.assign(PauliCheck(stabilizer, data_qubit, pauli), tick)
+        assert again.assignment == schedule.assignment
+        again.validate()
 
 
 class TestAssignment:
