@@ -142,12 +142,15 @@ class TestComponentThroughput:
     def test_bposd_kernel_vs_reference_speedup_bb18(self):
         """Acceptance: the tiled, compacting BP+OSD kernel decodes a
         128-row ``bb_18`` unique block >= 2x faster than the whole-block
-        reference decoder.
+        reference decoder, and >= 4x under ``REPRO_BENCH_ASSERT_SPEEDUP``
+        (the bench-quick CI job).
 
-        Only the ratio is asserted, with best-of-N ``perf_counter`` loops
-        on the same host; the oracle side costs about 1 s.  Equality of
-        posteriors, hard decisions and predictions is pinned in
-        ``tests/test_bposd_kernel.py``.
+        Only the ratio is asserted, with best-of-N ``perf_counter``
+        timings that alternate the two sides so host load drifts hit both
+        alike; the oracle side costs about 1 s.  Locally the measured
+        ratio is ~5.5-7.5x (3.1-3.9x before the degree-class message
+        sums).  Equality of posteriors, hard decisions and predictions is
+        pinned in ``tests/test_bposd_kernel.py``.
         """
         code = codes.build("bb_18")
         dem = build_detector_error_model(
@@ -161,12 +164,18 @@ class TestComponentThroughput:
         kernel = decoders.build("bposd")(dem)
         oracle = ReferenceBPOSDDecoder(dem)
 
-        tiled = _best_of(lambda: kernel._decode_unique(block), repeats=5)
-        whole_block = _best_of(lambda: oracle._decode_unique(block), repeats=2)
+        tiled, whole_block = float("inf"), float("inf")
+        for _ in range(3):
+            tiled = min(tiled, _best_of(lambda: kernel._decode_unique(block), repeats=2))
+            whole_block = min(
+                whole_block, _best_of(lambda: oracle._decode_unique(block), repeats=1)
+            )
         speedup = whole_block / tiled
         print(f"\nBP+OSD bb_18 128 rows: reference {whole_block * 1e3:.0f}ms "
               f"kernel {tiled * 1e3:.0f}ms speedup {speedup:.1f}x")
         assert speedup >= 2.0
+        if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP"):
+            assert speedup >= 4.0
 
     def test_mwpm_construction_vs_reference_speedup_d3(self, surface_dem):
         """Acceptance: the array-backed MWPM construction builds the surface

@@ -116,11 +116,20 @@ class NoiseModel:
         Same contract as
         :meth:`repro.noise.channels.ComposedNoiseModel.channel_ops`: the
         concatenated ops of :meth:`channels` at ``site``.
+
+        The four channels read only ``site.kind`` and ``site.qubits``,
+        never the tick or round, so the ops are memoised per model on that
+        key (a circuit asks for the same idle qubit at every tick), under
+        the same immutable-after-first-use contract as :meth:`channels`.
         """
-        ops: list[NoiseOp] = []
-        for channel in self.channels():
-            ops.extend(channel.ops(site))
-        return tuple(ops)
+        memo = self.__dict__.setdefault("_site_ops", {})
+        key = (site.kind, site.qubits)
+        ops = memo.get(key)
+        if ops is None:
+            ops = memo[key] = tuple(
+                op for channel in self.channels() for op in channel.ops(site)
+            )
+        return ops
 
     def is_noiseless(self) -> bool:
         """True when every rate (and every per-qubit override) is zero."""

@@ -9,7 +9,9 @@ BP over the whole block with per-edge gathers, and OSD-0 on a dense
 ``==``, the same hard decisions, the same OSD-0 solutions and the same
 predictions, on the paper's memory DEMs, on a hand-built DEM with an
 untouched detector, a detector-free mechanism and a 10-detector
-mechanism, and on block sizes that cross the tile boundary.
+mechanism, on a hand-built DEM with hyperedges at numpy's pairwise-sum
+switches (8, 9, 16, 17 and 130 detectors), and on block sizes that
+cross the tile boundary.
 """
 
 from __future__ import annotations
@@ -66,12 +68,44 @@ def _hand_built_dem() -> DetectorErrorModel:
     return DetectorErrorModel(num_detectors=12, num_observables=2, mechanisms=mechanisms)
 
 
+def _wide_hyperedge_dem() -> DetectorErrorModel:
+    """140 detectors with hyperedges of 8, 9, 16, 17 and 130 detectors.
+
+    ``np.add.reduceat`` adds a segment as ``x0 + pairwise(rest)``, and
+    numpy's pairwise sum runs left to right below eight terms, switches
+    to eight accumulators from eight terms and splits in halves past a
+    128-term block.  These degrees sit on both switches; a chain of
+    two-detector mechanisms (some with a third detector) and a few
+    single-detector ones tie the hyperedges to the rest of the graph.
+    """
+    num_detectors = 140
+    mechanisms = [
+        ErrorMechanism(
+            probability=(0.01, 0.015, 0.02, 0.01)[index % 4],
+            detectors=frozenset({index, index + 1} | ({index + 7} if index % 5 == 0 else set())),
+            observables=frozenset({index % 2}) if index % 6 == 0 else frozenset(),
+        )
+        for index in range(num_detectors - 7)
+    ]
+    for degree, first in ((8, 3), (9, 20), (16, 41), (17, 70), (130, 5)):
+        mechanisms.append(
+            ErrorMechanism(0.004, frozenset(range(first, first + degree)), frozenset({1}))
+        )
+    mechanisms.extend(
+        ErrorMechanism(0.02, frozenset({detector}), frozenset()) for detector in (0, 64, 139)
+    )
+    return DetectorErrorModel(
+        num_detectors=num_detectors, num_observables=2, mechanisms=mechanisms
+    )
+
+
 _DEMS = {
     "bb_18": lambda: _memory_dem("bb_18"),
     "surface_d3_r3": lambda: _memory_dem("surface:d=3", noisy_rounds=3),
     "toric_d3": lambda: _memory_dem("toric:d=3"),
     "steane": lambda: _memory_dem("steane"),
     "hand_built": _hand_built_dem,
+    "wide_hyperedges": _wide_hyperedge_dem,
 }
 _DEM_CACHE: dict = {}
 

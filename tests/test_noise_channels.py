@@ -15,10 +15,13 @@ import json
 
 import pytest
 
+from repro.api import RunSpec, codes
 from repro.api.pipeline import Pipeline
 from repro.api.registries import noise as noise_registry
+from repro.cache import _key_of, chunk_address
 from repro.circuits.circuit import Circuit, Instruction
 from repro.circuits.memory import build_memory_experiment
+from repro.experiments.artifacts import row_fingerprint
 from repro.noise import (
     ComposedNoiseModel,
     Dephasing,
@@ -34,8 +37,12 @@ from repro.noise import (
     TwoQubitBiasedPauli,
     TwoQubitDepolarizing,
     biased_pauli_rates,
+    brisbane_noise,
+    non_uniform_noise,
+    scaled_noise,
     two_qubit_biased_rates,
 )
+from repro.scheduling import google_surface_schedule, lowest_depth_schedule
 from repro.sim.dem import build_detector_error_model
 from repro.sim.tableau import simulate_circuit
 
@@ -132,6 +139,86 @@ class TestLegacyBitIdentity:
         assert op.probability == 0.03
         (op,) = model.channel_ops(NoiseSite("gate", (0, 1), tick=1))
         assert op.probability == 0.01
+
+
+def _surface_d3_ancillas() -> list[int]:
+    code = codes.build("surface:d=3")
+    return [code.num_qubits + s for s in range(code.num_stabilizers)]
+
+
+_LEGACY_MODELS = {
+    "brisbane": brisbane_noise,
+    "scaled_1e-3": lambda: scaled_noise(1e-3),
+    "non_uniform": lambda: non_uniform_noise(_surface_d3_ancillas()),
+}
+
+
+class TestSiteOpsMemo:
+    """``NoiseModel.channel_ops`` memoises its ops per ``(kind, qubits)``."""
+
+    @pytest.mark.parametrize("name", sorted(_LEGACY_MODELS))
+    def test_warm_model_builds_the_fresh_circuit(self, name):
+        """A model that already built other circuits (other schedule, basis
+        and round count, so other ticks and rounds) emits the same
+        instructions as a fresh copy."""
+        code = codes.build("surface:d=3")
+        warm = _LEGACY_MODELS[name]()
+        for schedule, basis, rounds in (
+            (lowest_depth_schedule(code), "X", 3),
+            (google_surface_schedule(code), "Z", 1),
+        ):
+            build_memory_experiment(code, schedule, warm, basis=basis, noisy_rounds=rounds)
+        assert warm.__dict__["_site_ops"]
+        for basis in ("Z", "X"):
+            for rounds in (1, 2):
+                circuits = [
+                    build_memory_experiment(
+                        code,
+                        google_surface_schedule(code),
+                        model,
+                        basis=basis,
+                        noisy_rounds=rounds,
+                    ).circuit
+                    for model in (warm, _LEGACY_MODELS[name]())
+                ]
+                assert circuits[0].instructions == circuits[1].instructions
+
+    def test_memo_ignores_tick_and_round(self):
+        model = brisbane_noise()
+        first = model.channel_ops(NoiseSite("idle", (4,), tick=1, round_index=0))
+        later = model.channel_ops(NoiseSite("idle", (4,), tick=6, round_index=3))
+        assert later is first
+        assert model.channel_ops(NoiseSite("idle", (5,), tick=1)) != first
+
+    #: Chunk-address keys and row fingerprints of surface d=3 specs, as
+    #: computed before the memo existed.  They hash the spec alone, so a
+    #: warm model must not move them.
+    PINNED_KEYS = {
+        "brisbane": (
+            "5a0852eab78f2c1f8b19e9d74759ad94b5ddaea63d01c2ea3210ac7b2223eba6",
+            "64745cc86af028e4ad8abb960b31555cadaf2151992db0a2fed04c8b019dc646",
+        ),
+        "scaled:p=0.001": (
+            "0c6a475a86b86cb17e98f3d6611c45ad032db65fd0ff07b03464f285b2eda08f",
+            "7dd2a0d15a257edba1d832f59696341628e96601ff0f1b50f7e019e6f2103c73",
+        ),
+        "nonuniform:variance=0.5,seed=7": (
+            "5a502d2fe4ff03fe31d0bb33099370748904b3a1eb7730f242de41782b5e14a6",
+            "35c6c5c2bb1c0610d95d73c1518b8e961f969d08e3118b9382127fd64a6d4915",
+        ),
+    }
+
+    @pytest.mark.parametrize("noise", sorted(PINNED_KEYS))
+    def test_fingerprints_and_chunk_addresses_do_not_move(self, noise):
+        spec = RunSpec(
+            code="surface:d=3", noise=noise, scheduler="lowest_depth", decoder="mwpm", seed=5
+        )
+        Pipeline(spec, shots=32).rates  # warms the run's model
+        keys = (
+            _key_of(chunk_address(spec, "Z", 0, 1024)),
+            row_fingerprint("noise", noise, [("eval", spec.to_dict())]),
+        )
+        assert keys == self.PINNED_KEYS[noise]
 
 
 class TestBiasConvention:
