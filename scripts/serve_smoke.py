@@ -6,9 +6,8 @@ ephemeral port, submits a quick RunSpec over HTTP, streams the NDJSON
 progress events, and asserts the served result is bit-identical to the
 offline `repro.api.Pipeline` run of the same spec.
 
-Phase 2 exercises the scale-out and durability paths end to end: a
-journalled server with a local worker plus one remote HTTP worker
-(`python -m repro.serve.remote`) is SIGKILLed mid-job; a restarted server
+Phase 2 exercises the durability path end to end: a journalled server
+with one throttled local worker is SIGKILLed mid-job; a restarted server
 on the same journal and chunk cache must restore the job under its
 original id and finish it bit-identically, replaying every
 already-published chunk from the cache instead of re-executing it.
@@ -128,7 +127,7 @@ def phase_basic(offline: dict, workers: int) -> int:
 
 
 def phase_restart(offline: dict) -> int:
-    """Kill a journalled mixed-fleet server mid-job; restart must resume."""
+    """Kill a journalled server mid-job; the restart must resume the job."""
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
         cache_dir = str(Path(tmp) / "cache")
         durable = (
@@ -136,29 +135,9 @@ def phase_restart(offline: dict) -> int:
             "--throttle", "0.5", "--poll-interval", "0.1",
         )
         server, client = start_server(*durable)
-        # Launch the worker through the `repro worker` CLI verb, the way a
-        # remote host would join the fleet.
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-c",
-                "import sys; from repro.api.cli import main; sys.exit(main())",
-                "worker",
-                "--server", client.base_url,
-                "--cache-dir", cache_dir,
-                "--poll-interval", "0.1",
-                "--throttle", "0.5",
-                "--max-idle", "60",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            cwd=REPO_ROOT,
-            env=ENV,
-        )
         try:
-            print(worker.stdout.readline().strip())
             job_id = client.submit(SPEC)["job"]["id"]
-            print(f"submitted job {job_id} to the mixed fleet")
+            print(f"submitted job {job_id} to the journalled server")
 
             deadline = time.monotonic() + 60.0
             published = 0
@@ -166,7 +145,7 @@ def phase_restart(offline: dict) -> int:
                 published = client.health()["stats"]["chunks_executed"]
                 time.sleep(0.05)
             if published < 2:
-                print("error: fleet made no progress before the kill", file=sys.stderr)
+                print("error: worker made no progress before the kill", file=sys.stderr)
                 return 1
             server.send_signal(signal.SIGKILL)
             server.wait(timeout=10)
@@ -203,7 +182,6 @@ def phase_restart(offline: dict) -> int:
             print("restarted server shut down cleanly")
             return 0
         finally:
-            reap(worker)
             reap(server)
 
 

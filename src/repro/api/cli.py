@@ -10,8 +10,7 @@ Subcommands::
     repro list {codes,decoders,noise,schedulers,samplers,all}
     repro experiments {run,ls,render}   declarative paper-table suites
     repro tables {table2,...,all}       legacy spelling of `experiments run`
-    repro serve [--workers N ...]       run the distributed execution service
-    repro worker --server URL           lease chunks from a server over HTTP
+    repro serve [--workers N ...]       run the execution service
     repro submit [spec.json] [overrides]  submit a RunSpec to a running server
     repro jobs [job_id]                 list / inspect jobs on a running server
     repro import FILE [--dem]           validate a stim text file, show a summary
@@ -22,7 +21,7 @@ formats (:mod:`repro.io`); an imported circuit file runs end to end via the
 ``stimfile`` code spec (``repro run --code stimfile:PATH``), with the
 sampler axis, chunk cache and serve stack applying unchanged.
 
-``worker``/``submit``/``jobs`` find their server via ``--server`` or the
+``submit``/``jobs`` find their server via ``--server`` or the
 ``REPRO_SERVER`` environment variable (default ``http://127.0.0.1:8642``,
 the ``repro serve`` default bind).
 
@@ -582,23 +581,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config_from_args(args))
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Run a remote worker against a serve endpoint (`repro worker`)."""
-    from repro.serve.remote import main as worker_main
-
-    argv = ["--server", args.server or os.environ.get("REPRO_SERVER") or DEFAULT_SERVER]
-    if args.worker_id:
-        argv += ["--worker-id", args.worker_id]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    argv += ["--poll-interval", str(args.poll_interval)]
-    if args.max_idle is not None:
-        argv += ["--max-idle", str(args.max_idle)]
-    if args.throttle:
-        argv += ["--throttle", str(args.throttle)]
-    return worker_main(argv)
-
-
 def _format_progress(event: dict) -> str:
     rse = event.get("rse")
     rse_note = f" rse={rse:.3f}" if isinstance(rse, float) else ""
@@ -897,23 +879,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp_render.set_defaults(func=_cmd_experiments)
 
     serve_parser = subparsers.add_parser(
-        "serve", help="run the distributed execution service (HTTP job queue)"
+        "serve", help="run the execution service (HTTP job queue, local workers)"
     )
     # Flags live next to the daemon so `python -m repro.serve` stays in sync.
     from repro.serve.__main__ import add_serve_flags
 
     add_serve_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
-
-    worker_parser = subparsers.add_parser(
-        "worker", help="lease and execute chunks from a `repro serve` endpoint over HTTP"
-    )
-    # Flags live next to the standalone worker so `python -m
-    # repro.serve.remote` stays in sync.
-    from repro.serve.remote import add_worker_flags
-
-    add_worker_flags(worker_parser)
-    worker_parser.set_defaults(func=_cmd_worker)
 
     submit_parser = subparsers.add_parser(
         "submit", help="submit a RunSpec to a running `repro serve` endpoint"

@@ -1,15 +1,15 @@
-"""``repro serve`` — a distributed execution service over the chunk fabric.
+"""``repro serve`` — a shared execution service over the chunk plan.
 
-The service turns the repository's existing scale substrate — the
-worker-count-invariant chunk plan (:mod:`repro.parallel`) and the
-content-addressed chunk cache (:mod:`repro.cache`) — into a long-running
-compute fabric that many clients share:
+The service turns the worker-count-invariant chunk plan
+(:mod:`repro.parallel`) and the content-addressed chunk cache
+(:mod:`repro.cache`) into a long-running HTTP job queue that many clients
+share, executed by one fleet of local worker processes:
 
 :mod:`repro.serve.jobs`
     the deduplicating priority job queue and the chunk-lease scheduler.
     Identical canonical :class:`~repro.api.spec.RunSpec` submissions
-    coalesce into one job; workers lease fixed 1024-shot chunk ranges with
-    deadlines, so a killed worker never strands a job.
+    coalesce into one job; local workers lease fixed 1024-shot chunk
+    ranges with deadlines, so a killed worker never strands a job.
 
 :mod:`repro.serve.worker`
     the worker process: builds the pipeline stages for a job once, then
@@ -25,11 +25,6 @@ compute fabric that many clients share:
 :mod:`repro.serve.client`
     a stdlib client used by ``repro submit`` / ``repro jobs``, the suite
     runner's server mode and the integration tests.
-
-:mod:`repro.serve.remote`
-    the scale-out path: ``repro worker --server URL`` leases chunk ranges
-    over HTTP (``POST /lease`` / ``/chunks`` / ``/heartbeat``) from any
-    host, interoperating with local workers in one fleet.
 
 :mod:`repro.serve.journal`
     the durable queue: submissions and terminal transitions journal to an
@@ -47,7 +42,6 @@ count — pinned by ``tests/test_serve_integration.py``.
 from repro.serve.client import ServeClient
 from repro.serve.jobs import Job, JobQueueStats, JobScheduler, JobState, job_key
 from repro.serve.journal import JobJournal, load_journal
-from repro.serve.remote import RemoteWorker
 from repro.serve.server import ReproServer, ServeConfig, serve_in_thread
 
 __all__ = [
@@ -56,7 +50,6 @@ __all__ = [
     "JobQueueStats",
     "JobScheduler",
     "JobState",
-    "RemoteWorker",
     "ReproServer",
     "ServeClient",
     "ServeConfig",

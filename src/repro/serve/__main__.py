@@ -30,7 +30,8 @@ def add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=2,
-        help="local worker processes; 0 serves remote workers only (default %(default)s)",
+        help="local worker processes; 0 starts none and jobs stay queued "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     """CLI for the serve daemon."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Run the repro distributed execution service.",
+        description="Run the repro execution service.",
     )
     add_serve_flags(parser)
     return parser

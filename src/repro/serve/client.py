@@ -1,8 +1,7 @@
 """Stdlib HTTP client for a running ``repro serve`` endpoint.
 
-Used by the ``repro submit`` / ``repro jobs`` / ``repro worker`` CLI
-verbs, the suite runner's server mode, the remote worker loop
-(:mod:`repro.serve.remote`) and the integration tests.  One
+Used by the ``repro submit`` / ``repro jobs`` CLI verbs, the suite
+runner's server mode and the integration tests.  One
 :class:`http.client.HTTPConnection` per request (the server is
 ``Connection: close``), so a :class:`ServeClient` is cheap, stateless and
 safe to share across threads.
@@ -231,37 +230,3 @@ class ServeClient:
     def shutdown(self) -> dict:
         """``POST /shutdown`` — ask the server to stop."""
         return self._request("POST", "/shutdown")
-
-    # ------------------------------------------------------------------
-    # Worker protocol (used by `repro worker` / repro.serve.remote)
-    # ------------------------------------------------------------------
-    def lease(self, worker_id: str) -> dict:
-        """``POST /lease`` — claim a chunk range for ``worker_id``.
-
-        Returns ``{"tasks": [...], "specs": {job_id: payload},
-        "lease_timeout": S}``; an empty task list means nothing is
-        currently runnable (poll again later).
-        """
-        return self._request("POST", "/lease", {"worker_id": worker_id})
-
-    def heartbeat(self, worker_id: str) -> dict:
-        """``POST /heartbeat`` — renew ``worker_id``'s lease deadline.
-
-        ``{"renewed": false}`` means the lease is gone (expired or fully
-        reported); the worker should stop and lease afresh.
-        """
-        return self._request("POST", "/heartbeat", {"worker_id": worker_id})
-
-    def report(self, worker_id: str, results=(), failures=()) -> dict:
-        """``POST /chunks`` — report executed chunk summaries (and/or failures).
-
-        ``results`` entries are ``{"task": {job_id, basis, index, shots},
-        "shots": n, "errors": n, "cached": bool, "info": {...}}``;
-        ``failures`` entries are ``{"job_id": ..., "error": "..."}``.
-        Reporting renews the lease exactly like the in-process path.
-        """
-        return self._request(
-            "POST",
-            "/chunks",
-            {"worker_id": worker_id, "results": list(results), "failures": list(failures)},
-        )

@@ -27,15 +27,11 @@ byte-for-byte the offline engine's contract, which is what makes served
 results bit-identical to offline runs.
 
 **Leases.**  Workers are granted chunk ranges under a deadline
-(``lease_timeout``); every reported chunk renews the lease, and remote
-workers may also :meth:`~JobScheduler.renew` explicitly (heartbeat).  An
+(``lease_timeout``); every reported chunk renews the lease.  An
 expired lease — a worker that died, hung, or was killed mid-job — has its
 unfinished chunks requeued ahead of fresh dispatch, so the job still
 completes (and completes *identically*, since a chunk's content depends
-only on its index and stream, never on which worker runs it).  The lease
-protocol is transport-agnostic: the in-process pool and the HTTP
-``POST /lease`` / ``POST /chunks`` path (:mod:`repro.serve.remote`) drive
-the same table.
+only on its index and stream, never on which worker runs it).
 
 **Durability.**  With a :class:`~repro.serve.journal.JobJournal` attached,
 every new submission and terminal transition is appended as one JSONL
@@ -316,7 +312,7 @@ class Lease:
 
 @dataclass
 class JobQueueStats:
-    """Fabric-wide counters (the dedup/lease acceptance evidence)."""
+    """Fabric-wide counters (the dedup and lease acceptance evidence)."""
 
     jobs_submitted: int = 0
     jobs_coalesced: int = 0
@@ -329,7 +325,6 @@ class JobQueueStats:
     chunks_discarded: int = 0
     leases_granted: int = 0
     leases_expired: int = 0
-    leases_renewed: int = 0
 
     def to_dict(self) -> dict:
         """Plain-dict view for ``/healthz``."""
@@ -591,22 +586,6 @@ class JobScheduler:
             lease.tasks = {task for task in lease.tasks if task.job_id != job_id}
             if not lease.tasks:
                 del self._leases[worker_id]
-
-    def renew(self, worker_id: str, now: float) -> bool:
-        """Extend a worker's lease deadline (the ``POST /heartbeat`` path).
-
-        Remote workers executing a long chunk heartbeat between reports so
-        the reaper does not requeue work that is still making progress.
-        Returns ``False`` when the worker holds no lease (it expired, or
-        every chunk was already reported) — the worker should simply lease
-        again.
-        """
-        lease = self._leases.get(worker_id)
-        if lease is None:
-            return False
-        lease.deadline = now + self.lease_timeout
-        self.stats.leases_renewed += 1
-        return True
 
     # ------------------------------------------------------------------
     # Memo TTL / eviction

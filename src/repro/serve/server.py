@@ -2,8 +2,7 @@
 
 One process hosts the :class:`~repro.serve.jobs.JobScheduler` plus a pool
 of local worker *processes* (:mod:`repro.serve.worker`); HTTP is a thin
-transport over both, and remote workers (:mod:`repro.serve.remote`) drive
-the same lease table over three extra endpoints.  Endpoints:
+transport over both.  Endpoints:
 
 ``POST /jobs``
     Submit ``{"spec": {...RunSpec...}, "priority": N}`` (or a bare RunSpec
@@ -26,14 +25,8 @@ the same lease table over three extra endpoints.  Endpoints:
     Block until the job finishes and return its result payload (``504``
     when the poll window expires first — clients re-poll).
 
-``POST /lease`` / ``POST /chunks`` / ``POST /heartbeat``
-    The remote-worker protocol: claim a chunk range, report chunk
-    summaries (or job failures), renew a lease mid-chunk.  Remote and
-    local workers share one scheduler, so any mix yields bit-identical
-    results.
-
 ``GET /healthz``
-    Worker liveness (local and remote), job tallies, memo/TTL counters
+    Worker liveness, job tallies, memo/TTL counters
     and the fabric counters (:class:`~repro.serve.jobs.JobQueueStats`).
 
 ``POST /shutdown``
@@ -49,8 +42,8 @@ Local workers are started via the ``spawn`` context (safe to combine with
 the server's threads), watched by a reaper task that requeues expired
 leases, detects dead processes (``Process.is_alive``), respawns
 replacements, and sweeps expired job memos — a SIGKILLed worker delays a
-job by at most one lease timeout.  ``workers=0`` runs a server with no
-local fleet at all (remote workers do everything).
+job by at most one lease timeout.  ``workers=0`` starts no worker
+process, so submitted jobs stay queued.
 
 With a journal configured (``journal=...``, conventionally next to the
 chunk cache), submissions and terminal transitions are appended to an
@@ -73,7 +66,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.spec import RunSpec
-from repro.serve.jobs import ChunkTask, JobScheduler, JobState
+from repro.serve.jobs import JobScheduler, JobState
 from repro.serve.journal import JobJournal, load_journal
 from repro.serve.worker import worker_main
 
@@ -82,10 +75,6 @@ __all__ = ["ReproServer", "ServeConfig", "serve_in_thread"]
 #: Per-job event-history retention: the replay buffer for reconnecting
 #: clients keeps this many recent events (terminal events always survive).
 EVENT_HISTORY_LIMIT = 512
-
-#: A remote worker is considered part of the fleet while its last lease,
-#: report or heartbeat is at most this many lease timeouts old.
-REMOTE_ACTIVE_LEASES = 3.0
 
 
 class _BadRequest(ValueError):
@@ -133,8 +122,8 @@ class ServeConfig:
     """Service configuration: bind address, fleet size and queue policy.
 
     ``port=0`` binds an ephemeral port (the bound port is reported by
-    :attr:`ReproServer.url`).  ``workers=0`` starts no local processes —
-    remote workers carry the whole load.  ``lease_timeout`` is the
+    :attr:`ReproServer.url`).  ``workers=0`` starts no worker process,
+    so submitted jobs stay queued.  ``lease_timeout`` is the
     watchdog horizon for worker death; ``lease_chunks`` the chunk-range
     size one lease grants; ``window`` the per-basis speculation bound
     (defaults to enough chunks to keep the whole fleet busy).
@@ -212,8 +201,6 @@ class ReproServer:
         self._outbox = self._ctx.Queue()
         self._workers: dict[str, _WorkerHandle] = {}
         self._worker_serial = 0
-        #: Remote workers by id → monotonic time of their last contact.
-        self._remote_seen: dict[str, float] = {}
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._reader: threading.Thread | None = None
@@ -365,20 +352,15 @@ class ReproServer:
             handle.inbox.put(("run", tasks, specs))
             handle.outstanding += len(tasks)
 
-    def _remote_active(self, now: float) -> bool:
-        """True while any remote worker has been heard from recently."""
-        horizon = REMOTE_ACTIVE_LEASES * self.config.lease_timeout
-        return any(now - seen <= horizon for seen in self._remote_seen.values())
-
     async def _reap_loop(self) -> None:
         """Periodic watchdog: expired leases, dead workers, respawns, eviction.
 
         Respawns are capped (``4 + 4 * workers``): a fleet whose processes
         die instantly — a broken environment, not a transient kill — must
-        not fork-bomb the host.  With the cap exhausted, every local
-        worker dead and no remote worker in contact, pending jobs are
-        failed so clients see the outage instead of a silent hang.  The
-        same tick sweeps expired job memos and their event state.
+        not fork-bomb the host.  With the cap exhausted and every worker
+        dead, pending jobs are failed so clients see the outage instead of
+        a silent hang.  The same tick sweeps expired job memos and their
+        event state.
         """
         respawn_budget = 4 + 4 * self.config.workers
         while True:
@@ -387,10 +369,6 @@ class ReproServer:
             self.scheduler.reap(now)
             for job_id in self.scheduler.evict(now):
                 self._drop_job_state(job_id)
-            stale_horizon = 10 * REMOTE_ACTIVE_LEASES * self.config.lease_timeout
-            for worker_id, seen in list(self._remote_seen.items()):
-                if now - seen > stale_horizon:
-                    del self._remote_seen[worker_id]
             for worker_id, handle in list(self._workers.items()):
                 if handle.lost or handle.process.is_alive():
                     continue
@@ -400,10 +378,10 @@ class ReproServer:
                 if self.config.respawn and self.workers_respawned < respawn_budget:
                     self._spawn_worker()
                     self.workers_respawned += 1
-            local_fleet_down = self._workers and not any(
+            fleet_down = self._workers and not any(
                 handle.alive for handle in self._workers.values()
             )
-            if local_fleet_down and not self._remote_active(now):
+            if fleet_down:
                 for job in list(self.scheduler.jobs.values()):
                     if job.state not in JobState.TERMINAL:
                         self._publish(
@@ -503,12 +481,6 @@ class ReproServer:
                 200,
                 {"jobs": [job.summary() for job in self.scheduler.jobs.values()]},
             )
-        elif method == "POST" and path == "/lease":
-            await self._post_lease(body, writer)
-        elif method == "POST" and path == "/chunks":
-            await self._post_chunks(body, writer)
-        elif method == "POST" and path == "/heartbeat":
-            await self._post_heartbeat(body, writer)
         elif method == "POST" and path == "/shutdown":
             await _respond(writer, 200, {"status": "stopping"})
             self.request_stop()
@@ -518,8 +490,6 @@ class ReproServer:
             await _respond(writer, 404, {"error": f"no route for {method} {split.path}"})
 
     def _health(self) -> dict:
-        now = time.monotonic()
-        horizon = REMOTE_ACTIVE_LEASES * self.config.lease_timeout
         return {
             "status": "ok",
             "workers": [
@@ -530,14 +500,6 @@ class ReproServer:
                     "outstanding": handle.outstanding,
                 }
                 for handle in self._workers.values()
-            ],
-            "remote_workers": [
-                {
-                    "id": worker_id,
-                    "last_seen_s": round(now - seen, 3),
-                    "active": now - seen <= horizon,
-                }
-                for worker_id, seen in self._remote_seen.items()
             ],
             "workers_respawned": self.workers_respawned,
             "jobs": self.scheduler.job_counts(),
@@ -572,91 +534,6 @@ class ReproServer:
         self._dispatch()
         status = 200 if coalesced else 201
         await _respond(writer, status, {"job": job.summary(), "coalesced": coalesced})
-
-    # ------------------------------------------------------------------
-    # Remote-worker protocol
-    # ------------------------------------------------------------------
-    def _worker_id_of(self, payload: dict) -> str:
-        worker_id = payload.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise _BadRequest("body must carry a non-empty string 'worker_id'")
-        return worker_id
-
-    async def _post_lease(self, body: bytes, writer) -> None:
-        """Grant a chunk range to a remote worker (``POST /lease``)."""
-        worker_id = self._worker_id_of(_json_body(body))
-        now = time.monotonic()
-        self._remote_seen[worker_id] = now
-        tasks = self.scheduler.assign(worker_id, now)
-        specs = {}
-        for task in tasks:
-            if task.job_id not in specs:
-                specs[task.job_id] = self.scheduler.jobs[task.job_id].spec.to_dict()
-        await _respond(
-            writer,
-            200,
-            {
-                "tasks": [
-                    {
-                        "job_id": task.job_id,
-                        "basis": task.basis,
-                        "index": task.index,
-                        "shots": task.shots,
-                    }
-                    for task in tasks
-                ],
-                "specs": specs,
-                "lease_timeout": self.config.lease_timeout,
-            },
-        )
-
-    async def _post_chunks(self, body: bytes, writer) -> None:
-        """Fold remote chunk reports (and failures) into the scheduler."""
-        payload = _json_body(body)
-        worker_id = self._worker_id_of(payload)
-        results = payload.get("results", [])
-        failures = payload.get("failures", [])
-        if not isinstance(results, list) or not isinstance(failures, list):
-            raise _BadRequest("'results' and 'failures' must be lists")
-        now = time.monotonic()
-        self._remote_seen[worker_id] = now
-        accepted = 0
-        for entry in results:
-            try:
-                raw_task = entry["task"]
-                task = ChunkTask(
-                    str(raw_task["job_id"]),
-                    str(raw_task["basis"]),
-                    int(raw_task["index"]),
-                    int(raw_task["shots"]),
-                )
-                shots = int(entry["shots"])
-                errors = int(entry["errors"])
-                cached = bool(entry.get("cached", False))
-                info = entry.get("info")
-            except (KeyError, TypeError, ValueError) as error:
-                raise _BadRequest(f"malformed chunk result: {error}") from None
-            self._publish(
-                self.scheduler.record_result(worker_id, task, shots, errors, cached, info, now)
-            )
-            accepted += 1
-        for entry in failures:
-            try:
-                job_id = str(entry["job_id"])
-                message = str(entry.get("error", "worker failure"))
-            except (KeyError, TypeError) as error:
-                raise _BadRequest(f"malformed failure report: {error}") from None
-            self._publish(self.scheduler.fail_job(job_id, message, now))
-            accepted += 1
-        self._dispatch()
-        await _respond(writer, 200, {"accepted": accepted})
-
-    async def _post_heartbeat(self, body: bytes, writer) -> None:
-        """Renew a remote worker's lease deadline (``POST /heartbeat``)."""
-        worker_id = self._worker_id_of(_json_body(body))
-        now = time.monotonic()
-        self._remote_seen[worker_id] = now
-        await _respond(writer, 200, {"renewed": self.scheduler.renew(worker_id, now)})
 
     async def _get_job(self, path: str, query: dict, writer) -> None:
         segments = path.split("/")  # ["", "jobs", "<id>"] or ["", "jobs", "<id>", "<verb>"]

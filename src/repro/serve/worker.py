@@ -8,7 +8,7 @@ model, with the chunk's own spawned seed stream — and reports one
 ``(shots, errors)`` summary per chunk on the shared outbox.
 
 **Determinism.**  The per-job context (code → noise → schedule → circuit →
-DEM, the decoder factory, and the per-basis chunk streams) is rebuilt from
+DEM, one decoder per basis, and the per-basis chunk streams) is rebuilt from
 the :class:`~repro.api.spec.RunSpec` via :class:`repro.api.Pipeline`'s
 staged attributes, and the chunk streams are derived with
 :func:`repro.parallel.chunk_streams` from
@@ -54,7 +54,9 @@ class JobContext:
 
     Built lazily from the spec; the pipeline's staged attributes mean a
     fully cache-replayed job only pays for the schedule (needed for
-    ``depth``), never for DEM extraction or sampling.
+    ``depth``), never for DEM extraction, decoder construction or sampling.
+    Like the in-process chunk loop, a context builds one decoder per basis
+    and reuses it for every chunk it runs.
     """
 
     def __init__(self, spec, cache=None) -> None:
@@ -71,6 +73,7 @@ class JobContext:
                 basis: cache.chunk_store(spec, basis, DEFAULT_CHUNK_SHOTS)
                 for basis in self.streams
             }
+        self._decoders: dict = {}
         self._info: dict | None = None
 
     def info(self) -> dict:
@@ -85,6 +88,14 @@ class JobContext:
                 ),
             }
         return self._info
+
+    def decoder(self, basis: str):
+        """The basis's decoder, built on first use and shared by its chunks."""
+        decoder = self._decoders.get(basis)
+        if decoder is None:
+            decoder = self.pipeline.decoder_factory(self.pipeline.dem[basis])
+            self._decoders[basis] = decoder
+        return decoder
 
     def run_chunk(self, task: ChunkTask) -> "tuple[int, int, bool]":
         """Execute (or cache-replay) one chunk: ``(shots, errors, cached)``.
@@ -106,6 +117,7 @@ class JobContext:
             self.pipeline.samplers[task.basis],
             task.shots,
             self.streams[task.basis][task.index],
+            decoder=self.decoder(task.basis),
         )
         if store is not None:
             store.put(task.index, shots, errors)

@@ -32,6 +32,15 @@ class TestList:
             main(["list", "widgets"])
 
 
+class TestServeVerbs:
+    def test_worker_verb_is_retired(self, capsys):
+        # Served chunks run only in the server's own worker processes.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--server", "http://127.0.0.1:1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+
 class TestRun:
     def test_run_from_spec_json_end_to_end(self, tmp_path, capsys):
         """Acceptance: `repro run` executes a full surface-code RunSpec from JSON."""

@@ -29,7 +29,6 @@ AUDITED_MODULES = (
     "repro.serve.client",
     "repro.serve.jobs",
     "repro.serve.journal",
-    "repro.serve.remote",
     "repro.serve.server",
     "repro.serve.worker",
 )

@@ -5,13 +5,12 @@ The satellite contract hardened here:
 * malformed query parameters (``?timeout=``, ``?since=``), non-JSON POST
   bodies and a broken ``Content-Length`` answer ``400`` with a JSON error
   instead of dropping the connection;
-* unknown routes and verbs answer ``404`` (never a hang);
+* unknown routes and verbs answer ``404`` (never a hang), including the
+  retired remote-worker routes ``/lease``, ``/chunks`` and ``/heartbeat``;
 * :meth:`ServeClient.result` treats the server's long-poll ``504`` as
   "not done yet" and re-polls until its *own* deadline;
 * :meth:`ServeClient.events` survives dropped connections by resuming
-  from the last sequence number, without duplicating or reordering;
-* the remote-worker endpoints (``/lease``, ``/chunks``, ``/heartbeat``)
-  validate their payloads.
+  from the last sequence number, without duplicating or reordering.
 
 Servers here run with ``workers=0`` where possible (no subprocess spawn),
 so the module stays fast.
@@ -19,8 +18,10 @@ so the module stays fast.
 
 from __future__ import annotations
 
+import importlib
 import json
 import socket
+import time
 
 import pytest
 
@@ -62,16 +63,15 @@ def idle_server():
 class TestParseErrors:
     def test_non_json_post_body_is_400(self, idle_server):
         client = ServeClient(idle_server.url)
-        for path in ("/jobs", "/lease", "/chunks", "/heartbeat"):
-            response = raw_request(
-                idle_server,
-                b"POST " + path.encode() + b" HTTP/1.1\r\n"
-                b"Host: x\r\nContent-Type: application/json\r\n"
-                b"Content-Length: 9\r\n\r\nnot json!",
-            )
-            assert response.startswith(b"HTTP/1.1 400"), path
-            assert b'"error"' in response
-        # The server survives every one of them.
+        response = raw_request(
+            idle_server,
+            b"POST /jobs HTTP/1.1\r\n"
+            b"Host: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 9\r\n\r\nnot json!",
+        )
+        assert response.startswith(b"HTTP/1.1 400")
+        assert b'"error"' in response
+        # The server survives it.
         assert client.health()["status"] == "ok"
 
     def test_json_array_body_is_400(self, idle_server):
@@ -116,6 +116,9 @@ class TestParseErrors:
             ("POST", "/jobs/extra/segments"),
             ("DELETE", "/jobs"),
             ("GET", f"/jobs/{job_id}/frobnicate"),
+            ("POST", "/lease"),
+            ("POST", "/chunks"),
+            ("POST", "/heartbeat"),
         ):
             with pytest.raises(ServeError) as excinfo:
                 client._request(method, path)
@@ -131,46 +134,39 @@ class TestParseErrors:
         assert excinfo.value.status == 400
 
 
-class TestWorkerEndpoints:
-    def test_lease_requires_worker_id(self, idle_server):
-        client = ServeClient(idle_server.url)
-        for payload in ({}, {"worker_id": ""}, {"worker_id": 7}):
-            with pytest.raises(ServeError) as excinfo:
-                client._request("POST", "/lease", payload)
-            assert excinfo.value.status == 400, payload
+class TestRetiredWorkerProtocol:
+    """The remote-worker protocol is gone: its routes lease and record nothing."""
 
-    def test_lease_grants_tasks_and_specs(self, idle_server):
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/lease", {"worker_id": "r-1"}),
+            ("/chunks", {"worker_id": "r-1", "results": [], "failures": []}),
+            ("/heartbeat", {"worker_id": "r-1"}),
+        ],
+    )
+    def test_well_formed_request_is_404_and_grants_nothing(
+        self, idle_server, path, payload
+    ):
         client = ServeClient(idle_server.url)
-        client.submit(SMALL_SPEC)
-        leased = client.lease("r-test-1")
-        assert leased["tasks"], "queued job yielded no lease"
-        task = leased["tasks"][0]
-        assert set(task) == {"job_id", "basis", "index", "shots"}
-        assert task["job_id"] in leased["specs"]
-        assert leased["specs"][task["job_id"]]["code"] == "steane"
-        assert leased["lease_timeout"] == pytest.approx(30.0)
-        # The granted worker shows up in /healthz as a remote.
-        remotes = [w["id"] for w in client.health()["remote_workers"]]
-        assert "r-test-1" in remotes
-
-    def test_chunks_report_validates_payload(self, idle_server):
-        client = ServeClient(idle_server.url)
+        job_id = client.submit(SMALL_SPEC)["job"]["id"]
+        before = client.health()["stats"]
         with pytest.raises(ServeError) as excinfo:
-            client._request(
-                "POST", "/chunks", {"worker_id": "r-test-2", "results": "nope"}
-            )
-        assert excinfo.value.status == 400
-        with pytest.raises(ServeError) as excinfo:
-            client._request(
-                "POST",
-                "/chunks",
-                {"worker_id": "r-test-2", "results": [{"task": {"job_id": "j"}}]},
-            )
-        assert excinfo.value.status == 400
+            client._request("POST", path, payload)
+        assert excinfo.value.status == 404
+        assert client.health()["stats"] == before
+        assert client.job(job_id)["state"] == "queued"
 
-    def test_heartbeat_without_lease_reports_not_renewed(self, idle_server):
-        client = ServeClient(idle_server.url)
-        assert client.heartbeat("r-ghost")["renewed"] is False
+    def test_client_has_no_worker_protocol_methods(self):
+        for name in ("lease", "heartbeat", "report"):
+            assert not hasattr(ServeClient, name), name
+
+    def test_remote_worker_module_is_gone(self):
+        import repro.serve
+
+        assert "RemoteWorker" not in repro.serve.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.remote")
 
 
 class TestResultPolling:
@@ -185,7 +181,7 @@ class TestResultPolling:
         assert result["shots"] == 512
 
     def test_client_deadline_raises_504(self, idle_server):
-        # workers=0 and no remote fleet: the job can never finish.
+        # workers=0 starts no worker process: the job stays queued.
         client = ServeClient(idle_server.url)
         job_id = client.submit(SMALL_SPEC)["job"]["id"]
         with pytest.raises(ServeError) as excinfo:
@@ -290,13 +286,26 @@ class TestEventsReconnect:
 
 
 class TestHealthz:
-    def test_health_reports_memo_journal_and_remote_state(self, idle_server):
+    def test_health_reports_memo_and_journal_state(self, idle_server):
         health = ServeClient(idle_server.url).health()
         assert health["status"] == "ok"
         assert {"retained", "ttl", "cap", "evicted"} <= set(health["memo"])
         assert "journal" in health
-        assert isinstance(health["remote_workers"], list)
+        assert "remote_workers" not in health
         assert "jobs_restored" in health
+
+    def test_zero_worker_server_keeps_jobs_queued(self):
+        # No worker process at all is not a dead fleet: the reaper must
+        # leave the job queued over many ticks rather than fail it.
+        with serve_in_thread(idle_config(poll_interval=0.02)) as server:
+            client = ServeClient(server.url)
+            job_id = client.submit(SMALL_SPEC)["job"]["id"]
+            time.sleep(0.3)
+            health = client.health()
+            assert client.job(job_id)["state"] == "queued"
+        assert health["workers"] == []
+        assert health["jobs"]["queued"] == 1
+        assert health["jobs"]["failed"] == 0
 
 
 def test_events_stream_resumes_over_real_http():

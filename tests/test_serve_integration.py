@@ -9,7 +9,10 @@ The acceptance contract of the service:
 * a worker SIGKILLed mid-job is recovered by the lease machinery and the
   job still completes with the identical result;
 * adaptive (target_rse) jobs stop at the same prefix as offline;
-* served chunks replay from the shared content-addressed cache.
+* served chunks replay from the shared content-addressed cache;
+* a worker's job context builds one decoder per basis, not one per chunk,
+  and none for cache-replayed chunks;
+* a dead fleet with no respawn budget fails pending jobs.
 
 Each test boots its own in-process server (`serve_in_thread`) on an
 ephemeral port with spawn-context worker processes, so the module is
@@ -28,7 +31,11 @@ import pytest
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Budget, RunSpec
 from repro.cache import ResultCache
+from repro.parallel import DEFAULT_CHUNK_SHOTS, chunk_error_counts, chunk_sizes
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve.client import ServeError
+from repro.serve.jobs import ChunkTask
+from repro.serve.worker import JobContext
 
 #: Multi-chunk spec (3 chunks per basis) that stays laptop-fast.
 SPEC = RunSpec(code="steane", decoder="lookup", budget=Budget(shots=3000), seed=7)
@@ -160,6 +167,85 @@ def test_served_chunks_replay_from_shared_cache(tmp_path, offline_result):
     assert len(ResultCache(cache_dir).entries()) == 6
 
 
+def count_decoder_builds(context):
+    """Wrap the context's decoder factory; return the list of DEMs it builds."""
+    factory = context.pipeline.decoder_factory
+    builds = []
+
+    def counting_factory(dem):
+        builds.append(dem)
+        return factory(dem)
+
+    context.pipeline.decoder_factory = counting_factory
+    return builds
+
+
+def test_job_context_builds_one_decoder_per_basis():
+    context = JobContext(SPEC)
+    factory = context.pipeline.decoder_factory
+    builds = count_decoder_builds(context)
+    sizes = chunk_sizes(SPEC.budget.plan_shots, DEFAULT_CHUNK_SHOTS)
+    assert len(sizes) == 3
+    counts = [
+        context.run_chunk(ChunkTask("job", "Z", index, shots))
+        for index, shots in enumerate(sizes)
+    ]
+    assert len(builds) == 1
+    # Counts equal a fresh decoder per chunk: decoding is a pure function
+    # of the DEM and the syndrome.
+    dem, sampler = context.pipeline.dem["Z"], context.pipeline.samplers["Z"]
+    assert counts == [
+        (*chunk_error_counts(dem, factory, sampler, shots, context.streams["Z"][index]), False)
+        for index, shots in enumerate(sizes)
+    ]
+
+
+def test_job_context_builds_each_basis_decoder_on_its_own_dem():
+    context = JobContext(SPEC)
+    builds = count_decoder_builds(context)
+    shots = chunk_sizes(SPEC.budget.plan_shots, DEFAULT_CHUNK_SHOTS)[0]
+    for basis in ("Z", "X", "Z", "X"):
+        context.run_chunk(ChunkTask("job", basis, 0, shots))
+    assert builds == [context.pipeline.dem["Z"], context.pipeline.dem["X"]]
+
+
+def test_cache_replayed_chunks_build_no_decoder(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    task = ChunkTask("job", "Z", 0, chunk_sizes(SPEC.budget.plan_shots, DEFAULT_CHUNK_SHOTS)[0])
+    shots, errors, cached = JobContext(SPEC, cache=cache).run_chunk(task)
+    assert cached is False
+    replay = JobContext(SPEC, cache=cache)
+    builds = count_decoder_builds(replay)
+    assert replay.run_chunk(task) == (shots, errors, True)
+    assert builds == []
+
+
+def test_dead_fleet_without_respawn_fails_pending_jobs():
+    # One worker, no respawn: once it is SIGKILLed mid-job, every local
+    # worker is dead and the respawn budget is spent, so the reaper must
+    # fail the job instead of leaving the client hanging.
+    config = fast_config(workers=1, respawn=False, throttle=0.4)
+    with serve_in_thread(config) as server:
+        client = ServeClient(server.url)
+        job_id = client.submit(SPEC)["job"]["id"]
+        victim = None
+        deadline = time.monotonic() + 30.0
+        while victim is None and time.monotonic() < deadline:
+            for worker in client.health()["workers"]:
+                if worker["alive"] and worker["outstanding"] > 0:
+                    victim = worker
+                    break
+            time.sleep(0.05)
+        assert victim is not None, "the worker never held a lease"
+        os.kill(victim["pid"], signal.SIGKILL)
+        with pytest.raises(ServeError) as excinfo:
+            client.result(job_id, timeout=60.0, poll_window=0.5)
+        health = client.health()
+    assert "no live workers remain" in str(excinfo.value)
+    assert health["workers_respawned"] == 0
+    assert health["jobs"] == {"queued": 0, "running": 0, "done": 0, "failed": 1}
+
+
 def test_failed_job_reports_error():
     with serve_in_thread(fast_config(workers=1)) as server:
         client = ServeClient(server.url)
@@ -195,55 +281,6 @@ def test_events_stream_progress_then_done(offline_result):
         assert event["chunks_done"] >= frontier.get(basis, 0)
         frontier[basis] = event["chunks_done"]
     assert frontier == {"Z": 3, "X": 3}
-
-
-def _start_remote_worker(server_url, **overrides):
-    from repro.serve.remote import RemoteWorker
-
-    defaults = dict(poll_interval=0.05, max_idle=120.0)
-    defaults.update(overrides)
-    worker = RemoteWorker(server_url, **defaults)
-    thread = threading.Thread(target=worker.run_forever, daemon=True)
-    thread.start()
-    return worker, thread
-
-
-def test_remote_only_fleet_bit_identical_to_offline(offline_result):
-    # workers=0: every chunk is executed by the HTTP-leasing remote worker.
-    with serve_in_thread(fast_config(workers=0)) as server:
-        client = ServeClient(server.url)
-        worker, thread = _start_remote_worker(server.url)
-        try:
-            result = client.run(SPEC, timeout=180.0)
-            health = client.health()
-        finally:
-            worker.stop()
-            thread.join(timeout=30.0)
-    assert result == offline_result
-    assert worker.chunks_executed == 6
-    assert health["stats"]["chunks_executed"] == 6
-    assert [w["id"] for w in health["remote_workers"]] == [worker.worker_id]
-
-
-def test_mixed_local_and_remote_fleet_bit_identical(offline_result):
-    # One local worker process plus two HTTP remotes share one job; the
-    # throttle keeps chunks slow enough that the fleet genuinely splits
-    # the work, and the result must still be bit-identical.
-    with serve_in_thread(fast_config(workers=1, throttle=0.1, lease_chunks=1)) as server:
-        client = ServeClient(server.url)
-        remotes = [_start_remote_worker(server.url, throttle=0.1) for _ in range(2)]
-        try:
-            result = client.run(SPEC, timeout=180.0)
-            stats = client.health()["stats"]
-        finally:
-            for worker, _ in remotes:
-                worker.stop()
-            for _, thread in remotes:
-                thread.join(timeout=30.0)
-    assert result == offline_result
-    remote_chunks = sum(worker.chunks_executed for worker, _ in remotes)
-    assert stats["chunks_executed"] == 6
-    assert 0 < remote_chunks <= 6, "remote workers never joined the fleet"
 
 
 def test_server_restart_resumes_job_from_journal_and_cache(tmp_path, offline_result):

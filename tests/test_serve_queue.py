@@ -271,20 +271,12 @@ class TestEvents:
         assert payload["state"] == "done"
         assert payload["progress"]["Z"]["chunks_done"] == 3
 
-class TestHeartbeat:
-    def test_renew_extends_the_lease_deadline(self):
-        scheduler = JobScheduler(lease_timeout=10.0, lease_chunks=4)
-        scheduler.submit(make_spec())
-        tasks = scheduler.assign("w1", now=0.0)
-        assert tasks
-        assert scheduler.renew("w1", now=8.0) is True
-        assert scheduler.reap(now=12.0) == []  # renewed at t=8 -> expires t=18
-        assert scheduler.reap(now=18.0) != []
-        assert scheduler.stats.leases_renewed == 1
-
-    def test_renew_without_a_lease_reports_false(self):
-        scheduler = JobScheduler()
-        assert scheduler.renew("ghost", now=0.0) is False
+class TestLeaseRenewal:
+    def test_only_results_renew_a_lease(self):
+        # With the heartbeat route gone, a reported chunk is the only
+        # thing that extends a lease; there is no separate renewal call.
+        assert not hasattr(JobScheduler, "renew")
+        assert "leases_renewed" not in JobScheduler().stats.to_dict()
 
 
 class TestMemoEviction:
