@@ -147,7 +147,9 @@ class TestComponentThroughput:
 
         Only the ratio is asserted, with best-of-N ``perf_counter``
         timings that alternate the two sides so host load drifts hit both
-        alike; the oracle side costs about 1 s.  Locally the measured
+        alike; the oracle side costs about 1 s.  Each round takes the cheap
+        kernel side best of 5, so one slow spell on a shared host cannot
+        set all of its samples.  Locally the measured
         ratio is ~5.5-7.5x (3.1-3.9x before the degree-class message
         sums).  Equality of posteriors, hard decisions and predictions is
         pinned in ``tests/test_bposd_kernel.py``.
@@ -166,7 +168,7 @@ class TestComponentThroughput:
 
         tiled, whole_block = float("inf"), float("inf")
         for _ in range(3):
-            tiled = min(tiled, _best_of(lambda: kernel._decode_unique(block), repeats=2))
+            tiled = min(tiled, _best_of(lambda: kernel._decode_unique(block), repeats=5))
             whole_block = min(
                 whole_block, _best_of(lambda: oracle._decode_unique(block), repeats=1)
             )

@@ -17,21 +17,21 @@ asserts the qualitative shape the paper reports:
 
 from __future__ import annotations
 
-from benchmarks.conftest import BENCH_RESULTS, run_once
+from benchmarks.conftest import BENCH_RESULTS, run_rows
 from repro.experiments import (
+    figure7_rows,
+    figure12_rows,
+    figure13_rows,
+    figure14_rows,
+    figure15_rows,
     render_table,
-    run_figure7,
-    run_figure12,
-    run_figure13,
-    run_figure14,
-    run_figure15,
     write_results,
 )
 
 
 class TestFigure7:
-    def test_order_bias(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_figure7, bench_budget)
+    def test_order_bias(self, benchmark, bench_config):
+        rows = run_rows(benchmark, bench_config, figure7_rows(bench_config))
         write_results("figure7", rows, output_dir=BENCH_RESULTS)
         print()
         print(render_table(rows))
@@ -48,8 +48,10 @@ class TestFigure7:
 
 
 class TestFigure12:
-    def test_surface_code_comparison(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_figure12, bench_budget, codes=["rotated_surface_d3"])
+    def test_surface_code_comparison(self, benchmark, bench_config):
+        rows = run_rows(
+            benchmark, bench_config, figure12_rows(bench_config, codes=["rotated_surface_d3"])
+        )
         write_results("figure12", rows, output_dir=BENCH_RESULTS)
         print()
         print(render_table(rows))
@@ -57,12 +59,15 @@ class TestFigure12:
         assert by_schedule["google"]["overall"] <= by_schedule["trivial"]["overall"]
         # AlphaSyndrome should stay within striking distance of Google even
         # at this tiny search budget (paper: it matches Google).
-        assert by_schedule["alphasyndrome"]["overall"] <= 3 * by_schedule["trivial"]["overall"] + 0.05
+        trivial = by_schedule["trivial"]["overall"]
+        assert by_schedule["alphasyndrome"]["overall"] <= 3 * trivial + 0.05
 
 
 class TestFigure13:
-    def test_bb_code_comparison(self, benchmark, quick_budget):
-        rows = run_once(benchmark, run_figure13, quick_budget, code_name="bb_18")
+    def test_bb_code_comparison(self, benchmark, quick_config):
+        rows = run_rows(
+            benchmark, quick_config, figure13_rows(quick_config, code_name="bb_18")
+        )
         write_results("figure13", rows, output_dir=BENCH_RESULTS)
         print()
         print(render_table(rows))
@@ -72,13 +77,15 @@ class TestFigure13:
 
 
 class TestFigure14:
-    def test_error_rate_scaling(self, benchmark, quick_budget):
-        rows = run_once(
+    def test_error_rate_scaling(self, benchmark, quick_config):
+        rows = run_rows(
             benchmark,
-            run_figure14,
-            quick_budget,
-            codes=[("hexagonal_color_d3", "unionfind")],
-            error_rates=[1e-2, 1e-3],
+            quick_config,
+            figure14_rows(
+                quick_config,
+                codes=[("hexagonal_color_d3", "unionfind")],
+                error_rates=[1e-2, 1e-3],
+            ),
         )
         write_results("figure14", rows, output_dir=BENCH_RESULTS)
         print()
@@ -91,8 +98,10 @@ class TestFigure14:
 
 
 class TestFigure15:
-    def test_non_uniform_noise(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_figure15, bench_budget, codes=["rotated_surface_d3"])
+    def test_non_uniform_noise(self, benchmark, bench_config):
+        rows = run_rows(
+            benchmark, bench_config, figure15_rows(bench_config, codes=["rotated_surface_d3"])
+        )
         write_results("figure15", rows, output_dir=BENCH_RESULTS)
         print()
         print(render_table(rows))

@@ -14,29 +14,28 @@ claims at reduced statistics:
 
 from __future__ import annotations
 
-from benchmarks.conftest import BENCH_RESULTS, run_once
-from repro.experiments import render_table, run_table2, run_table3, run_table4, write_results
+from benchmarks.conftest import BENCH_RESULTS, run_rows
+from repro.experiments import render_table, table2_rows, table3_rows, table4_rows, write_results
 
 
 class TestTable2:
-    def test_table2_quick_instances(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_table2, bench_budget)
+    def test_table2_quick_instances(self, benchmark, bench_config):
+        rows = run_rows(benchmark, bench_config, table2_rows(bench_config))
         assert rows, "table 2 produced no rows"
         write_results("table2", rows, output_dir=BENCH_RESULTS)
         print()
         print(render_table(rows))
         wins = sum(1 for row in rows if row["alpha_overall"] <= row["lowest_overall"])
         # Even at this tiny search budget AlphaSyndrome should win on at
-        # least some instances; the paper-scale margins are recorded in
-        # EXPERIMENTS.md.
+        # least some instances; the quick-budget margins are recorded in
+        # results/table2.txt.
         assert wins >= 1
 
-    def test_table2_depth_tradeoff(self, benchmark, quick_budget):
-        rows = run_once(
+    def test_table2_depth_tradeoff(self, benchmark, quick_config):
+        rows = run_rows(
             benchmark,
-            run_table2,
-            quick_budget,
-            instances=[("hexagonal_color_d3", "unionfind")],
+            quick_config,
+            table2_rows(quick_config, instances=[("hexagonal_color_d3", "unionfind")]),
         )
         row = rows[0]
         # The synthesised schedule trades depth for reliability, exactly as in
@@ -45,8 +44,8 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_table3_space_time_volume(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_table3, bench_budget)
+    def test_table3_space_time_volume(self, benchmark, bench_config):
+        rows = run_rows(benchmark, bench_config, table3_rows(bench_config))
         assert rows
         write_results("table3", rows, output_dir=BENCH_RESULTS)
         print()
@@ -57,8 +56,10 @@ class TestTable3:
 
 
 class TestTable4:
-    def test_table4_cross_decoder(self, benchmark, bench_budget):
-        rows = run_once(benchmark, run_table4, bench_budget, instances=["hexagonal_color_d3"])
+    def test_table4_cross_decoder(self, benchmark, bench_config):
+        rows = run_rows(
+            benchmark, bench_config, table4_rows(bench_config, instances=["hexagonal_color_d3"])
+        )
         assert rows
         write_results("table4", rows, output_dir=BENCH_RESULTS)
         print()

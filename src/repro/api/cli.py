@@ -9,7 +9,6 @@ Subcommands::
     repro cache {ls,clear}              inspect / empty the chunk-result cache
     repro list {codes,decoders,noise,schedulers,samplers,all}
     repro experiments {run,ls,render}   declarative paper-table suites
-    repro tables {table2,...,all}       legacy spelling of `experiments run`
     repro serve [--workers N ...]       run the execution service
     repro submit [spec.json] [overrides]  submit a RunSpec to a running server
     repro jobs [job_id]                 list / inspect jobs on a running server
@@ -31,9 +30,7 @@ sampling; adaptive runs resume from — and refine — the content-addressed
 chunk cache under ``--cache-dir`` (``repro.cache``).
 
 ``run``/``synth``/``eval`` all build a :class:`repro.api.Pipeline`; flags
-override fields of the JSON spec when both are given.  ``tables`` wraps the
-experiment drivers historically reached via ``python -m repro.experiments``
-(which now shares this implementation).
+override fields of the JSON spec when both are given.
 
 Installed as a console script via the ``[project.scripts]`` table in
 ``pyproject.toml``; also runnable as ``python -m repro.api.cli``.
@@ -64,7 +61,7 @@ _REGISTRIES = {
 
 
 def add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    """Add the shared compute-budget flags (used by ``run``/``synth``/``eval``/``tables``)."""
+    """Add the shared compute-budget flags (``run``/``synth``/``eval``/``experiments run``)."""
     parser.add_argument("--shots", type=int, default=None, help="evaluation shots per basis")
     parser.add_argument(
         "--synthesis-shots", type=int, default=None, help="shots used inside MCTS rollouts"
@@ -465,13 +462,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _suite_config_from_args(args: argparse.Namespace):
-    """Build the SuiteConfig for `repro experiments run` / `repro tables`."""
+    """Build the SuiteConfig for `repro experiments run`."""
     from repro.experiments.suite import QUICK_BUDGET, SuiteConfig
 
-    if args.target_rse is None and (
-        getattr(args, "max_shots", None) is not None
-        or getattr(args, "confidence", None) is not None
-    ):
+    if args.target_rse is None and (args.max_shots is not None or args.confidence is not None):
         raise ValueError(
             "--max-shots/--confidence only take effect with --target-rse (adaptive mode)"
         )
@@ -491,14 +485,51 @@ def _suite_config_from_args(args: argparse.Namespace):
     return SuiteConfig(
         budget=QUICK_BUDGET.replace(**overrides),
         seed=args.seed if args.seed is not None else 0,
-        quick=getattr(args, "quick", True),
-        workers=getattr(args, "workers", None) or 1,
+        quick=args.quick,
+        workers=args.workers,
     )
 
 
-def _run_suites(assets: list[str], args: argparse.Namespace, *, resume: bool = True) -> int:
-    """Shared executor of `repro experiments run` and `repro tables`."""
-    from repro.experiments.__main__ import run_assets
+def run_assets(
+    assets: list[str],
+    config,
+    out_dir: str | Path = "results",
+    *,
+    cache=None,
+    resume: bool = True,
+    server=None,
+) -> list[Path]:
+    """Regenerate ``assets``, print each table and return the written paths.
+
+    One runner executes every asset of the :class:`SuiteConfig` ``config``,
+    so AlphaSyndrome syntheses shared between suites (e.g. Table 2's and
+    Table 4's ``hexagonal_color_d3``/``bposd`` search) run once.  Raises
+    :class:`~repro.experiments.suite.SuiteRowError` on the first failed
+    row: the rendered text/JSON views of the failed asset are not
+    (re)written, so published artifacts are never silently partial, and
+    completed rows stay in the JSONL log for the next invocation to resume.
+
+    ``server`` (a ``repro serve`` URL or client) switches execution to a
+    running service: cells become deduplicated jobs instead of in-process
+    pipelines, with bit-identical rows either way.
+    """
+    from repro.experiments.artifacts import ArtifactStore
+    from repro.experiments.suite import SuiteRunner
+
+    runner = SuiteRunner(config, cache=cache, store=ArtifactStore(out_dir), server=server)
+    paths = []
+    for asset in assets:
+        result = runner.run(asset, resume=resume)
+        print(f"== {asset} ==")
+        print(runner.store.render_text(result.rows))
+        print(result.summary())
+        print(f"written to {result.text_path}")
+        paths.append(result.text_path)
+    return paths
+
+
+def _run_suites(assets: list[str], args: argparse.Namespace) -> int:
+    """The executor of `repro experiments run`: exit 1 on a failed row."""
     from repro.experiments.suite import SuiteRowError
 
     try:
@@ -507,8 +538,8 @@ def _run_suites(assets: list[str], args: argparse.Namespace, *, resume: bool = T
             _suite_config_from_args(args),
             args.out,
             cache=_cache_from_args(args),
-            resume=resume,
-            server=getattr(args, "suite_server", None),
+            resume=not args.fresh,
+            server=args.suite_server,
         )
     except SuiteRowError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -551,7 +582,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             text_path, json_path = store.render(name, rows)
             print(f"{name}: {len(rows)} rows rendered to {text_path} and {json_path}")
         return status
-    return _run_suites(names, args, resume=not args.fresh)
+    return _run_suites(names, args)
 
 
 #: Default endpoint of `repro submit` / `repro jobs` (overridden by
@@ -734,21 +765,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     kind = "DEM" if args.dem else "circuit"
     print(f"basis-{args.basis} {kind} for {pipeline.spec.code} written to {path}")
     return 0
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    """Legacy spelling of `repro experiments run` (quick budgets, same stack)."""
-    from repro.experiments import available_suites
-
-    if args.asset != "all" and args.asset not in available_suites():
-        print(
-            f"unknown asset {args.asset!r}; available: "
-            f"{', '.join(available_suites())}, all",
-            file=sys.stderr,
-        )
-        return 2
-    assets = available_suites() if args.asset == "all" else [args.asset]
-    return _run_suites(assets, args)
 
 
 # ----------------------------------------------------------------------
@@ -953,17 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="output file (default: stdout, for piping)"
     )
     export_parser.set_defaults(func=_cmd_export)
-
-    tables_parser = subparsers.add_parser(
-        "tables", help="regenerate the paper's tables and figures (alias of `experiments run`)"
-    )
-    # Asset names are validated against the suite registry at run time
-    # (lazy import keeps `repro --help` fast); `all` regenerates everything.
-    tables_parser.add_argument("asset", help="table2|table3|table4|figure7|figure12|...|all")
-    add_budget_flags(tables_parser)
-    _add_cache_flags(tables_parser)
-    tables_parser.add_argument("--out", default="results", help="output directory")
-    tables_parser.set_defaults(func=_cmd_tables)
 
     return parser
 

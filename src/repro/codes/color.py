@@ -111,8 +111,8 @@ def square_octagonal_color_code(distance: int) -> CSSCode:
     which we substitute with the planar (unrotated) surface code of the same
     distance.  The substitution preserves what the experiment exercises —
     a second single-logical-qubit CSS family with mixed stabilizer weights,
-    decodable by BP-OSD and union-find — and is recorded in DESIGN.md and
-    EXPERIMENTS.md.  ``distance`` must be odd and at least 3.
+    decodable by BP-OSD and union-find — and is recorded in DESIGN.md.
+    ``distance`` must be odd and at least 3.
     """
     if distance < 3 or distance % 2 == 0:
         raise ValueError("square-octagonal colour codes need an odd distance >= 3")

@@ -6,18 +6,19 @@ The paper assets are declared as :class:`~repro.experiments.suite
 ``repro.api`` stack — worker pools, the chunk cache, adaptive precision
 targets and resumable artifact stores all apply.  Entry points:
 
-* ``repro experiments run table2 --quick`` (the CLI);
-* :func:`repro.experiments.suite.run_suite` (programmatic);
-* the historical ``run_table2(budget)`` drivers below (suite-backed).
+* ``repro experiments run table2`` on the command line;
+* ``SuiteRunner(config).run_rows(table2_rows(config))`` for the rows of one
+  asset, or :func:`~repro.experiments.suite.run_suite` for a whole suite
+  through an artifact store.
 """
 
-from repro.experiments.common import ExperimentBudget, render_table, write_results
+from repro.experiments.common import render_table, write_results
 from repro.experiments.figures import (
-    run_figure7,
-    run_figure12,
-    run_figure13,
-    run_figure14,
-    run_figure15,
+    figure7_rows,
+    figure12_rows,
+    figure13_rows,
+    figure14_rows,
+    figure15_rows,
 )
 from repro.experiments.suite import (
     SUITES,
@@ -33,28 +34,12 @@ from repro.experiments.suite import (
     register_suite,
     run_suite,
 )
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4
-from repro.experiments.threshold import run_threshold, threshold_crossing
-
-#: Legacy-shaped registry used by ``python -m repro.experiments <asset>``
-#: and external callers: asset name -> suite-backed driver function.
-EXPERIMENTS = {
-    "table2": run_table2,
-    "table3": run_table3,
-    "table4": run_table4,
-    "figure7": run_figure7,
-    "figure12": run_figure12,
-    "figure13": run_figure13,
-    "figure14": run_figure14,
-    "figure15": run_figure15,
-    "threshold": run_threshold,
-}
+from repro.experiments.table2 import table2_rows
+from repro.experiments.table3 import table3_rows
+from repro.experiments.table4 import table4_rows
+from repro.experiments.threshold import threshold_crossing, threshold_rows
 
 __all__ = [
-    "ExperimentBudget",
-    "EXPERIMENTS",
     "SUITES",
     "ExperimentRow",
     "ExperimentRun",
@@ -69,14 +54,14 @@ __all__ = [
     "render_table",
     "run_suite",
     "write_results",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_figure7",
-    "run_figure12",
-    "run_figure13",
-    "run_figure14",
-    "run_figure15",
-    "run_threshold",
+    "table2_rows",
+    "table3_rows",
+    "table4_rows",
+    "figure7_rows",
+    "figure12_rows",
+    "figure13_rows",
+    "figure14_rows",
+    "figure15_rows",
+    "threshold_rows",
     "threshold_crossing",
 ]

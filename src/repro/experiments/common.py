@@ -1,41 +1,17 @@
-"""Shared plumbing for the experiment drivers.
+"""The published artifact format of the experiment suites.
 
-``ExperimentBudget``
-    the budget dataclass the ``run_*`` drivers accept (pre-``repro.api``).
-    The drivers translate it into a :class:`repro.api.Budget` via
-    :meth:`repro.experiments.suite.SuiteConfig.from_experiment_budget`;
-    new code should construct a :class:`~repro.experiments.suite.SuiteConfig`
-    directly.
-
-``render_table`` / ``write_results``
-    the published artifact format — fixed-width text plus JSON side by
-    side, mirroring the paper artifact's ``/result`` folder.  The format is
-    pinned by golden-file tests (``tests/test_experiments_render.py``); any
-    change to it is a deliberate, versioned decision.
+``render_table`` / ``write_results`` write fixed-width text plus JSON side
+by side, mirroring the paper artifact's ``/result`` folder.  The format is
+pinned by golden-file tests (``tests/test_experiments_render.py``); any
+change to it is a deliberate, versioned decision.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ExperimentBudget", "render_table", "write_results"]
-
-
-@dataclass
-class ExperimentBudget:
-    """Compute budget accepted by every ``run_*`` experiment driver.
-
-    Superseded by :class:`repro.api.Budget` +
-    :class:`repro.experiments.suite.SuiteConfig`.
-    """
-
-    shots: int = 400
-    synthesis_shots: int = 150
-    iterations_per_step: int = 4
-    max_evaluations: int = 24
-    seed: int = 0
+__all__ = ["render_table", "write_results"]
 
 
 def render_table(rows: list[dict], *, float_format: str = "{:.3e}") -> str:

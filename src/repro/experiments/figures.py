@@ -1,34 +1,25 @@
-"""Figure drivers: Figures 7, 12, 13, 14 and 15 of the paper.
+"""Figure suites: Figures 7, 12, 13, 14 and 15 of the paper.
 
 Each figure is declared as an :class:`~repro.experiments.suite
 .ExperimentSuite` whose rows are the data series the figure plots (logical
 X / Z error rates per schedule); no plotting library is required — the rows
-are written as text/JSON by ``repro experiments run`` (or the legacy
-``python -m repro.experiments``).  The ``run_figure*`` functions keep the
-historical driver signatures, now suite-backed.
+are written as text/JSON by ``repro experiments run``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from repro.experiments.common import ExperimentBudget
 from repro.experiments.suite import (
     ExperimentRow,
     ExperimentRun,
     RowView,
     SuiteConfig,
-    SuiteRunner,
     register_suite,
     synthesis_scheduler,
 )
 
 __all__ = [
-    "run_figure7",
-    "run_figure12",
-    "run_figure13",
-    "run_figure14",
-    "run_figure15",
     "FIGURE12_CODES",
     "FIGURE14_SWEEP",
     "figure7_rows",
@@ -104,12 +95,6 @@ def _figure7_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return figure7_rows(config)
 
 
-def run_figure7(budget: ExperimentBudget | None = None) -> list[dict]:
-    """Figure 7: clockwise vs anti-clockwise order bias on the d=3 surface code."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(figure7_rows(config))
-
-
 # ----------------------------------------------------------------------
 # Figure 12: AlphaSyndrome vs Google vs trivial on rotated surface codes
 # ----------------------------------------------------------------------
@@ -138,16 +123,6 @@ def figure12_rows(
 @register_suite("figure12", help="AlphaSyndrome vs Google vs trivial on rotated surface codes")
 def _figure12_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return figure12_rows(config)
-
-
-def run_figure12(
-    budget: ExperimentBudget | None = None, *, codes: list[str] | None = None
-) -> list[dict]:
-    """Figure 12: AlphaSyndrome vs Google vs trivial on rotated surface codes."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(
-        figure12_rows(config, codes=codes or FIGURE12_CODES[:1])
-    )
 
 
 # ----------------------------------------------------------------------
@@ -179,19 +154,6 @@ def figure13_rows(
 @register_suite("figure13", help="AlphaSyndrome vs IBM's schedule on a bivariate bicycle code")
 def _figure13_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return figure13_rows(config)
-
-
-def run_figure13(
-    budget: ExperimentBudget | None = None, *, code_name: str = "bb_72_12_6"
-) -> list[dict]:
-    """Figure 13: AlphaSyndrome vs IBM's schedule on a bivariate bicycle code.
-
-    ``code_name`` defaults to the paper's ``[[72,12,6]]`` instance; the test
-    suite and the quick suite mode use the smaller ``bb_18`` instance
-    because the pure-Python DEM extraction for the full code takes minutes.
-    """
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(figure13_rows(config, code_name=code_name))
 
 
 # ----------------------------------------------------------------------
@@ -259,19 +221,6 @@ def _figure14_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return figure14_rows(config)
 
 
-def run_figure14(
-    budget: ExperimentBudget | None = None,
-    *,
-    codes: list[tuple[str, str]] | None = None,
-    error_rates: list[float] | None = None,
-) -> list[dict]:
-    """Figure 14: behaviour as the physical error rate is scaled down."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(
-        figure14_rows(config, codes=codes, error_rates=error_rates or FIGURE14_SWEEP[:3])
-    )
-
-
 # ----------------------------------------------------------------------
 # Figure 15: non-uniform ancilla noise
 # ----------------------------------------------------------------------
@@ -304,11 +253,3 @@ def figure15_rows(
 @register_suite("figure15", help="Non-uniform ancilla noise: AlphaSyndrome vs Google's schedule")
 def _figure15_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return figure15_rows(config)
-
-
-def run_figure15(
-    budget: ExperimentBudget | None = None, *, codes: list[str] | None = None
-) -> list[dict]:
-    """Figure 15: non-uniform ancilla noise, AlphaSyndrome vs Google's schedule."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(figure15_rows(config, codes=codes))

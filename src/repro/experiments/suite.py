@@ -72,9 +72,9 @@ __all__ = [
     "synthesis_scheduler",
 ]
 
-#: Budget reproducing the ``ExperimentBudget`` defaults — the
-#: laptop-sized "quick" rendition of the paper's tables.  Paper-scale runs
-#: raise the numbers (and usually set ``target_rse``).
+#: The laptop-sized "quick" budget of the paper's tables (the default of
+#: ``repro experiments run``).  Paper-scale runs raise the numbers (and
+#: usually set ``target_rse``).
 QUICK_BUDGET = Budget(
     shots=400, synthesis_shots=150, iterations_per_step=4, max_evaluations=24
 )
@@ -102,23 +102,6 @@ class SuiteConfig:
     seed: int | None = 0
     quick: bool = True
     workers: int = 1
-
-    @classmethod
-    def from_experiment_budget(
-        cls, budget, *, quick: bool = True, workers: int = 1
-    ) -> "SuiteConfig":
-        """Translate an :class:`ExperimentBudget` into a SuiteConfig."""
-        return cls(
-            budget=Budget(
-                shots=budget.shots,
-                synthesis_shots=budget.synthesis_shots,
-                iterations_per_step=budget.iterations_per_step,
-                max_evaluations=budget.max_evaluations,
-            ),
-            seed=budget.seed,
-            quick=quick,
-            workers=workers,
-        )
 
     def replace(self, **changes) -> "SuiteConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""

@@ -11,16 +11,14 @@ Declared as the ``table2`` :class:`~repro.experiments.suite.ExperimentSuite`
 — every instance is one :func:`~repro.experiments.suite.comparison_row`
 (an ``alphasyndrome`` run plus a ``lowest_depth`` run) — and executed
 through the Pipeline/cache/adaptive stack by ``repro experiments run
-table2``.  :func:`run_table2` keeps the historical driver signature.
+table2``.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentBudget
 from repro.experiments.suite import (
     ExperimentRow,
     SuiteConfig,
-    SuiteRunner,
     comparison_row,
     register_suite,
 )
@@ -28,7 +26,6 @@ from repro.experiments.suite import (
 __all__ = [
     "TABLE2_FULL_INSTANCES",
     "TABLE2_QUICK_INSTANCES",
-    "run_table2",
     "table2_rows",
 ]
 
@@ -90,16 +87,3 @@ def table2_rows(
 def _table2_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return table2_rows(config)
 
-
-def run_table2(
-    budget: ExperimentBudget | None = None,
-    *,
-    instances: list[tuple[str, str]] | None = None,
-) -> list[dict]:
-    """Regenerate Table 2 rows (logical error rates and depths).
-
-    Historical driver signature, now suite-backed: executed through the
-    Pipeline stack.
-    """
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(table2_rows(config, instances=instances))

@@ -14,18 +14,16 @@ from __future__ import annotations
 from functools import partial
 
 from repro.analysis import estimate_space_time, space_time_reduction
-from repro.experiments.common import ExperimentBudget
 from repro.experiments.suite import (
     ExperimentRow,
     ExperimentRun,
     RowView,
     SuiteConfig,
-    SuiteRunner,
     register_suite,
     synthesis_scheduler,
 )
 
-__all__ = ["TABLE3_PAIRS", "run_table3", "table3_rows"]
+__all__ = ["TABLE3_PAIRS", "table3_rows"]
 
 #: (family label, AlphaSyndrome code, baseline code, decoder) rows.
 TABLE3_PAIRS: list[tuple[str, str, str, str]] = [
@@ -102,12 +100,3 @@ def table3_rows(
 def _table3_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return table3_rows(config)
 
-
-def run_table3(
-    budget: ExperimentBudget | None = None,
-    *,
-    pairs: list[tuple[str, str, str, str]] | None = None,
-) -> list[dict]:
-    """Regenerate Table 3: round time, volume and reduction per family."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(table3_rows(config, pairs=pairs))

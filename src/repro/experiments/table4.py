@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.experiments.common import ExperimentBudget
 from repro.experiments.suite import (
     ExperimentRow,
     ExperimentRun,
     RowView,
     SuiteConfig,
-    SuiteRunner,
     register_suite,
     synthesis_scheduler,
 )
 
-__all__ = ["TABLE4_INSTANCES", "run_table4", "table4_rows"]
+__all__ = ["TABLE4_INSTANCES", "table4_rows"]
 
 #: Colour-code instances used in the cross-decoder study.
 TABLE4_INSTANCES: list[str] = [
@@ -97,15 +95,3 @@ def table4_rows(
 def _table4_suite(config: SuiteConfig) -> list[ExperimentRow]:
     return table4_rows(config)
 
-
-def run_table4(
-    budget: ExperimentBudget | None = None,
-    *,
-    instances: list[str] | None = None,
-    decoders: tuple[str, str] = _DECODER_PAIR,
-) -> list[dict]:
-    """Regenerate Table 4: overall error rate for every compile/test decoder pair."""
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(
-        table4_rows(config, instances=instances or TABLE4_INSTANCES[:2], decoders=decoders)
-    )

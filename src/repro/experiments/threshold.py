@@ -18,8 +18,7 @@ spend the ceiling.
 
 The noise axis is a spec-string template, so the same suite shape covers
 uniform (``"scaled:p={p}"``), biased (``"biased:p={p},eta=10"``) or
-drifting noise — pass ``noise_template`` to :func:`threshold_rows` or
-:func:`run_threshold`.
+drifting noise — pass ``noise_template`` to :func:`threshold_rows`.
 
 Default scheduler/decoder choice: the suite evaluates the *hook-robust*
 ``google`` schedule with the ``bposd`` decoder.  The memory-experiment
@@ -38,13 +37,11 @@ import math
 from functools import partial
 
 from repro.analysis.threshold import estimate_crossing, suppression_ratio
-from repro.experiments.common import ExperimentBudget
 from repro.experiments.suite import (
     ExperimentRow,
     ExperimentRun,
     RowView,
     SuiteConfig,
-    SuiteRunner,
     register_suite,
 )
 
@@ -53,7 +50,6 @@ __all__ = [
     "THRESHOLD_SWEEP_QUICK",
     "threshold_rows",
     "threshold_crossing",
-    "run_threshold",
 ]
 
 #: Physical error rates swept in full mode (log-spaced; the d=3/d=5
@@ -189,28 +185,3 @@ def threshold_crossing(rows: "list[dict]") -> float | None:
         [row[f"err_d{distances[-1]}"] for row in ordered],
     )
 
-
-def run_threshold(
-    budget: "ExperimentBudget | None" = None,
-    *,
-    distances: "tuple[int, ...] | None" = None,
-    error_rates: "list[float] | None" = None,
-    noise_template: str = "scaled:p={p}",
-    decoder: str = "bposd",
-) -> list[dict]:
-    """Driver-shaped entry point: run the threshold sweep, return the rows.
-
-    Mirrors the historical ``run_table2(budget)`` signature family so the
-    ``python -m repro.experiments threshold`` spelling works; the suite
-    stack (`repro experiments run threshold`) is the richer interface.
-    """
-    config = SuiteConfig.from_experiment_budget(budget or ExperimentBudget())
-    return SuiteRunner(config).run_rows(
-        threshold_rows(
-            config,
-            distances=distances,
-            error_rates=error_rates,
-            noise_template=noise_template,
-            decoder=decoder,
-        )
-    )

@@ -100,7 +100,7 @@ def stage_seed(
 
     One call for the common ``stream_to_int(named_stream(seed, stage))``
     composition, so every stage-seed consumer (the ``alphasyndrome``
-    registry builder, the experiment suites, the legacy
-    ``ExperimentBudget``) derives identical integers by construction.
+    registry builder and the experiment suites) derives identical integers
+    by construction.
     """
     return stream_to_int(named_stream(seed, stage))

@@ -38,6 +38,8 @@ and (for synthesising schedulers) the evaluation counters.
 
 from __future__ import annotations
 
+import multiprocessing
+import queue
 import time
 
 from repro.api.pipeline import Pipeline
@@ -47,6 +49,12 @@ from repro.serve.jobs import ChunkTask
 from repro.sim.estimator import basis_streams
 
 __all__ = ["JobContext", "worker_main"]
+
+#: Seconds a worker waits on its inbox before checking that the server
+#: process is still alive.  A SIGKILLed server cannot send ``("stop",)``,
+#: and the worker holds the inbox's write end itself, so it never sees EOF;
+#: without this check it would live on as an orphan, publishing chunks.
+PARENT_POLL_SECONDS = 1.0
 
 
 class JobContext:
@@ -136,16 +144,21 @@ def worker_main(
     ``throttle`` sleeps that many seconds before each chunk — a debug/test
     knob that widens the race windows the lease machinery is built for
     (the kill-a-worker integration test uses it); production servers leave
-    it at ``0.0``.
+    it at ``0.0``.  The loop ends on ``("stop",)`` or, within
+    :data:`PARENT_POLL_SECONDS`, once the server process has died.
     """
+    parent = multiprocessing.parent_process()
     cache = None
     if cache_dir:
         from repro.cache import ResultCache
 
         cache = ResultCache(cache_dir)
     contexts: dict[str, JobContext] = {}
-    while True:
-        message = inbox.get()
+    while parent is None or parent.is_alive():
+        try:
+            message = inbox.get(timeout=PARENT_POLL_SECONDS)
+        except queue.Empty:
+            continue
         if message[0] == "stop":
             return
         _, tasks, specs = message

@@ -149,34 +149,6 @@ class TestSynth:
         assert "tick" in out
 
 
-class TestTables:
-    def test_tables_wraps_experiment_drivers(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "tables",
-                    "figure7",
-                    "--shots",
-                    "40",
-                    "--iterations",
-                    "1",
-                    "--max-evaluations",
-                    "2",
-                    "--out",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert (tmp_path / "figure7.txt").exists()
-        assert (tmp_path / "figure7.json").exists()
-        assert "figure7" in capsys.readouterr().out
-
-    def test_tables_unknown_asset(self, capsys):
-        assert main(["tables", "figure99"]) == 2
-        assert "unknown asset" in capsys.readouterr().err
-
-
 class TestExperiments:
     QUICK_FLAGS = [
         "--shots", "40",
@@ -196,10 +168,17 @@ class TestExperiments:
         assert main([*argv, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "== figure7 ==" in out
+        assert "schedule" in out  # the rendered table is printed
         assert "4 rows (4 run, 0 resumed)" in out
         assert (tmp_path / "figure7.jsonl").exists()
         assert (tmp_path / "figure7.txt").exists()
-        assert (tmp_path / "figure7.json").exists()
+        rows = json.loads((tmp_path / "figure7.json").read_text())
+        assert {row["schedule"] for row in rows} == {
+            "clockwise",
+            "anticlockwise",
+            "google",
+            "trivial",
+        }
         # Second invocation resumes every row from the artifact store.
         assert main([*argv, "--out", str(tmp_path)]) == 0
         assert "4 rows (0 run, 4 resumed)" in capsys.readouterr().out
@@ -217,6 +196,19 @@ class TestExperiments:
         assert main(["experiments", "render", "figure7", "--out", str(tmp_path)]) == 2
         assert "no stored rows" in capsys.readouterr().err
 
+    def test_run_creates_nested_output_directory(self, tmp_path):
+        target = tmp_path / "nested" / "results"
+        argv = ["experiments", "run", "figure7", *self.QUICK_FLAGS, "--no-cache"]
+        assert main([*argv, "--out", str(target)]) == 0
+        assert (target / "figure7.jsonl").exists()
+
+    def test_tables_verb_is_retired(self, capsys):
+        # `experiments run` is the one command that regenerates an asset.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tables", "figure7"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tables'" in capsys.readouterr().err
+
     def test_run_unknown_suite_rejected(self, capsys):
         assert main(["experiments", "run", "figure99"]) == 2
         assert "unknown suite" in capsys.readouterr().err
@@ -224,6 +216,25 @@ class TestExperiments:
     def test_run_rejects_orphan_precision_flags(self, capsys):
         assert main(["experiments", "run", "figure7", "--confidence", "0.9"]) == 2
         assert "--target-rse" in capsys.readouterr().err
+
+    def test_all_assets_registered_as_choices(self, capsys):
+        from repro.experiments import SUITES
+
+        # One suite per paper asset plus the threshold scenario suite, each
+        # offered by `experiments ls` with its help line.
+        assert len(SUITES) == 9
+        assert main(["experiments", "ls"]) == 0
+        out = capsys.readouterr().out
+        assert "experiment suites (9):" in out
+        for name, suite in SUITES.items():
+            assert f"  {name} - {suite.help}" in out
+
+    def test_run_rejects_zero_workers(self, tmp_path, capsys):
+        # The same one-line user error as `repro run --workers 0`.
+        argv = ["experiments", "run", "figure7", "--workers", "0", "--no-cache"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "figure7.jsonl").exists()
 
 
 class TestSweep:
@@ -464,10 +475,10 @@ class TestAdaptiveRunAndCache:
             == 0
         )
 
-    def test_tables_rejects_orphan_precision_flags(self, capsys):
+    def test_experiments_run_rejects_orphan_max_shots(self, capsys):
         # --max-shots/--confidence without --target-rse would be a silent
-        # no-op; the suite-backed tables command rejects them like run/sweep.
-        assert main(["tables", "table2", "--max-shots", "500"]) == 2
+        # no-op; `experiments run` rejects them like run/sweep.
+        assert main(["experiments", "run", "table2", "--max-shots", "500"]) == 2
         assert "--target-rse" in capsys.readouterr().err
 
     def test_grid_precision_axes_without_target_rejected(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Budget, RunSpec
-from repro.experiments import EXPERIMENTS, SUITES
+from repro.experiments import SUITES
 from repro.experiments.artifacts import ARTIFACT_VERSION, ArtifactStore, row_fingerprint
 from repro.experiments.figures import figure7_rows
 from repro.experiments.suite import (
@@ -57,7 +57,8 @@ def _steane_row(config, *, name="eval", scheduler="lowest_depth", key="steane"):
 
 class TestRegistry:
     def test_all_paper_assets_registered_as_suites(self):
-        assert set(SUITES) == set(EXPERIMENTS) == {
+        # One suite per paper asset plus the threshold scenario suite.
+        assert set(SUITES) == {
             "table2",
             "table3",
             "table4",
@@ -339,16 +340,13 @@ class TestFailureSemantics:
         assert not (tmp_path / "boom.json").exists()
 
     def test_main_exits_nonzero_on_failed_row(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments import __main__ as experiments_main
-        from repro.experiments.suite import SUITES as suites_registry
+        from repro.api.cli import main
 
-        monkeypatch.setitem(
-            suites_registry,
-            "boom",
-            self._failing_suite(TINY_CONFIG),
-        )
-        exit_code = experiments_main.main(
+        monkeypatch.setitem(SUITES, "boom", self._failing_suite(TINY_CONFIG))
+        exit_code = main(
             [
+                "experiments",
+                "run",
                 "boom",
                 "--shots",
                 "60",

@@ -1,56 +1,32 @@
-"""Smoke tests for the experiment drivers (Tables 2-4, Figures 7 and 12-15).
+"""The experiments package surface: artifact format, instance lists and the
+entry points retired in 1.5.0.
 
-The drivers are exercised with minuscule budgets; the assertions check the
-row structure and basic sanity of the reported quantities rather than the
-statistical quality of the numbers (that is what the benchmark harness and
-EXPERIMENTS.md are for).
+What each asset's rows contain is checked in ``tests/test_suite_equivalence.py``
+on the rows it already computes; the statistical quality of the numbers is
+the benchmark harness's concern (quick-budget rows: ``results/table2.txt``
+and its siblings; code-family substitutions: DESIGN.md).
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    ExperimentBudget,
-    render_table,
-    run_figure7,
-    run_figure12,
-    run_figure13,
-    run_figure14,
-    run_figure15,
-    run_table2,
-    run_table3,
-    run_table4,
-    write_results,
-)
+import repro.experiments
+from repro.experiments import render_table, write_results
 
-TINY = ExperimentBudget(
-    shots=60, synthesis_shots=40, iterations_per_step=1, max_evaluations=2, seed=0
-)
+FROZEN_ROWS = Path(__file__).parent / "data" / "suite_equivalence_rows.json"
 
 
 @pytest.fixture(scope="module")
 def figure7_rows():
-    return run_figure7(TINY)
+    return json.loads(FROZEN_ROWS.read_text())["figure7"]
 
 
-class TestRegistry:
-    def test_all_paper_assets_registered(self):
-        assert set(EXPERIMENTS) == {
-            "table2",
-            "table3",
-            "table4",
-            "figure7",
-            "figure12",
-            "figure13",
-            "figure14",
-            "figure15",
-            "threshold",
-        }
-
+class TestRender:
     def test_render_table_and_write_results(self, tmp_path, figure7_rows):
         text = render_table(figure7_rows)
         assert "schedule" in text
@@ -63,42 +39,7 @@ class TestRegistry:
         assert render_table([]) == "(no rows)"
 
 
-class TestFigure7:
-    def test_contains_all_four_schedules(self, figure7_rows):
-        assert {row["schedule"] for row in figure7_rows} == {
-            "clockwise",
-            "anticlockwise",
-            "google",
-            "trivial",
-        }
-
-    def test_rates_in_unit_interval(self, figure7_rows):
-        for row in figure7_rows:
-            assert 0.0 <= row["err_x"] <= 1.0
-            assert 0.0 <= row["err_z"] <= 1.0
-
-    def test_google_depth_is_four(self, figure7_rows):
-        google = next(row for row in figure7_rows if row["schedule"] == "google")
-        assert google["depth"] == 4
-
-
 class TestTable2:
-    def test_quick_rows_have_expected_keys(self):
-        rows = run_table2(TINY, instances=[("hexagonal_color_d3", "unionfind")])
-        assert len(rows) == 1
-        row = rows[0]
-        for key in (
-            "code",
-            "decoder",
-            "alpha_overall",
-            "lowest_overall",
-            "alpha_depth",
-            "lowest_depth",
-            "overall_reduction",
-        ):
-            assert key in row
-        assert row["n"] == 7 and row["k"] == 1
-
     def test_full_instance_list_covers_all_families(self):
         from repro.experiments.table2 import TABLE2_FULL_INSTANCES
 
@@ -112,50 +53,16 @@ class TestTable2:
         assert decoders == {"bposd", "unionfind", "mwpm"}
 
 
-class TestTable3:
-    def test_rows_report_volume_reduction(self):
-        rows = run_table3(
-            TINY, pairs=[("hexagonal_color", "hexagonal_color_d3", "hexagonal_color_d5", "unionfind")]
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["alpha_volume"] < row["baseline_volume"]
-        assert 0.0 < row["volume_reduction"] < 1.0
+class TestRetiredEntryPoints:
+    """``SuiteConfig`` + ``<asset>_rows`` + ``SuiteRunner`` is the one way in."""
 
+    def test_driver_functions_and_their_budget_are_gone(self):
+        # No driver function, no second budget type, no asset -> driver dict.
+        names = {name for name in dir(repro.experiments) if not name.startswith("_")}
+        assert {name for name in names if name.startswith("run_")} == {"run_suite"}
+        assert not {name for name in names if name.endswith("Budget")}
+        assert {name for name in names if name.isupper()} == {"SUITES"}
 
-class TestTable4:
-    def test_cross_decoder_matrix_complete(self):
-        rows = run_table4(TINY, instances=["hexagonal_color_d3"])
-        row = rows[0]
-        for test_decoder in ("bposd", "unionfind"):
-            for compile_decoder in ("bposd", "unionfind"):
-                assert f"test_{test_decoder}_compile_{compile_decoder}" in row
-            assert f"reduction_{test_decoder}" in row
-
-
-class TestFigures12To15:
-    def test_figure12_rows(self):
-        rows = run_figure12(TINY, codes=["rotated_surface_d3"])
-        schedules = {row["schedule"] for row in rows}
-        assert schedules == {"alphasyndrome", "google", "trivial"}
-        google = next(row for row in rows if row["schedule"] == "google")
-        assert google["depth"] == 4
-
-    def test_figure14_rows(self):
-        rows = run_figure14(
-            TINY, codes=[("hexagonal_color_d3", "unionfind")], error_rates=[1e-2, 1e-3]
-        )
-        assert len(rows) == 2
-        assert {row["physical_error"] for row in rows} == {1e-2, 1e-3}
-        for row in rows:
-            assert 0.0 <= row["alpha_overall"] <= 1.0
-            assert 0.0 <= row["lowest_overall"] <= 1.0
-
-    def test_figure15_rows(self):
-        rows = run_figure15(TINY, codes=["rotated_surface_d3"])
-        assert {row["schedule"] for row in rows} == {"alphasyndrome", "google"}
-
-    def test_figure13_rows_on_small_bb_code(self):
-        rows = run_figure13(TINY, code_name="bb_18")
-        assert {row["decoder"] for row in rows} == {"bposd", "unionfind"}
-        assert {row["schedule"] for row in rows} == {"alphasyndrome", "ibm"}
+    def test_module_entry_point_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{repro.experiments.__name__}.__main__")

@@ -12,7 +12,8 @@ The acceptance contract of the service:
 * served chunks replay from the shared content-addressed cache;
 * a worker's job context builds one decoder per basis, not one per chunk,
   and none for cache-replayed chunks;
-* a dead fleet with no respawn budget fails pending jobs.
+* a dead fleet with no respawn budget fails pending jobs;
+* a worker outlives a SIGKILLed server by at most a poll interval.
 
 Each test boots its own in-process server (`serve_in_thread`) on an
 ephemeral port with spawn-context worker processes, so the module is
@@ -23,8 +24,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -338,3 +342,60 @@ def test_memo_eviction_surfaces_in_healthz():
         rerun = client.run(SPEC, timeout=180.0)
         assert client.health()["stats"]["jobs_coalesced"] == 0
     assert rerun["shots"] == 3000
+
+
+#: Stand-in for a `repro serve` process: starts one spawn-context worker,
+#: waits until the worker has drained a no-op batch from its inbox (so it
+#: is inside its loop), prints the worker's pid and then idles until killed.
+_SERVER_STAND_IN = """
+import multiprocessing, time
+from repro.serve.worker import worker_main
+ctx = multiprocessing.get_context("spawn")
+inbox, outbox = ctx.Queue(), ctx.Queue()
+worker = ctx.Process(target=worker_main, args=("w1", inbox, outbox), daemon=True)
+worker.start()
+inbox.put(("run", [], {}))
+while not inbox.empty():
+    time.sleep(0.05)
+print(worker.pid, flush=True)
+time.sleep(600)
+"""
+
+
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` runs; an exited but unreaped zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # no procfs: kill(0) is the best answer available
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_worker_exits_when_its_server_is_sigkilled():
+    # A SIGKILLed server sends no ("stop",), and the worker holds its
+    # inbox's write end, so only the parent-liveness poll can end it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SERVER_STAND_IN], stdout=subprocess.PIPE, text=True, env=env
+    )
+    worker_pid = None
+    try:
+        worker_pid = int(server.stdout.readline())
+        server.kill()
+        server.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while _process_alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _process_alive(worker_pid), "worker outlived its killed server"
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+        if worker_pid is not None and _process_alive(worker_pid):
+            os.kill(worker_pid, signal.SIGKILL)

@@ -10,7 +10,7 @@ from repro.analysis.threshold import estimate_crossing, suppression_ratio
 from repro.api.spec import Budget
 from repro.experiments import available_suites, threshold_crossing
 from repro.experiments.suite import SuiteConfig, SuiteRunner, run_suite
-from repro.experiments.threshold import run_threshold, threshold_rows
+from repro.experiments.threshold import threshold_rows
 
 
 class TestCrossingEstimator:
@@ -122,11 +122,10 @@ class TestThresholdSuite:
         assert crossing == pytest.approx(1e-2, rel=1e-9)
         assert threshold_crossing([]) is None
 
-    def test_driver_signature_returns_rows(self):
-        from repro.experiments.common import ExperimentBudget
-
-        rows = run_threshold(
-            ExperimentBudget(shots=32), error_rates=[8e-3], distances=(3, 5)
+    def test_runner_returns_one_row_per_swept_rate(self):
+        config = SuiteConfig(budget=Budget(shots=32), seed=0)
+        rows = SuiteRunner(config).run_rows(
+            threshold_rows(config, error_rates=[8e-3], distances=(3, 5))
         )
         assert len(rows) == 1 and rows[0]["p"] == 8e-3
 
