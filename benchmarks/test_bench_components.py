@@ -84,9 +84,22 @@ class TestComponentThroughput:
         )
         assert dem.num_detectors == 2 * code.num_stabilizers
 
+    def test_dem_extraction_bb72(self, benchmark):
+        """DEM extraction at ``bb_72_12_6`` size, where the paper's BB claim
+        matters (lowest-depth schedule, basis Z).  Timed once, no gate."""
+        code = codes.build("bb_72_12_6")
+        experiment = build_memory_experiment(
+            code, lowest_depth_schedule(code), brisbane_noise(), basis="Z"
+        )
+        dem = benchmark.pedantic(
+            build_detector_error_model, args=(experiment.circuit,), rounds=1, iterations=1
+        )
+        assert dem.num_detectors == 2 * code.num_stabilizers
+
     def test_dem_one_pass_vs_reference_speedup_bb18(self):
-        """Acceptance: the one-pass packed DEM builder is >= 5x the
-        per-mechanism reference builder on ``bb_18`` (basis Z).
+        """Acceptance: the DEM builder (one backward sensitivity replay over
+        the compiled circuit) is >= 5x the per-mechanism reference builder
+        on ``bb_18`` (basis Z).
 
         Only the ratio is asserted, never an absolute time; both sides are
         best-of-N ``perf_counter`` loops on the same host, so the check
@@ -99,11 +112,11 @@ class TestComponentThroughput:
             code, lowest_depth_schedule(code), brisbane_noise(), basis="Z"
         ).circuit
 
-        one_pass = _best_of(lambda: build_detector_error_model(circuit), repeats=7)
+        replay = _best_of(lambda: build_detector_error_model(circuit), repeats=7)
         per_mechanism = _best_of(lambda: reference_dem(circuit), repeats=2)
-        speedup = per_mechanism / one_pass
-        print(f"\nDEM bb_18: reference {per_mechanism * 1e3:.0f}ms one-pass "
-              f"{one_pass * 1e3:.1f}ms speedup {speedup:.1f}x")
+        speedup = per_mechanism / replay
+        print(f"\nDEM bb_18: reference {per_mechanism * 1e3:.0f}ms replay "
+              f"{replay * 1e3:.1f}ms speedup {speedup:.1f}x")
         assert speedup >= 5.0
 
     def test_frame_program_fused_vs_reference_speedup_d3(self):

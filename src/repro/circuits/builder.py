@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, Instruction
 from repro.codes.base import StabilizerCode
 from repro.noise.channels import GATE, IDLE, MEASURE, RESET, NoiseSite
 from repro.pauli import PauliString
@@ -177,7 +177,9 @@ def append_syndrome_round(
                 )
         circuit.tick()
 
-    # Ancilla readout.
+    # Ancilla readout: one record per ancilla, in order from the current
+    # end of the record.
+    record = circuit.num_measurements
     measurements: dict[int, int] = {}
     for stabilizer in active_stabilizers:
         ancilla = ancilla_of[stabilizer]
@@ -187,5 +189,7 @@ def append_syndrome_round(
                 noise,
                 NoiseSite(MEASURE, (ancilla,), tick=depth + 1, round_index=round_index),
             )
-        measurements[stabilizer] = circuit.measure(ancilla, basis="X")[0]
+        circuit.append(Instruction("MX", (ancilla,)))
+        measurements[stabilizer] = record
+        record += 1
     return SyndromeRoundRecord(measurements)

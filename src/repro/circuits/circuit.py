@@ -46,6 +46,7 @@ __all__ = [
     "Circuit",
     "GATE_NAMES",
     "NOISE_NAMES",
+    "ANNOTATION_NAMES",
     "ONE_QUBIT_PAULIS",
     "TWO_QUBIT_PAULIS",
 ]
@@ -64,8 +65,9 @@ NOISE_NAMES = frozenset(
         "PAULI_CHANNEL_2",
     }
 )
-_ANNOTATIONS = frozenset({"TICK", "DETECTOR", "OBSERVABLE"})
-_KNOWN_NAMES = GATE_NAMES | NOISE_NAMES | _ANNOTATIONS
+#: Annotations: no frame op, no record entry.
+ANNOTATION_NAMES = frozenset({"TICK", "DETECTOR", "OBSERVABLE"})
+_KNOWN_NAMES = GATE_NAMES | NOISE_NAMES | ANNOTATION_NAMES
 
 #: Canonical non-identity Pauli order of ``PAULI_CHANNEL_1`` probabilities.
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")

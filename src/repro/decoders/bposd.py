@@ -119,7 +119,7 @@ class BPOSDDecoder(Decoder):
         super().__init__(dem)
         self.max_iterations = max_iterations
         self.scaling_factor = scaling_factor
-        self._h = self.check_matrix.astype(np.uint8)
+        self._h = self.check_matrix
         self._num_checks, self._num_mechanisms = self._h.shape
         priors = np.clip(self.priors, 1e-12, 0.5 - 1e-12)
         self._prior_llrs = np.log((1 - priors) / priors)

@@ -72,17 +72,17 @@ class LookupDecoder(Decoder):
     def _build_table(self) -> None:
         num = self.dem.num_mechanisms
         log_priors = np.log(np.clip(self.priors, 1e-15, 1.0))
+        # Each mechanism's detector and observable flips as a 0/1 row.
+        detector_flips = self.check_matrix.T
+        observable_flips = self.observable_matrix.T
         for order in range(0, self.max_order + 1):
             for combo in itertools.combinations(range(num), order):
                 detectors = np.zeros(self.dem.num_detectors, dtype=np.uint8)
                 observables = np.zeros(self.dem.num_observables, dtype=np.uint8)
                 log_probability = 0.0
                 for column in combo:
-                    mechanism = self.dem.mechanisms[column]
-                    for detector in mechanism.detectors:
-                        detectors[detector] ^= 1
-                    for observable in mechanism.observables:
-                        observables[observable] ^= 1
+                    detectors ^= detector_flips[column]
+                    observables ^= observable_flips[column]
                     log_probability += log_priors[column]
                 key = detectors.tobytes()
                 existing = self._table.get(key)

@@ -52,9 +52,9 @@ __all__ = ["MWPMDecoder"]
 
 #: Probabilities are clipped away from 0/1 to keep weights finite.
 _MIN_PROBABILITY = 1e-12
-#: Observables of an edge no contribution dominates, and of a hyperedge's
-#: odd boundary link.
-_NO_OBSERVABLES: frozenset[int] = frozenset()
+#: Observable bitmask of an edge no contribution dominates, and of a
+#: hyperedge's odd boundary link.
+_NO_OBSERVABLES = 0
 #: Distance assigned to node pairs the decoding graph does not connect.
 _UNREACHABLE = 1e9
 #: Defect sets up to this size are matched by exact pairing enumeration
@@ -79,27 +79,37 @@ def _decoding_edges(dem: DetectorErrorModel) -> "list[list[tuple[int, float, int
     a negative weight, which Dijkstra cannot handle, and is rejected here.
     """
     boundary = dem.num_detectors
+    probabilities = dem.priors.tolist()
+    detectors = dem.detector_indices.tolist()
+    starts = dem.detector_indptr.tolist()
+    # Each mechanism's observables as an int bitmask.
+    masks = [0] * dem.num_mechanisms
+    owners = np.repeat(np.arange(dem.num_mechanisms), np.diff(dem.observable_indptr))
+    for mechanism, observable in zip(owners.tolist(), dem.observable_indices.tolist()):
+        masks[mechanism] |= 1 << observable
     # (u, v, probability, observables) in the historical insertion order:
-    # one- and two-detector mechanisms, then the chained hyperedges.
+    # one- and two-detector mechanisms, then the chained hyperedges.  Each
+    # mechanism's detectors are ascending.
     contributions = []
     pending = []
-    for mechanism in dem.mechanisms:
-        detectors = mechanism.detectors
-        if len(detectors) == 2:
-            u, v = detectors
-            contributions.append((u, v, mechanism.probability, mechanism.observables))
-        elif len(detectors) == 1:
-            (u,) = detectors
-            contributions.append((u, boundary, mechanism.probability, mechanism.observables))
-        elif detectors:
+    for mechanism, (start, stop) in enumerate(zip(starts, starts[1:])):
+        if stop - start == 2:
+            contributions.append(
+                (detectors[start], detectors[start + 1], probabilities[mechanism], masks[mechanism])
+            )
+        elif stop - start == 1:
+            contributions.append(
+                (detectors[start], boundary, probabilities[mechanism], masks[mechanism])
+            )
+        elif stop > start:
             pending.append(mechanism)
     for mechanism in pending:
-        detectors = sorted(mechanism.detectors)
-        probability, observables = mechanism.probability, mechanism.observables
-        for first, second in zip(detectors[::2], detectors[1::2]):
+        chain = detectors[starts[mechanism] : starts[mechanism + 1]]
+        probability, observables = probabilities[mechanism], masks[mechanism]
+        for first, second in zip(chain[::2], chain[1::2]):
             contributions.append((first, second, probability, observables))
-        if len(detectors) % 2:
-            contributions.append((detectors[-1], boundary, probability, _NO_OBSERVABLES))
+        if len(chain) % 2:
+            contributions.append((chain[-1], boundary, probability, _NO_OBSERVABLES))
 
     # (u, v) -> [merged probability, dominant contribution, its observables];
     # dict order is first-insertion order.
@@ -125,9 +135,8 @@ def _decoding_edges(dem: DetectorErrorModel) -> "list[list[tuple[int, float, int
                 f"{probability!r} > 0.5 (negative matching weight)"
             )
         weight = _edge_weight(probability)
-        mask = sum(1 << observable for observable in observables)
-        adjacency[u].append((v, weight, mask))
-        adjacency[v].append((u, weight, mask))
+        adjacency[u].append((v, weight, observables))
+        adjacency[v].append((u, weight, observables))
     return adjacency
 
 

@@ -11,9 +11,10 @@ cannot express, at batch speed.
 :class:`FrameProgram` is the one Pauli-propagation kernel of the package:
 the circuit compiled moment by moment into a short op list and replayed
 over packed frames.  :class:`FrameSampler` puts shots in the bit columns
-and realises noise with random draws;
-:func:`repro.sim.dem.build_detector_error_model` puts one fault mechanism
-in each bit column and injects it at its noise instruction.  Compilation
+and realises noise with random draws, replaying the ops forward;
+:func:`repro.sim.dem.build_detector_error_model` replays the same ops
+backward with detectors and observables in the bit columns (detector
+sensitivities), through the same gate update :func:`apply_gate`.  Compilation
 splits an instruction that repeats a qubit into consecutive pieces over
 disjoint qubits (stim's in-order semantics: ``H 0 0`` is H twice), refuses
 DETECTOR/OBSERVABLE targets outside the measurement record, and then fuses
@@ -62,14 +63,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit
-from repro.sim.bitops import pack_rows, packed_words, unpack_rows, xor_reduce_rows
+from repro.circuits.circuit import ANNOTATION_NAMES, NOISE_NAMES, Circuit
+from repro.sim.bitops import _WORD_DTYPE, pack_rows, packed_words, unpack_rows, xor_reduce_rows
 from repro.sim.sampler import SampleBatch
 from repro.sim.tableau import simulate_circuit
 
 __all__ = ["FrameProgram", "FrameSampler", "TableauSampler"]
 
-_WORD_DTYPE = np.dtype("<u8")
 
 #: X/Z bits of each Pauli letter (the ``CPAULI`` check Pauli).
 _CHECK_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -160,11 +160,10 @@ class FrameProgram:
       enumeration are those of one op per instruction.
 
     :meth:`run` replays the ops over ``(num_qubits, words)`` frames and
-    hands every noise op back to the caller.  This is the one
-    Pauli-propagation kernel: :class:`FrameSampler` realises noise with
-    random draws per shot, and
-    :func:`repro.sim.dem.build_detector_error_model` injects one fixed
-    fault per bit column.
+    hands every noise op back to the caller; :class:`FrameSampler`
+    realises noise there with random draws per shot.
+    :func:`repro.sim.dem.build_detector_error_model` walks the same ops in
+    reverse over detector sensitivities instead.
     """
 
     def __init__(self, circuit: Circuit, compile_noise) -> None:
@@ -183,12 +182,20 @@ class FrameProgram:
         live = False
         measured = 0
         for whole in circuit.instructions:
-            for instruction in _disjoint_runs(whole):
-                name = instruction.name
+            name = whole.name
+            # TICK/DETECTOR/OBSERVABLE are annotations: no-ops here.
+            if name in ANNOTATION_NAMES:
+                continue
+            qubits = whole.qubits
+            if len(qubits) > 1 and len(set(qubits)) < len(qubits):
+                pieces = _disjoint_runs(whole)
+            else:
+                pieces = (whole,)
+            for instruction in pieces:
                 qubits = instruction.qubits
-                last = moments[-1] if moments else None
-                if instruction.is_noise():
+                if name in NOISE_NAMES:
                     live = True
+                    last = moments[-1] if moments else None
                     if last is not None and last[0] == "noise":
                         last[1].update(qubits)
                         last[2].append(instruction)
@@ -202,6 +209,7 @@ class FrameProgram:
                         _place_cpauli(moments, control, target, instruction.pauli)
                 elif name in ("M", "MX"):
                     x_basis = name == "MX"
+                    last = moments[-1] if moments else None
                     # Once live, no measurement is elided, so a measurement
                     # right after another continues its record range.
                     if live and last is not None and last[0] == "measure" and last[3] == x_basis:
@@ -209,13 +217,13 @@ class FrameProgram:
                     elif live:
                         moments.append(["measure", None, list(qubits), x_basis, measured])
                     measured += len(qubits)
-                # X/Y/Z gates commute with the frame up to sign; TICK/DETECTOR/
-                # OBSERVABLE are annotations.  All are no-ops here, as is
-                # every gate on the still-zero frames of the dead prefix.
+                # X/Y/Z gates commute with the frame up to sign, and every
+                # gate on the still-zero frames of the dead prefix is a no-op.
                 elif not live or not qubits or name in ("X", "Y", "Z"):
                     continue
                 elif name in ("R", "RX"):
-                    if last is not None and last[0] == "reset":
+                    last = moments[-1]
+                    if last[0] == "reset":
                         last[2].extend(qubits)
                     else:
                         moments.append(["reset", None, list(qubits)])
@@ -256,53 +264,66 @@ class FrameProgram:
             kind = op[0]
             if kind == "noise":
                 apply_noise(op[1], frame_x, frame_z)
-            elif kind == "cpauli":
-                # The pairs of one op are disjoint, so each index array
-                # updates distinct rows.
-                _, controls, targets, check_x, check_z = op
-                # X (or Y) on a control propagates the check Pauli onto its
-                # target.
-                if check_x:
-                    frame_x[targets] ^= frame_x[controls]
-                if check_z:
-                    frame_z[targets] ^= frame_x[controls]
-                # A target frame anticommuting with the check Pauli kicks a
-                # Z onto the control (phase kickback).  The update above
-                # leaves the target's anticommutation bit unchanged, so it
-                # is read after the fact without a copy.
-                if check_x and check_z:
-                    frame_z[controls] ^= frame_x[targets] ^ frame_z[targets]
-                elif check_x:
-                    frame_z[controls] ^= frame_z[targets]
-                else:
-                    frame_z[controls] ^= frame_x[targets]
             elif kind == "measure":
                 # The frame bit that anticommutes with the readout basis is
                 # the measurement flip.
                 _, qubits, x_basis, start = op
                 source = frame_z if x_basis else frame_x
                 flips[start : start + qubits.size] = source[qubits]
-            elif kind == "reset":
-                _, qubits = op
-                frame_x[qubits] = 0
-                frame_z[qubits] = 0
-            elif kind == "swapxz":
-                _, qubits = op
-                swapped = frame_x[qubits]
-                frame_x[qubits] = frame_z[qubits]
-                frame_z[qubits] = swapped
-            elif kind == "s":
-                _, qubits = op
-                frame_z[qubits] ^= frame_x[qubits]
-            elif kind == "swap":
-                _, firsts, seconds = op
-                first_x, first_z = frame_x[firsts], frame_z[firsts]
-                frame_x[firsts], frame_z[firsts] = frame_x[seconds], frame_z[seconds]
-                frame_x[seconds], frame_z[seconds] = first_x, first_z
+            else:
+                apply_gate(op, frame_x, frame_z)
         return (
             xor_reduce_rows(flips, self.detector_groups),
             xor_reduce_rows(flips, self.observable_groups),
         )
+
+
+def apply_gate(op: tuple, frame_x: np.ndarray, frame_z: np.ndarray) -> None:
+    """Apply one gate or reset op to packed Pauli rows, in place.
+
+    The rows may be error frames carried forward or detector sensitivities
+    carried backward: every gate op is an involution up to sign (``S`` and
+    ``S^dagger`` act alike on X/Z bits), so one update serves both
+    directions, and a reset clears its rows either way.  Qubit fields may
+    be index arrays or single indices.
+    """
+    kind = op[0]
+    if kind == "cpauli":
+        # The pairs of one op are disjoint, so each index array updates
+        # distinct rows.
+        _, controls, targets, check_x, check_z = op
+        # X (or Y) on a control propagates the check Pauli onto its target.
+        if check_x:
+            frame_x[targets] ^= frame_x[controls]
+        if check_z:
+            frame_z[targets] ^= frame_x[controls]
+        # A target frame anticommuting with the check Pauli kicks a Z onto
+        # the control (phase kickback).  The update above leaves the
+        # target's anticommutation bit unchanged, so it is read after the
+        # fact without a copy.
+        if check_x and check_z:
+            frame_z[controls] ^= frame_x[targets] ^ frame_z[targets]
+        elif check_x:
+            frame_z[controls] ^= frame_z[targets]
+        else:
+            frame_z[controls] ^= frame_x[targets]
+    elif kind == "reset":
+        _, qubits = op
+        frame_x[qubits] = 0
+        frame_z[qubits] = 0
+    elif kind == "swapxz":
+        _, qubits = op
+        swapped = frame_x[qubits]
+        frame_x[qubits] = frame_z[qubits]
+        frame_z[qubits] = swapped
+    elif kind == "s":
+        _, qubits = op
+        frame_z[qubits] ^= frame_x[qubits]
+    elif kind == "swap":
+        _, firsts, seconds = op
+        first_x, first_z = frame_x[firsts], frame_z[firsts]
+        frame_x[firsts], frame_z[firsts] = frame_x[seconds], frame_z[seconds]
+        frame_x[seconds], frame_z[seconds] = first_x, first_z
 
 
 def _place_cpauli(moments: list[list], control: int, target: int, pauli: str) -> None:
@@ -312,17 +333,17 @@ def _place_cpauli(moments: list[list], control: int, target: int, pauli: str) ->
     disjoint from its pair — it commutes with them — and joins the first
     ``CPAULI`` moment with its check Pauli; anything else stops it.
     """
-    pair = (control, target)
     for moment in reversed(moments):
         kind, touched = moment[0], moment[1]
-        if kind not in ("noise", "cpauli") or not touched.isdisjoint(pair):
+        if kind not in ("noise", "cpauli") or control in touched or target in touched:
             break
         if kind == "cpauli" and moment[4] == pauli:
-            touched.update(pair)
+            touched.add(control)
+            touched.add(target)
             moment[2].append(control)
             moment[3].append(target)
             return
-    moments.append(["cpauli", set(pair), [control], [target], pauli])
+    moments.append(["cpauli", {control, target}, [control], [target], pauli])
 
 
 def _compile_noise(run) -> list[tuple]:

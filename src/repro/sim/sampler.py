@@ -77,22 +77,6 @@ class DemSampler:
         return sample_detector_error_model(self.dem, shots, seed=seed)
 
 
-def _signature_groups(dem: DetectorErrorModel) -> tuple[list[list[int]], list[list[int]]]:
-    """Mechanism column indices per detector row / observable row.
-
-    This is the sparse, transposed view of ``dem.check_matrix`` /
-    ``dem.observable_matrix`` the packed XOR reduces over.
-    """
-    detector_groups: list[list[int]] = [[] for _ in range(dem.num_detectors)]
-    observable_groups: list[list[int]] = [[] for _ in range(dem.num_observables)]
-    for column, mechanism in enumerate(dem.mechanisms):
-        for detector in mechanism.detectors:
-            detector_groups[detector].append(column)
-        for observable in mechanism.observables:
-            observable_groups[observable].append(column)
-    return detector_groups, observable_groups
-
-
 def sample_detector_error_model(
     dem: DetectorErrorModel,
     shots: int,
@@ -117,9 +101,11 @@ def sample_detector_error_model(
         )
     fired = rng.random((shots, dem.num_mechanisms)) < dem.priors
     packed_fired = pack_rows(fired.T)  # (mechanisms, shot_words)
-    detector_groups, observable_groups = _signature_groups(dem)
-    detectors_by_row = xor_reduce_rows(packed_fired, detector_groups)
-    observables_by_row = xor_reduce_rows(packed_fired, observable_groups)
+    # Each detector (observable) row is the XOR of the fired rows of the
+    # mechanisms that flip it: the DEM's transposed incidence, derived once
+    # per model.
+    detectors_by_row = xor_reduce_rows(packed_fired, dem.detector_mechanisms)
+    observables_by_row = xor_reduce_rows(packed_fired, dem.observable_mechanisms)
     detectors = np.ascontiguousarray(unpack_rows(detectors_by_row, shots).T)
     observables = np.ascontiguousarray(unpack_rows(observables_by_row, shots).T)
     return SampleBatch(

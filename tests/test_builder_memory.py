@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.api import Pipeline, RunSpec
 from repro.circuits import (
     Circuit,
     ancilla_qubits,
@@ -160,3 +163,54 @@ class TestMemoryExperiment:
         logical_weight = 2 * sum(p.weight for p in steane.logical_zs)
         assert cpaulis == 3 * total_checks + logical_weight
         assert depolarize2 == total_checks
+
+
+class TestInstructionStreamPinned:
+    """The memory circuits' instruction streams, pinned by digest.
+
+    ``str(circuit)`` lists every instruction with its qubits, probabilities
+    and record targets, so a builder change that moves one instruction,
+    record index or detector shows here before it moves a DEM.
+    """
+
+    DIGESTS = {
+        ("surface:d=3", "lowest_depth", "Z"): (
+            "c3fbe3977250d5f45922a9e77460a0b00d758e9e91b97396ef16173e8af746c5"
+        ),
+        ("surface:d=3", "lowest_depth", "X"): (
+            "8092c823f24d682f3e067325ffc822c12bde13ff8098ca7a828046ddcdac5f1e"
+        ),
+        ("bb_18", "ibm_bb", "Z"): (
+            "8a6034cdcc18e0f6c7135e81491fc88f3cab29d180e39cb1545695e987c18977"
+        ),
+        ("bb_18", "ibm_bb", "X"): (
+            "038309e19dcf23e98685655eaf732905da6a86f25b638d1a3126105231180101"
+        ),
+        ("color:d=3", "lowest_depth", "Z"): (
+            "ba46c0909234c4ead7775fc1a962d44b444dcf5ea0e01ff50fb21a7b3a147ac6"
+        ),
+        ("color:d=3", "lowest_depth", "X"): (
+            "c399b770202b6d2f6895ea0ceb15f92413e4a052a0fb7f58cea12618d27ab9c7"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "code, scheduler",
+        [("surface:d=3", "lowest_depth"), ("bb_18", "ibm_bb"), ("color:d=3", "lowest_depth")],
+    )
+    def test_str_digest(self, code, scheduler):
+        circuits = Pipeline(RunSpec(code=code, scheduler=scheduler)).circuit
+        for basis in ("Z", "X"):
+            digest = hashlib.sha256(str(circuits[basis]).encode()).hexdigest()
+            assert digest == self.DIGESTS[code, scheduler, basis], basis
+
+    def test_round_records_are_consecutive(self, steane, brisbane):
+        circuit = Circuit()
+        circuit.measure(0)
+        record = append_syndrome_round(
+            circuit, steane, lowest_depth_schedule(steane), noise=brisbane
+        )
+        assert sorted(record.measurements.values()) == list(
+            range(1, 1 + steane.num_stabilizers)
+        )
+        assert circuit.num_measurements == 1 + steane.num_stabilizers

@@ -1,7 +1,9 @@
-"""The one-pass DEM builder against the per-mechanism reference oracle.
+"""The sensitivity-replay DEM builder against the per-mechanism reference oracle.
 
-:func:`repro.sim.dem.build_detector_error_model` pushes every fault
-mechanism through the circuit at once, one packed frame column each.  The
+:func:`repro.sim.dem.build_detector_error_model` carries detector and
+observable sensitivities backward through the compiled circuit once, one
+packed bit column per detector or observable, and reads every fault
+mechanism's symptom off the snapshot at its noise run.  The
 oracle in ``tests/oracles/dem_reference.py`` is the original builder: one
 mechanism at a time through dict-backed sparse Paulis.  The two must agree
 *exactly* — the same mechanisms in the same order, probabilities equal
@@ -25,7 +27,7 @@ from repro.io.stim_text import StimFormatError, parse_stim_circuit
 from repro.noise import brisbane_noise
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule
 from repro.sim.dem import build_detector_error_model
-from repro.sim.frames import FrameSampler
+from repro.sim.frames import FrameProgram, FrameSampler
 
 # Hypothesis favours the first entry of a ``sampled_from``, so noise and
 # non-zero probabilities lead.
@@ -236,3 +238,68 @@ class TestRepeatedQubits:
     def test_controlled_gate_on_one_qubit_refused_at_import(self):
         with pytest.raises(StimFormatError, match=r"^line 2: CPAULI needs two distinct qubits$"):
             parse_stim_circuit("R 0\nCX 0 0\n")
+
+
+class TestReplayEdgeCases:
+    """Cases of the backward sensitivity replay, each against the oracle."""
+
+    def test_fused_measurement_lists_a_qubit_twice(self):
+        """``M 0`` then ``M 0 1`` fuse into one op with qubit 0 twice; both
+        of its records feed detectors, so both must reach qubit 0's row."""
+        circuit = parse_stim_circuit(
+            "R 0 1\nX_ERROR(0.1) 0\nX_ERROR(0.2) 1\nM 0\nM 0 1\n"
+            "DETECTOR rec[-3]\nDETECTOR rec[-2]\nDETECTOR rec[-1]\n"
+        )
+        measures = [op for op in FrameProgram(circuit, list).ops if op[0] == "measure"]
+        assert [op[1].tolist() for op in measures] == [[0, 0, 1]]
+        _assert_same_model(circuit)
+        # Qubit 0's flip reaches detectors 0 and 1.
+        assert [sorted(m.detectors) for m in build_detector_error_model(circuit).mechanisms] == [
+            [0, 1],
+            [2],
+        ]
+
+    def test_noise_after_the_last_measurement_is_dropped(self):
+        circuit = parse_stim_circuit(
+            "R 0 1\nDEPOLARIZE1(0.1) 0 1\nM 0 1\nDETECTOR rec[-2]\nOBSERVABLE_INCLUDE(0) rec[-1]\n"
+            "X_ERROR(0.2) 0 1\nDEPOLARIZE2(0.05) 0 1\n"
+        )
+        _assert_same_model(circuit)
+        assert build_detector_error_model(circuit).num_mechanisms == 2
+
+    def test_noise_run_with_only_zero_probabilities(self):
+        circuit = Circuit()
+        circuit.append(Instruction("R", (0, 1)))
+        circuit.append(Instruction("H", (0,)))
+        for instruction in (
+            Instruction("X_ERROR", (0, 1), probability=0.0),
+            Instruction("DEPOLARIZE1", (1,), probability=0.0),
+            Instruction("PAULI_CHANNEL_1", (0,), probabilities=(0.0, 0.0, 0.0)),
+            Instruction("DEPOLARIZE2", (0, 1), probability=0.0),
+        ):
+            circuit.append(instruction)
+        circuit.append(Instruction("CPAULI", (0, 1), pauli="X"))
+        circuit.append(Instruction("Z_ERROR", (0,), probability=0.125))
+        circuit.append(Instruction("H", (0,)))
+        circuit.append(Instruction("M", (0, 1)))
+        circuit.detector([0])
+        circuit.detector([1])
+        _assert_same_model(circuit)
+        assert [m.probability for m in build_detector_error_model(circuit).mechanisms] == [0.125]
+
+    def test_observable_bits_in_the_second_word(self):
+        """64 detectors fill the first word; the observables sit in the second."""
+        circuit = Circuit()
+        circuit.append(Instruction("R", tuple(range(66))))
+        circuit.append(Instruction("DEPOLARIZE1", tuple(range(66)), probability=0.03))
+        circuit.append(Instruction("CPAULI", (64, 3), pauli="X"))
+        circuit.append(Instruction("DEPOLARIZE2", (65, 1, 2, 64), probability=0.015))
+        circuit.append(Instruction("M", tuple(range(66))))
+        for measurement in range(64):
+            circuit.detector([measurement])
+        circuit.observable(0, [64])
+        circuit.observable(1, [65, 0])
+        _assert_same_model(circuit)
+        dem = build_detector_error_model(circuit)
+        assert (dem.num_detectors, dem.num_observables) == (64, 2)
+        assert {o for m in dem.mechanisms for o in m.observables} == {0, 1}
