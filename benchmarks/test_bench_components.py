@@ -1,9 +1,8 @@
-"""Micro-benchmarks of the substrate components and design-choice ablations.
+"""Micro-benchmarks of the substrate components and a search ablation.
 
 These benchmarks time the individual stages of the pipeline (DEM extraction,
-sampling, each decoder) and exercise the design choices called out in
-DESIGN.md for ablation: MCTS subtree reuse on/off, evaluation objective, and
-rollout shot budget.
+sampling, each decoder) and run one MCTS search at a reduced rollout shot
+budget.
 """
 
 from __future__ import annotations
@@ -366,7 +365,7 @@ class TestComponentThroughput:
 
 
 class TestAblations:
-    def _search(self, *, reuse: bool, objective: str = "inverse", shots: int = 80) -> tuple:
+    def _search(self, *, shots: int = 80) -> tuple:
         code = codes.build("steane")
         evaluator = ScheduleEvaluator(
             code=code,
@@ -374,34 +373,20 @@ class TestAblations:
             decoder_factory=decoders.build("lookup"),
             shots=shots,
             seed=0,
-            objective=objective,
         )
         checks = tuple(c for c in checks_of_code(code) if c.pauli == "X")
         search = PartitionMCTS(
             evaluator=evaluator,
             checks=checks,
             compose=lambda schedule: _complete(code, schedule),
-            config=MCTSConfig(iterations_per_step=3, seed=0, reuse_subtree=reuse),
+            config=MCTSConfig(iterations_per_step=3, seed=0),
         )
         schedule, _ = search.search()
         return schedule, search.evaluations_used
 
-    def test_ablation_subtree_reuse(self, benchmark):
-        _, evaluations_with_reuse = benchmark.pedantic(
-            self._search, kwargs={"reuse": True}, rounds=1, iterations=1
-        )
-        _, evaluations_without = self._search(reuse=False)
-        assert evaluations_with_reuse <= evaluations_without
-
-    def test_ablation_objective(self, benchmark):
-        schedule, _ = benchmark.pedantic(
-            self._search, kwargs={"reuse": True, "objective": "neg_log"}, rounds=1, iterations=1
-        )
-        schedule.validate(require_complete=False)
-
     def test_ablation_rollout_shots(self, benchmark):
         schedule, _ = benchmark.pedantic(
-            self._search, kwargs={"reuse": True, "shots": 30}, rounds=1, iterations=1
+            self._search, kwargs={"shots": 30}, rounds=1, iterations=1
         )
         schedule.validate(require_complete=False)
 

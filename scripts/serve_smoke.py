@@ -4,7 +4,9 @@
 Phase 1 boots a real server subprocess (`python -m repro.serve`) on an
 ephemeral port, submits a quick RunSpec over HTTP, streams the NDJSON
 progress events, and asserts the served result is bit-identical to the
-offline `repro.api.Pipeline` run of the same spec.
+offline `repro.api.Pipeline` run of the same spec.  It then runs an
+adaptive (`target_rse`) spec, whose served result must equal offline in
+everything but the cache-hit counters, early stop included.
 
 Phase 2 exercises the durability path end to end: a journalled server
 with one throttled local worker is SIGKILLed mid-job; a restarted server
@@ -39,6 +41,9 @@ from repro.api.spec import Budget, RunSpec  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
 SPEC = RunSpec(code="steane", decoder="lookup", budget=Budget(shots=3000), seed=7)
+
+#: Stops well before its 16-chunk ceiling at this seed.
+ADAPTIVE_SPEC = SPEC.replace(budget=Budget(shots=1000, target_rse=0.35, max_shots=16384))
 
 ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
@@ -76,6 +81,35 @@ def shutdown(client: ServeClient, server: subprocess.Popen) -> None:
         urllib.request.Request(client.base_url + "/shutdown", method="POST"), timeout=10
     ).read()
     server.wait(timeout=30)
+
+
+def without_cache_counters(result: dict) -> dict:
+    """An adaptive result minus ``cache_hits``/``fresh_chunks``.
+
+    The counters legitimately differ between a cacheless server and an
+    offline run; everything statistical must match bit for bit.
+    """
+    result = json.loads(json.dumps(result))
+    for block in (result["adaptive"], *result["adaptive"]["bases"].values()):
+        block.pop("cache_hits")
+        block.pop("fresh_chunks")
+    return result
+
+
+def phase_adaptive(client: ServeClient) -> int:
+    """A target_rse job must stop at the offline prefix with offline's rates."""
+    offline = without_cache_counters(Pipeline(ADAPTIVE_SPEC).run().to_dict())
+    result = without_cache_counters(client.run(ADAPTIVE_SPEC, timeout=180.0))
+    if result != offline:
+        print("error: served adaptive result differs from offline:", file=sys.stderr)
+        print(f"  offline: {json.dumps(offline, sort_keys=True)}", file=sys.stderr)
+        print(f"  served:  {json.dumps(result, sort_keys=True)}", file=sys.stderr)
+        return 1
+    if not result["adaptive"]["converged"] or result["shots"] >= ADAPTIVE_SPEC.budget.plan_shots:
+        print("error: adaptive job did not stop early", file=sys.stderr)
+        return 1
+    print(f"adaptive job matches offline: stopped at {result['shots']} shots")
+    return 0
 
 
 def phase_basic(offline: dict, workers: int) -> int:
@@ -119,6 +153,8 @@ def phase_basic(offline: dict, workers: int) -> int:
         stats = client.health()["stats"]
         print(f"dedup OK: {stats['jobs_submitted']} job, {stats['jobs_coalesced']} coalesced")
 
+        if phase_adaptive(client):
+            return 1
         shutdown(client, server)
         print("server shut down cleanly")
         return 0

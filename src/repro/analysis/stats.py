@@ -147,10 +147,6 @@ class StoppingRule:
             return False
         return relative_error(errors, shots, z=self.z) <= self.target_rse
 
-    def should_stop(self, errors: int, shots: int) -> bool:
-        """Stop on precision or on the shot budget, whichever fires first."""
-        return shots >= self.max_shots or self.converged(errors, shots)
-
 
 def relative_reduction(optimised: float, baseline: float) -> float:
     """Fractional reduction ``1 - optimised / baseline`` (0 when baseline is 0)."""

@@ -30,21 +30,20 @@ from functools import cached_property
 
 from pathlib import Path
 
-from repro import parallel
 from repro.api import registries
 from repro.api.spec import Budget, RunSpec
 from repro.circuits.memory import build_memory_experiment
 from repro.core.alphasyndrome import SynthesisResult
-from repro.parallel import AdaptiveEstimate, sample_and_decode, sample_batches
+from repro.parallel import (
+    DEFAULT_CHUNK_SHOTS,
+    AdaptiveEstimate,
+    sample_and_decode,
+    sample_batches,
+)
 from repro.sim.dem import DemDecompositionError, build_detector_error_model
-from repro.sim.estimator import LogicalErrorRates, basis_streams, rates_from_estimates
+from repro.sim.estimator import BASES, LogicalErrorRates, basis_streams, rates_from_estimates
 
 __all__ = ["Pipeline", "RunResult", "adaptive_report"]
-
-#: Basis artifact order; execution streams come from
-#: :func:`repro.sim.estimator.basis_streams` (basis Z reports the logical X
-#: error rate and consumes the first child stream).
-_BASES = ("Z", "X")
 
 
 @dataclasses.dataclass
@@ -241,7 +240,7 @@ class Pipeline:
                 basis=basis,
                 noisy_rounds=self.spec.rounds,
             )
-            for basis in _BASES
+            for basis in BASES
         }
 
     @cached_property
@@ -252,7 +251,7 @@ class Pipeline:
         independent replicas under the two per-basis seed streams).
         """
         if self.imported is not None:
-            return {basis: self.imported.circuit for basis in _BASES}
+            return {basis: self.imported.circuit for basis in BASES}
         return {basis: experiment.circuit for basis, experiment in self.experiment.items()}
 
     @cached_property
@@ -290,23 +289,25 @@ class Pipeline:
         """
         factory = self.sampler_factory
         return {
-            basis: factory(self.circuit[basis], self.dem[basis]) for basis in _BASES
+            basis: factory(self.circuit[basis], self.dem[basis]) for basis in BASES
         }
 
-    def _per_basis(self, run_basis, pooled: bool) -> dict:
+    def _per_basis(self, run_basis) -> dict:
         """``{basis: run_basis(basis, stream, pool)}`` for both bases.
 
-        The one serial-or-pool driver of the chunk engine.  In process,
-        ``pool`` is ``None``.  Pooled, two thread-level drivers share one
-        process pool so both bases' chunks interleave across the workers;
-        each basis still consumes its own chunks strictly in order, so the
-        result is the same either way.
+        The one serial-or-pool driver of the chunk engine.  With
+        ``workers=1``, ``pool`` is ``None``.  Otherwise two thread-level
+        drivers share one process pool so both bases' chunks interleave
+        across the workers; each basis still consumes its own chunks
+        strictly in order, so the result is the same either way.  The pool
+        starts no process until a chunk is submitted, so a run with nothing
+        to sample (an empty plan, a fully cached adaptive run) forks none.
         """
         # cached_property is not thread-safe: build every staged artifact
         # the drivers read before any driver starts.
         self.dem, self.decoder_factory, self.samplers
         streams = basis_streams(self.spec.eval_seed())
-        if not pooled:
+        if self.spec.workers <= 1:
             return {basis: run_basis(basis, stream, None) for basis, stream in streams}
         with ProcessPoolExecutor(max_workers=self.spec.workers) as pool:
             with ThreadPoolExecutor(max_workers=len(streams)) as drivers:
@@ -338,7 +339,7 @@ class Pipeline:
                 pool=pool,
             )
 
-        return self._per_basis(run_basis, pooled=self.spec.workers > 1 and shots > 0)
+        return self._per_basis(run_basis)
 
     # ------------------------------------------------------------------
     # Rate estimation: the budget's stopping rule over the chunk loop
@@ -361,14 +362,13 @@ class Pipeline:
         replayed instead of resampled and fresh chunks are persisted.
         """
         rule = self.spec.budget.stopping_rule()
-        chunk_shots = parallel.DEFAULT_CHUNK_SHOTS
         stores = {
             basis: (
-                self.cache.chunk_store(self.spec, basis, chunk_shots)
+                self.cache.chunk_store(self.spec, basis, DEFAULT_CHUNK_SHOTS)
                 if self.cache is not None and self.adaptive
                 else None
             )
-            for basis in _BASES
+            for basis in BASES
         }
 
         def run_basis(basis, stream, pool) -> AdaptiveEstimate:
@@ -378,21 +378,13 @@ class Pipeline:
                 self.samplers[basis],
                 stream,
                 rule,
-                chunk_shots=chunk_shots,
+                chunk_shots=DEFAULT_CHUNK_SHOTS,
                 pool=pool,
                 lookahead=max(1, self.spec.workers),
                 store=stores[basis],
             )
 
-        # No process pool when nothing needs sampling: an empty plan or a
-        # fully warm cache (the advertised cheap-resume path).  The probe
-        # itself costs cache reads, so it only runs when a pool would
-        # otherwise be created.
-        pooled = self.spec.workers > 1 and not all(
-            parallel.store_satisfies_rule(rule, stores[basis], chunk_shots=chunk_shots)
-            for basis in _BASES
-        )
-        return self._per_basis(run_basis, pooled)
+        return self._per_basis(run_basis)
 
     @property
     def adaptive_report(self) -> dict | None:

@@ -103,9 +103,9 @@ class ChunkStore:
         self._spec = spec
         self._basis = basis
         self._chunk_shots = int(chunk_shots)
-        # Per-instance read memo: the warm-cache probe and the replay loop
-        # both walk the same indices, and each uncached get() costs an
-        # address hash + file read + JSON parse.  A miss is memoised too —
+        # Per-instance read memo: each uncached get() costs an address
+        # hash + file read + JSON parse, and a store asked again (a second
+        # run on the same store) answers from memory.  A miss is memoised too —
         # if a concurrent process fills it meanwhile, this run just
         # recomputes the chunk and the write stays idempotent.
         self._memo: dict[int, ChunkSummary | None] = {}

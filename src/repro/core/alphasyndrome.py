@@ -70,7 +70,6 @@ class AlphaSyndrome:
     decoder_factory: DecoderFactory
     shots: int = 500
     mcts_config: MCTSConfig = field(default_factory=MCTSConfig)
-    objective: str = "inverse"
     seed: int = 0
     workers: int = 1
 
@@ -81,7 +80,6 @@ class AlphaSyndrome:
             decoder_factory=self.decoder_factory,
             shots=self.shots,
             seed=self.seed,
-            objective=self.objective,
             workers=self.workers,
         )
 

@@ -3,8 +3,7 @@
 The evaluator wraps the decoder-in-the-loop logical-error-rate estimation
 into a cached, deterministic scoring function used by the MCTS search: a
 complete schedule is mapped to ``score = 1 / overall logical error rate``
-(the paper's evaluation), with an optional ``-log`` variant kept for the
-ablation study.
+(the paper's evaluation).
 
 Evaluation is batch-capable and optionally pool-backed: ``evaluate_many``
 / ``score_many`` accept a list of candidate schedules and, with
@@ -20,7 +19,6 @@ across cores.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -68,9 +66,6 @@ class ScheduleEvaluator:
         Base RNG seed.  Evaluations are deterministic given the seed and the
         schedule — for *any* ``workers`` value — which keeps MCTS runs
         reproducible.
-    objective:
-        ``"inverse"`` (paper: ``1 / overall``) or ``"neg_log"``
-        (``-log(overall)``, ablation variant).
     workers:
         Process-pool width used by :meth:`evaluate_many` /
         :meth:`score_many` for cache misses.  ``1`` (the default) evaluates
@@ -92,7 +87,6 @@ class ScheduleEvaluator:
     decoder_factory: DecoderFactory
     shots: int = 500
     seed: int = 0
-    objective: str = "inverse"
     workers: int = 1
     target_rse: float | None = None
     max_shots: int | None = None
@@ -102,8 +96,6 @@ class ScheduleEvaluator:
     _rule: StoppingRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.objective not in ("inverse", "neg_log"):
-            raise ValueError("objective must be 'inverse' or 'neg_log'")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         # Derived through Budget.stopping_rule — the single place that
@@ -190,10 +182,6 @@ class ScheduleEvaluator:
     # ------------------------------------------------------------------
     def _score_of(self, rates: LogicalErrorRates) -> float:
         overall = rates.overall
-        if self.objective == "neg_log":
-            if overall <= 0:
-                return math.log(_PERFECT_SCORE_CAP)
-            return -math.log(overall)
         if overall <= 0:
             return _PERFECT_SCORE_CAP
         return min(1.0 / overall, _PERFECT_SCORE_CAP)

@@ -11,7 +11,9 @@ schedules chosen for the other partitions.
 The four MCTS phases (selection with UCT, expansion, random rollout,
 backpropagation) follow Section 2.3, and the *continuous search* of Section
 4.5 is implemented by re-rooting the tree at the chosen child and only
-topping its visit count up to the per-step iteration budget.
+topping its visit count up to the per-step iteration budget.  Nodes keep no
+parent pointer: backpropagation walks the path selection took, so a tree
+is acyclic and the branches a re-root leaves behind are freed at once.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ class MCTSConfig:
     """Search hyper-parameters.
 
     ``iterations_per_step`` is the paper's ``#iters_per_step`` (4000-8000 at
-    paper scale; laptop defaults are much smaller).  ``exploration`` is the
-    UCT constant ``c``.  ``reuse_subtree`` toggles the continuous-search
-    optimisation of Section 4.5 (kept as a switch for the ablation study).
-    ``rollout_batch`` collects that many leaves per round (diversified by a
-    virtual-visit count on the selection path) and scores them in one
+    paper scale; laptop defaults are much smaller): after a re-root, a step
+    runs ``max(iterations_per_step - root.visits, 1)`` rollouts (Section
+    4.5).  ``exploration`` is the UCT constant ``c``.  ``rollout_batch``
+    collects that many leaves per round (diversified by a virtual-visit
+    count on the selection path) and scores them in one
     :meth:`~repro.core.evaluator.ScheduleEvaluator.score_many` call, so a
     pool-backed evaluator spreads rollout scoring across cores;  ``1``
     reproduces the classic serial iteration exactly.
@@ -43,7 +45,6 @@ class MCTSConfig:
 
     iterations_per_step: int = 32
     exploration: float = math.sqrt(2.0)
-    reuse_subtree: bool = True
     seed: int = 0
     max_total_evaluations: int | None = None
     rollout_batch: int = 1
@@ -52,18 +53,16 @@ class MCTSConfig:
 class MCTSNode:
     """One node of the search tree: a partial schedule of the partition."""
 
-    __slots__ = ("schedule", "remaining", "parent", "children", "visits", "total_score", "move")
+    __slots__ = ("schedule", "remaining", "children", "visits", "total_score", "move")
 
     def __init__(
         self,
         schedule: Schedule,
         remaining: tuple[PauliCheck, ...],
-        parent: "MCTSNode | None" = None,
         move: PauliCheck | None = None,
     ) -> None:
         self.schedule = schedule
         self.remaining = remaining
-        self.parent = parent
         self.children: list[MCTSNode] = []
         self.visits = 0
         self.total_score = 0.0
@@ -82,10 +81,9 @@ class MCTSNode:
     def expectation(self) -> float:
         return self.total_score / self.visits if self.visits else 0.0
 
-    def uct(self, exploration: float) -> float:
+    def uct(self, exploration: float, parent_visits: int) -> float:
         if self.visits == 0:
             return math.inf
-        parent_visits = self.parent.visits if self.parent else self.visits
         return self.expectation + exploration * math.sqrt(
             math.log(max(parent_visits, 1)) / self.visits
         )
@@ -94,7 +92,7 @@ class MCTSNode:
         schedule = self.schedule.copy()
         schedule.assign(move, schedule.earliest_valid_tick(move))
         remaining = tuple(check for check in self.remaining if check != move)
-        return MCTSNode(schedule, remaining, parent=self, move=move)
+        return MCTSNode(schedule, remaining, move=move)
 
 
 @dataclass
@@ -124,10 +122,7 @@ class PartitionMCTS:
         root = MCTSNode(Schedule(self.evaluator.code), tuple(self.checks))
         moves: list[PauliCheck] = []
         while not root.is_terminal:
-            budget = self.config.iterations_per_step
-            if self.config.reuse_subtree:
-                budget = max(budget - root.visits, 1)
-            remaining = budget
+            remaining = max(self.config.iterations_per_step - root.visits, 1)
             while remaining > 0:
                 requested = min(max(1, self.config.rollout_batch), remaining)
                 completed = self._iterate_batch(root, requested)
@@ -138,11 +133,7 @@ class PartitionMCTS:
                     break
             best = self._best_child(root)
             moves.append(best.move)
-            if self.config.reuse_subtree:
-                best.parent = None
-                root = best
-            else:
-                root = MCTSNode(best.schedule, best.remaining)
+            root = best
         return root.schedule, moves
 
     @property
@@ -167,36 +158,39 @@ class PartitionMCTS:
         Returns how many rollouts actually ran (less than ``count`` when
         ``max_total_evaluations`` cut the batch short).
         """
-        pending: list[tuple[MCTSNode, Schedule]] = []
+        pending: list[tuple[list[MCTSNode], Schedule]] = []
         for _ in range(count):
             if self._budget_exhausted(len(pending)):
                 break
-            leaf = self._select(root)
-            expanded = self._expand(leaf)
+            path = self._select(root)
+            expanded = self._expand(path[-1])
+            if expanded is not path[-1]:
+                path.append(expanded)
             candidate = self._rollout(expanded)
-            node: MCTSNode | None = expanded
-            while node is not None:
+            for node in path:
                 node.visits += 1
-                node = node.parent
-            pending.append((expanded, candidate))
+            pending.append((path, candidate))
         if not pending:
             return 0
         scores = self.evaluator.score_many([candidate for _, candidate in pending])
         self._evaluations += len(pending)
-        for (expanded, _), score in zip(pending, scores):
-            node = expanded
-            while node is not None:
+        for (path, _), score in zip(pending, scores):
+            for node in path:
                 node.total_score += score
-                node = node.parent
         return len(pending)
 
-    def _select(self, node: MCTSNode) -> MCTSNode:
-        current = node
+    def _select(self, root: MCTSNode) -> "list[MCTSNode]":
+        """The UCT path from ``root`` down to the node to expand."""
+        exploration = self.config.exploration
+        path = [root]
+        current = root
         while not current.is_terminal and current.is_fully_expanded and current.children:
+            parent_visits = current.visits
             current = max(
-                current.children, key=lambda child: child.uct(self.config.exploration)
+                current.children, key=lambda child: child.uct(exploration, parent_visits)
             )
-        return current
+            path.append(current)
+        return path
 
     def _expand(self, node: MCTSNode) -> MCTSNode:
         if node.is_terminal:

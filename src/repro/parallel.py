@@ -1,10 +1,10 @@
 """Worker-count-invariant chunk engine for the sampling/decoding hot path.
 
-Every shot the package samples and decodes goes through one chunk plan and
-one chunk loop, both defined here.
+Every shot the package samples and decodes goes through one chunk plan, one
+replay rule, one chunk step and one consume step, all defined here.
 
-The plan splits a basis run into *chunks of fixed size*
-(:data:`DEFAULT_CHUNK_SHOTS`), never into per-worker shards: the chunk
+The plan (:func:`chunk_plan`) splits a basis run into *chunks of fixed
+size* (:data:`DEFAULT_CHUNK_SHOTS`), never into per-worker shards: the chunk
 layout — and the per-chunk ``SeedSequence.spawn`` stream each chunk draws
 from — depends only on the shot count, so the sampled rates are **bit
 identical for every worker count**.  Deriving shards from the worker count
@@ -13,21 +13,30 @@ streams, and therefore the measured rates, whenever a run moved to a
 machine with a different core count — exactly the reproducibility trap
 parallel-benchmarking folklore warns about.
 
-The loop (:func:`_chunk_results`) runs the chunks in process, with one
-decoder per basis run, or speculatively on a process pool, and hands the
-results back strictly in chunk order.  It has two consumers:
+A chunk is replayed from a :class:`repro.cache.ChunkStore` only when
+:meth:`ChunkPlan.replay` accepts its summary; otherwise :func:`chunk_step`
+runs it with the basis run's one decoder (:class:`ChunkRunner`) and
+publishes it.  The loop (:func:`_chunk_results`) takes that step chunk by
+chunk in process, or speculates on a process pool, and hands the results
+back strictly in chunk order.  Its consumers:
 
-* :func:`sample_and_decode` — the one logical-error-rate path — keeps only
-  per-chunk ``(shots, errors)`` counts and stops as soon as a
-  :class:`~repro.analysis.stats.StoppingRule` says so.  A fixed-shot run is
-  a rule without a precision target, which consumes the whole plan; either
-  way memory is bounded by one chunk, not by the shot count;
+* :func:`sample_and_decode` — the one logical-error-rate path — folds
+  per-chunk ``(shots, errors)`` counts into an :class:`AdaptiveEstimate`
+  through :meth:`AdaptiveEstimate.consume`, which stops the run as soon as
+  a :class:`~repro.analysis.stats.StoppingRule` says so.  A fixed-shot run
+  is a rule without a precision target, which consumes the whole plan;
+  either way memory is bounded by one chunk, not by the shot count;
 * :func:`sample_batches` keeps every chunk's batch and predictions (only
-  :attr:`repro.api.Pipeline.syndromes` / ``.predictions`` use it).
+  :attr:`repro.api.Pipeline.syndromes` / ``.predictions`` use it);
+* the ``repro serve`` fleet, which splits the loop across processes: each
+  worker runs leased chunks through :func:`chunk_step`
+  (:class:`repro.serve.worker.JobContext`), and the scheduler puts the
+  out-of-order results back in chunk order and feeds them to the same
+  :meth:`AdaptiveEstimate.consume` (:class:`repro.serve.jobs.BasisProgress`).
 
 :func:`repro.sim.estimate_logical_error_rates`, the serial and pooled
 :class:`repro.core.ScheduleEvaluator`, :class:`repro.api.Pipeline` and the
-``repro serve`` scheduler all reduce these counts through
+``repro serve`` scheduler all reduce these estimates through
 :func:`repro.sim.estimator.rates_from_estimates`, so for the same seed and
 budget they report the same rates bit for bit.
 
@@ -40,6 +49,7 @@ by ``repro.api.registries`` is).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from concurrent.futures import Future
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -54,7 +64,7 @@ from repro.sim.estimator import count_wrong, decode_predictions
 from repro.sim.sampler import SampleBatch, sample_detector_error_model  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Executor
 
     from repro.analysis.stats import StoppingRule
     from repro.sim.dem import DetectorErrorModel
@@ -63,12 +73,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_CHUNK_SHOTS",
     "AdaptiveEstimate",
+    "ChunkPlan",
+    "ChunkRunner",
     "chunk_error_counts",
+    "chunk_plan",
     "chunk_sizes",
-    "chunk_streams",
-    "run_chunk",
+    "chunk_step",
     "merge_chunks",
-    "store_satisfies_rule",
+    "run_chunk",
     "sample_and_decode",
     "sample_batches",
 ]
@@ -98,19 +110,40 @@ def chunk_sizes(shots: int, chunk_shots: int | None = None) -> list[int]:
     return [base + (1 if index < remainder else 0) for index in range(chunks)]
 
 
-def chunk_streams(
-    stream: "np.random.SeedSequence | None", count: int
-) -> "list[np.random.SeedSequence | None]":
-    """One independent seed stream per chunk.
+@dataclass(frozen=True)
+class ChunkPlan:
+    """The chunk plan of one basis run: chunk sizes and one seed stream each."""
 
-    A single chunk receives ``stream`` itself; multiple chunks each
-    receive a spawned child.
+    sizes: list[int]
+    streams: list
+
+    def replay(self, store, index: int) -> "tuple[int, int] | None":
+        """The replay rule: chunk ``index``'s stored ``(shots, errors)``, or ``None``.
+
+        A summary counts only when its ``shots`` equals the planned size; one
+        that disagrees belongs to a different chunk layout (a stale cache)
+        and is a miss.  Reads ``store`` once; ``store=None`` replays nothing.
+        """
+        if store is None:
+            return None
+        summary = store.get(index)
+        if summary is None or summary.shots != self.sizes[index]:
+            return None
+        return summary.shots, summary.errors
+
+
+def chunk_plan(
+    shots: int, stream: "np.random.SeedSequence | None", chunk_shots: int | None = None
+) -> ChunkPlan:
+    """The plan of a ``shots``-shot basis run drawing from ``stream``.
+
+    Sizes come from :func:`chunk_sizes`.  A single chunk receives ``stream``
+    itself; multiple chunks each receive a spawned child.
     """
-    if count <= 1:
-        return [stream]
-    if stream is None:
-        return [None] * count
-    return stream.spawn(count)
+    sizes = chunk_sizes(shots, chunk_shots)
+    if len(sizes) > 1 and stream is not None:
+        return ChunkPlan(sizes, stream.spawn(len(sizes)))
+    return ChunkPlan(sizes, [stream] * max(1, len(sizes)))
 
 
 def run_chunk(
@@ -125,13 +158,13 @@ def run_chunk(
 
     ``sampler`` is any object with ``sample(shots, seed=...) -> SampleBatch``
     (built by ``repro.api.registries.samplers``); its output must be a pure
-    function of ``(shots, stream)``.  In process, the chunk loop passes the
-    one ``decoder`` it built for the basis run; a pool worker gets ``None``
-    and builds its own from the factory, because decoder *instances*
-    (matching graphs, lookup tables) need not be picklable.  Decoding
-    routes through :func:`repro.sim.estimator.decode_predictions`, so the
-    sampler's ``packed_detectors`` words feed the decoder's dedup front end
-    and only the unique syndromes of a chunk are ever decoded.
+    function of ``(shots, stream)``.  In process, :class:`ChunkRunner`
+    passes the one ``decoder`` it built for the basis run; a pool worker
+    gets ``None`` and builds its own from the factory, because decoder
+    *instances* (matching graphs, lookup tables) need not be picklable.
+    Decoding routes through :func:`repro.sim.estimator.decode_predictions`,
+    so the sampler's ``packed_detectors`` words feed the decoder's dedup
+    front end and only the unique syndromes of a chunk are ever decoded.
     """
     batch = sampler.sample(shots, seed=stream)
     if decoder is None:
@@ -182,54 +215,105 @@ def merge_chunks(
     return merged, np.concatenate(predictions)
 
 
+class ChunkRunner:
+    """Runs the fresh chunks of one basis run in process with one decoder.
+
+    ``task`` is :func:`run_chunk` or :func:`chunk_error_counts`.  The
+    decoder is built on the first fresh chunk and serves every later one
+    (decoding is a pure function of the DEM and the syndrome, so this is
+    bit-identical to per-chunk rebuilds); a run whose every chunk replays
+    builds none.
+    """
+
+    def __init__(self, task, dem: "DetectorErrorModel", decoder_factory, sampler) -> None:
+        self.task, self.dem, self.sampler = task, dem, sampler
+        self.decoder_factory = decoder_factory
+        self.decoder = None
+
+    def __call__(self, shots: int, stream: "np.random.SeedSequence | None"):
+        if self.decoder is None:
+            self.decoder = self.decoder_factory(self.dem)
+        return self.task(self.dem, self.decoder_factory, self.sampler, shots, stream, self.decoder)
+
+
+def _publish(store, index: int, counts):
+    """Persist a fresh chunk's ``(shots, errors)`` to ``store`` (if any)."""
+    if store is not None:
+        store.put(index, *counts)
+    return counts
+
+
+def chunk_step(plan: ChunkPlan, index: int, store, run) -> "tuple[object, bool]":
+    """One in-process step of the chunk loop: ``(result, fresh)`` for chunk ``index``.
+
+    Replays the chunk from ``store`` when :meth:`ChunkPlan.replay` accepts
+    it (``fresh=False``); otherwise ``run(size, stream)`` — a
+    :class:`ChunkRunner` — computes it and the counts are published to
+    ``store``.
+    """
+    stored = plan.replay(store, index)
+    if stored is not None:
+        return stored, False
+    return _publish(store, index, run(plan.sizes[index], plan.streams[index])), True
+
+
 def _chunk_results(
     task,
     dem: "DetectorErrorModel",
     decoder_factory: "DecoderFactory",
     sampler,
-    sizes: list[int],
-    streams: list,
+    plan: ChunkPlan,
     *,
     pool: "Executor | None" = None,
     lookahead: int = 1,
-    replay=lambda index: None,
+    store=None,
 ) -> Iterator[tuple[object, bool]]:
     """The chunk loop: yield ``(result, fresh)`` per chunk, strictly in chunk order.
 
-    ``task`` is :func:`run_chunk` or :func:`chunk_error_counts`.
-    ``replay(index)`` may return a stored result, which is yielded with
-    ``fresh=False`` instead of running that chunk.  In process, one decoder
-    is built on the first fresh chunk and serves every later one (decoding
-    is a pure function of the DEM and the syndrome, so this is
-    bit-identical to per-chunk rebuilds).  On a ``pool`` up to ``lookahead``
-    chunks from the current one run speculatively; a consumer that stops
-    early closes the generator, which cancels the chunks still queued.
-    Neither the pool nor the lookahead can change a result or its position.
+    In process, every chunk is one :func:`chunk_step` with one
+    :class:`ChunkRunner`.  On a ``pool`` a chunk that replays is yielded at
+    once; only when the loop must wait on the pool does it keep up to
+    ``lookahead`` chunks in flight, so a run the store carries to its stop
+    submits nothing and the pool starts no process.  The store is read once
+    per chunk, and a fresh chunk is published when it is yielded; a consumer
+    that stops early closes the generator, which cancels the chunks still
+    queued, so chunks past the stopping point are never published.  Neither
+    the pool nor the lookahead can change a result or its position.
     """
-    pending: "dict[int, Future]" = {}
-    submitted = 0  # chunks below this index were considered for submission
-    decoder = None
+    count = len(plan.sizes)
+    if pool is None:
+        run = ChunkRunner(task, dem, decoder_factory, sampler)
+        for index in range(count):
+            yield chunk_step(plan, index, store, run)
+        return
+
+    def submit(index: int) -> Future:
+        return pool.submit(
+            task, dem, decoder_factory, sampler, plan.sizes[index], plan.streams[index]
+        )
+
+    pending: "dict[int, Future | tuple[int, int]]" = {}
+    looked = 0  # chunks below this index were replayed or submitted ahead
     try:
-        for index, size in enumerate(sizes):
-            stored = replay(index)
-            if stored is not None:
-                yield stored, False
-            elif pool is None:
-                if decoder is None:
-                    decoder = decoder_factory(dem)
-                yield task(dem, decoder_factory, sampler, size, streams[index], decoder), True
-            else:
-                horizon = min(len(sizes), index + max(1, lookahead))
-                for ahead in range(max(submitted, index), horizon):
-                    if replay(ahead) is None:
-                        pending[ahead] = pool.submit(
-                            task, dem, decoder_factory, sampler, sizes[ahead], streams[ahead]
-                        )
-                submitted = max(submitted, horizon)
-                yield pending.pop(index).result(), True
+        for index in range(count):
+            result = pending.pop(index, None)
+            if result is None:
+                result = plan.replay(store, index)
+            if result is not None and not isinstance(result, Future):
+                yield result, False
+                continue
+            if result is None:
+                result = submit(index)
+            horizon = min(count, index + max(1, lookahead))
+            for ahead in range(max(looked, index + 1), horizon):
+                stored = plan.replay(store, ahead)
+                pending[ahead] = stored if stored is not None else submit(ahead)
+            looked = max(looked, horizon)
+            yield _publish(store, index, result.result()), True
     finally:
-        for future in pending.values():
-            future.cancel()
+        for item in pending.values():
+            if isinstance(item, Future):
+                item.cancel()
 
 
 def sample_batches(
@@ -248,10 +332,9 @@ def sample_batches(
     ``pool`` every chunk is submitted at once (nothing stops early, so no
     speculation is wasted); the output is the same for every worker count.
     """
-    sizes = chunk_sizes(shots, chunk_shots)
-    streams = chunk_streams(stream, len(sizes))
+    plan = chunk_plan(shots, stream, chunk_shots)
     results = _chunk_results(
-        run_chunk, dem, decoder_factory, sampler, sizes, streams, pool=pool, lookahead=len(sizes)
+        run_chunk, dem, decoder_factory, sampler, plan, pool=pool, lookahead=len(plan.sizes)
     )
     return merge_chunks([result for result, _fresh in results], dem)
 
@@ -261,15 +344,14 @@ def sample_batches(
 # ----------------------------------------------------------------------
 @dataclass
 class AdaptiveEstimate:
-    """Outcome of one basis run of :func:`sample_and_decode`.
+    """The consumed prefix of one basis run's chunk plan.
 
-    ``chunk_counts`` records the consumed prefix as ``(shots, errors)`` per
-    chunk in chunk order — by construction bit-identical to the first
+    ``chunk_counts`` records the prefix as ``(shots, errors)`` per chunk in
+    chunk order — by construction bit-identical to the first
     ``len(chunk_counts)`` chunks of the fixed-shot run (a rule without a
     precision target, which consumes every chunk).  ``cache_hits`` /
     ``fresh_chunks`` split the prefix into chunks replayed from a
-    :class:`repro.cache.ChunkStore` and chunks actually sampled in this
-    process.
+    :class:`repro.cache.ChunkStore` and chunks actually sampled.
     """
 
     shots: int = 0
@@ -288,30 +370,25 @@ class AdaptiveEstimate:
     def chunks(self) -> int:
         return len(self.chunk_counts)
 
+    def consume(
+        self, shots: int, errors: int, fresh: bool, rule: "StoppingRule", planned: int
+    ) -> bool:
+        """Fold the next chunk's counts into the prefix; True once the run stops.
 
-def store_satisfies_rule(
-    rule: "StoppingRule", store, *, chunk_shots: int | None = None
-) -> bool:
-    """True when ``rule`` stops without a fresh chunk: its plan is empty, or
-    cached summaries alone carry it to its stopping point.
-
-    Walks the same chunk plan and rule evaluation as
-    :func:`sample_and_decode`, but consults only the store — no sampling,
-    no decoding.  Callers use it to skip expensive setup (e.g. process-pool
-    startup) when nothing needs sampling; a ``True`` answer guarantees the
-    engine will report ``fresh_chunks == 0``.
-    """
-    sizes = chunk_sizes(rule.max_shots, chunk_shots)
-    shots = errors = 0
-    for index, size in enumerate(sizes):
-        summary = store.get(index) if store is not None else None
-        if summary is None or summary.shots != size:
-            return False
-        shots += summary.shots
-        errors += summary.errors
-        if rule.converged(errors, shots):
-            return True
-    return True  # the whole plan is cached
+        The one consume step of the engine, taken in chunk order by
+        :func:`sample_and_decode` and by the serve scheduler.  The run stops
+        when ``rule`` converges on the accumulated counts or when all
+        ``planned`` chunks are consumed.
+        """
+        self.shots += shots
+        self.errors += errors
+        self.chunk_counts.append((shots, errors))
+        if fresh:
+            self.fresh_chunks += 1
+        else:
+            self.cache_hits += 1
+        self.converged = rule.converged(self.errors, self.shots)
+        return self.converged or len(self.chunk_counts) >= planned
 
 
 def sample_and_decode(
@@ -330,8 +407,8 @@ def sample_and_decode(
 
     The chunk layout and per-chunk seed streams are derived for
     ``rule.max_shots`` exactly as :func:`sample_batches` would derive them,
-    and the chunk loop hands back counts strictly in chunk order with the
-    rule evaluated after each one.  Consequently:
+    and the chunk loop hands back counts strictly in chunk order to
+    :meth:`AdaptiveEstimate.consume`.  Consequently:
 
     * a rule without a precision target consumes the whole plan — the
       fixed-shot run at ``shots=rule.max_shots`` — and any earlier stop is
@@ -346,44 +423,21 @@ def sample_and_decode(
     freshly consumed chunk, which is what makes interrupted or
     coarser-precision runs resumable and refinable across processes.
     """
-    sizes = chunk_sizes(rule.max_shots, chunk_shots)
-    streams = chunk_streams(stream, len(sizes))
-    cached: dict[int, tuple[int, int] | None] = {}
-
-    def replay(index: int) -> "tuple[int, int] | None":
-        if index not in cached:
-            summary = store.get(index) if store is not None else None
-            # A summary whose size disagrees with the plan belongs to a
-            # different chunk layout (stale cache); treat it as a miss.
-            if summary is not None and summary.shots != sizes[index]:
-                summary = None
-            cached[index] = None if summary is None else (summary.shots, summary.errors)
-        return cached[index]
-
+    plan = chunk_plan(rule.max_shots, stream, chunk_shots)
+    planned = len(plan.sizes)
     estimate = AdaptiveEstimate()
     chunks = _chunk_results(
         chunk_error_counts,
         dem,
         decoder_factory,
         sampler,
-        sizes,
-        streams,
+        plan,
         pool=pool,
         lookahead=lookahead,
-        replay=replay,
+        store=store,
     )
     with closing(chunks):
-        for index, ((shots, errors), fresh) in enumerate(chunks):
-            if fresh:
-                estimate.fresh_chunks += 1
-                if store is not None:
-                    store.put(index, shots, errors)
-            else:
-                estimate.cache_hits += 1
-            estimate.shots += shots
-            estimate.errors += errors
-            estimate.chunk_counts.append((shots, errors))
-            if rule.converged(estimate.errors, estimate.shots):
-                estimate.converged = True
+        for (shots, errors), fresh in chunks:
+            if estimate.consume(shots, errors, fresh, rule, planned):
                 break
     return estimate

@@ -9,13 +9,16 @@ share, executed by one fleet of local worker processes:
     the deduplicating priority job queue and the chunk-lease scheduler.
     Identical canonical :class:`~repro.api.spec.RunSpec` submissions
     coalesce into one job; local workers lease fixed 1024-shot chunk
-    ranges with deadlines, so a killed worker never strands a job.
+    ranges with deadlines, so a killed worker never strands a job, and the
+    results are consumed in chunk order through
+    :meth:`repro.parallel.AdaptiveEstimate.consume`, as offline.
 
 :mod:`repro.serve.worker`
     the worker process: builds the pipeline stages for a job once, then
-    executes leased chunks through :func:`repro.parallel.chunk_error_counts`,
-    replaying and publishing ``(shots, errors)`` summaries through the
-    shared :class:`repro.cache.ResultCache`.
+    takes each leased chunk through the offline chunk loop's own step,
+    :func:`repro.parallel.chunk_step` — replaying or publishing its
+    ``(shots, errors)`` summary through the shared
+    :class:`repro.cache.ResultCache`.
 
 :mod:`repro.serve.server`
     the asyncio HTTP service (stdlib only): ``POST /jobs``,

@@ -15,16 +15,16 @@ canonical spec, a completed job is a permanent memo — resubmitting a done
 spec returns the finished job immediately.
 
 **Chunk plan.**  A job's work is the exact chunk plan the offline
-:class:`repro.api.Pipeline` would execute: per basis (``Z``/``X``), fixed
-1024-shot chunks laid out for ``budget.plan_shots``
-(:func:`repro.parallel.chunk_sizes`) with per-chunk spawned seed streams.
-Chunk *results* are consumed strictly in chunk order through the budget's
-:class:`~repro.analysis.stats.StoppingRule` (a fixed-shot budget's rule
-never stops early); out-of-order completions are buffered and speculative
-chunks past an adaptive stopping point are discarded, and the finished job
-reduces through :func:`repro.sim.estimator.rates_from_estimates` —
-byte-for-byte the offline engine's contract, which is what makes served
-results bit-identical to offline runs.
+:class:`repro.api.Pipeline` would execute: per basis (``Z``/``X``), the
+sizes :func:`repro.parallel.chunk_plan` lays out for the budget's stopping
+rule.  Chunk *results* arrive in any order; :class:`BasisProgress` buffers
+them and consumes them strictly in chunk order through
+:meth:`repro.parallel.AdaptiveEstimate.consume` — the step the offline
+loop takes — so speculative chunks past an adaptive stopping point are
+discarded, and the finished job reduces through
+:func:`repro.sim.estimator.rates_from_estimates`.  That is byte-for-byte
+the offline engine's contract, which is what makes served results
+bit-identical to offline runs.
 
 **Leases.**  Workers are granted chunk ranges under a deadline
 (``lease_timeout``); every reported chunk renews the lease.  An
@@ -50,14 +50,15 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import relative_error
 from repro.api.pipeline import RunResult, adaptive_report
 from repro.api.spec import RunSpec, canonical_spec
-from repro.parallel import DEFAULT_CHUNK_SHOTS, AdaptiveEstimate, chunk_sizes
-from repro.sim.estimator import rates_from_estimates
+from repro.parallel import AdaptiveEstimate, chunk_plan
+from repro.sim.estimator import BASES, rates_from_estimates
 
 __all__ = [
     "BasisProgress",
@@ -69,10 +70,6 @@ __all__ = [
     "Lease",
     "job_key",
 ]
-
-#: Basis execution order; matches ``repro.api.pipeline._BASES``.
-BASES = ("Z", "X")
-
 
 def job_key(spec: RunSpec) -> str:
     """Content address of one job: SHA-256 of the canonical spec payload.
@@ -108,55 +105,44 @@ class ChunkTask:
 
 
 class BasisProgress:
-    """Strictly-ordered consumption of one basis' chunk plan.
+    """Ordered consumption of one basis' chunk plan from out-of-order arrivals.
 
-    Chunk results arrive in any order (workers race) but are *consumed* —
-    accumulated into ``shots``/``errors`` and fed to the stopping rule —
-    strictly by chunk index, exactly like
-    :func:`repro.parallel.sample_and_decode`.  ``done`` flips when
-    the rule converges or the plan is exhausted; anything buffered or
-    reported after that is speculation and is discarded.
+    Chunk results arrive in any order (workers race).  A wanted result waits
+    in ``buffered`` until every lower index has arrived, then it is consumed
+    into ``consumed`` through :meth:`repro.parallel.AdaptiveEstimate.consume`,
+    exactly as :func:`repro.parallel.sample_and_decode` consumes it.
+    ``done`` flips when that step says stop; anything buffered or reported
+    after that is speculation and is discarded.
     """
 
     def __init__(self, sizes: list[int], rule) -> None:
         self.sizes = sizes
         self.rule = rule
-        self.next_consume = 0
-        self.next_dispatch = 0
+        self.consumed = AdaptiveEstimate()
         self.buffered: dict[int, tuple[int, int, bool]] = {}
-        self.shots = 0
-        self.errors = 0
-        self.chunk_counts: list[tuple[int, int]] = []
-        self.cache_hits = 0
-        self.fresh_chunks = 0
-        self.converged = False
+        self.next_dispatch = 0
         self.done = not sizes
 
+    @property
+    def next_consume(self) -> int:
+        """Index of the next chunk to consume."""
+        return self.consumed.chunks
+
+    def wants(self, index: int) -> bool:
+        """True while chunk ``index`` is not done, not consumed and not buffered."""
+        return not self.done and index >= self.next_consume and index not in self.buffered
+
     def record(self, index: int, shots: int, errors: int, cached: bool) -> bool:
-        """Buffer one chunk result; consume in order.  True if the frontier moved."""
-        if self.done or index < self.next_consume or index in self.buffered:
+        """Take one chunk result if it is wanted, consuming in order.  True if taken."""
+        if not self.wants(index):
             return False
-        self.buffered[index] = (shots, errors, cached)
-        moved = False
+        self.buffered[index] = (shots, errors, not cached)
         while not self.done and self.next_consume in self.buffered:
-            shots, errors, cached = self.buffered.pop(self.next_consume)
-            self.next_consume += 1
-            self.shots += shots
-            self.errors += errors
-            self.chunk_counts.append((shots, errors))
-            if cached:
-                self.cache_hits += 1
-            else:
-                self.fresh_chunks += 1
-            moved = True
-            if self.rule.converged(self.errors, self.shots):
-                self.converged = True
-                self.done = True
-            elif self.next_consume >= len(self.sizes):
-                self.done = True
+            counts = self.buffered.pop(self.next_consume)
+            self.done = self.consumed.consume(*counts, self.rule, len(self.sizes))
         if self.done:
             self.buffered.clear()
-        return moved
+        return True
 
     def dispatchable(self, window: int) -> "list[int]":
         """Chunk indices ready to hand out, bounded by the speculation window.
@@ -169,44 +155,24 @@ class BasisProgress:
         if self.done:
             return []
         horizon = min(len(self.sizes), self.next_consume + max(1, window))
-        indices = list(range(max(self.next_dispatch, self.next_consume), horizon))
-        return indices
+        return list(range(max(self.next_dispatch, self.next_consume), horizon))
 
     def mark_dispatched(self, index: int) -> None:
         """Advance the dispatch frontier past ``index``."""
         self.next_dispatch = max(self.next_dispatch, index + 1)
 
-    @property
-    def rate(self) -> float:
-        """Observed error fraction of the consumed prefix."""
-        return self.errors / self.shots if self.shots else 0.0
-
-    def rse(self) -> float | None:
-        """Current Wilson relative error (``None`` while it is infinite)."""
-        value = relative_error(self.errors, self.shots, z=self.rule.z)
-        return None if value != value or value == float("inf") else value
-
-    def estimate(self) -> AdaptiveEstimate:
-        """The consumed prefix as an :class:`~repro.parallel.AdaptiveEstimate`."""
-        return AdaptiveEstimate(
-            shots=self.shots,
-            errors=self.errors,
-            converged=self.converged,
-            chunk_counts=list(self.chunk_counts),
-            cache_hits=self.cache_hits,
-            fresh_chunks=self.fresh_chunks,
-        )
-
     def summary(self) -> dict:
         """JSON-ready progress snapshot of this basis."""
+        consumed = self.consumed
+        rse = relative_error(consumed.errors, consumed.shots, z=self.rule.z)
         return {
-            "chunks_done": self.next_consume,
+            "chunks_done": consumed.chunks,
             "chunks_planned": len(self.sizes),
-            "shots": self.shots,
-            "errors": self.errors,
-            "rate": self.rate,
-            "rse": self.rse(),
-            "converged": self.converged,
+            "shots": consumed.shots,
+            "errors": consumed.errors,
+            "rate": consumed.rate,
+            "rse": rse if math.isfinite(rse) else None,
+            "converged": consumed.converged,
             "done": self.done,
         }
 
@@ -222,10 +188,10 @@ class Job:
         self.seq = seq
         self.state = JobState.QUEUED
         self.submissions = 1
-        sizes = chunk_sizes(spec.budget.plan_shots, DEFAULT_CHUNK_SHOTS)
         self.rule = spec.budget.stopping_rule()
+        sizes = chunk_plan(self.rule.max_shots, None).sizes
         self.progress: dict[str, BasisProgress] = {
-            basis: BasisProgress(list(sizes), self.rule) for basis in BASES
+            basis: BasisProgress(sizes, self.rule) for basis in BASES
         }
         #: Expired-lease chunks to re-dispatch before fresh speculation.
         self.requeued: list[ChunkTask] = []
@@ -269,7 +235,7 @@ class Job:
         stopping rule, exactly as the offline pipeline does.
         """
         depth = self.depth if self.depth is not None else 0
-        estimates = {basis: progress.estimate() for basis, progress in self.progress.items()}
+        estimates = {basis: progress.consumed for basis, progress in self.progress.items()}
         rates = rates_from_estimates(depth, estimates, self.rule)
         report = adaptive_report(self.spec.budget, estimates) if self.adaptive else None
         self.result = RunResult(
@@ -526,21 +492,13 @@ class JobScheduler:
             return []
         job.absorb_info(info)
         progress = job.progress.get(task.basis)
-        if progress is None:
-            self.stats.chunks_discarded += 1
-            return []
-        if (
-            progress.done
-            or task.index < progress.next_consume
-            or task.index in progress.buffered
-        ):
+        if progress is None or not progress.record(task.index, shots, errors, cached):
             # Speculation past an adaptive stop, or a duplicate of a chunk
             # another worker (possibly before a server restart) already
             # delivered — drop it before it reaches any counter, so the
             # fabric stats never double-count a chunk.
             self.stats.chunks_discarded += 1
             return []
-        progress.record(task.index, shots, errors, cached)
         if cached:
             self.stats.chunks_cached += 1
         else:
@@ -750,8 +708,7 @@ class JobScheduler:
             job = self.jobs.get(task.job_id)
             if job is None or job.state in JobState.TERMINAL:
                 continue
-            progress = job.progress[task.basis]
-            if task.index >= progress.next_consume and task.index not in progress.buffered:
+            if job.progress[task.basis].wants(task.index):
                 job.requeued.append(task)
                 requeued.append(task)
         return requeued

@@ -1,24 +1,23 @@
 """The ``repro serve`` worker process.
 
 A worker is a plain loop over its inbox queue: it receives leased
-:class:`~repro.serve.jobs.ChunkTask` batches, executes each chunk through
-exactly the machinery the offline path uses —
-:func:`repro.parallel.chunk_error_counts` over the job's detector error
-model, with the chunk's own spawned seed stream — and reports one
+:class:`~repro.serve.jobs.ChunkTask` batches, takes each chunk through the
+offline chunk loop's own per-chunk step — :func:`repro.parallel.chunk_step`:
+replay a stored chunk, or sample and decode it with the basis's one
+:class:`~repro.parallel.ChunkRunner`, then publish it — and reports one
 ``(shots, errors)`` summary per chunk on the shared outbox.
 
 **Determinism.**  The per-job context (code → noise → schedule → circuit →
-DEM, one decoder per basis, and the per-basis chunk streams) is rebuilt from
-the :class:`~repro.api.spec.RunSpec` via :class:`repro.api.Pipeline`'s
-staged attributes, and the chunk streams are derived with
-:func:`repro.parallel.chunk_streams` from
-:func:`repro.sim.estimator.basis_streams` — the identical derivation the
-offline engine performs.  A chunk's content therefore depends only on
+DEM, one decoder per basis) is rebuilt from the
+:class:`~repro.api.spec.RunSpec` via :class:`repro.api.Pipeline`'s staged
+attributes, and each basis' plan comes from :func:`repro.parallel.chunk_plan`
+over the :func:`repro.sim.estimator.basis_streams` stream — the call the
+offline engine makes.  A chunk's content therefore depends only on
 ``(spec, basis, index)``, never on which worker executes it or when; that
 is what lets the scheduler re-run a killed worker's chunks and still
 finish with a bit-identical result.
 
-**Cache.**  With a cache directory configured, the worker consults the
+**Cache.**  With a cache directory configured, the step consults the
 shared content-addressed :class:`repro.cache.ResultCache` before sampling
 and publishes every fresh chunk into it, so concurrent jobs, server
 restarts and offline runs all share one pool of chunk summaries.
@@ -41,10 +40,17 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
+from functools import partial
 
 from repro.api.pipeline import Pipeline
 from repro.api.spec import RunSpec
-from repro.parallel import DEFAULT_CHUNK_SHOTS, chunk_error_counts, chunk_sizes, chunk_streams
+from repro.parallel import (
+    DEFAULT_CHUNK_SHOTS,
+    ChunkRunner,
+    chunk_error_counts,
+    chunk_plan,
+    chunk_step,
+)
 from repro.serve.jobs import ChunkTask
 from repro.sim.estimator import basis_streams
 
@@ -63,25 +69,24 @@ class JobContext:
     Built lazily from the spec; the pipeline's staged attributes mean a
     fully cache-replayed job only pays for the schedule (needed for
     ``depth``), never for DEM extraction, decoder construction or sampling.
-    Like the in-process chunk loop, a context builds one decoder per basis
-    and reuses it for every chunk it runs.
+    Like the in-process chunk loop, a context builds one
+    :class:`~repro.parallel.ChunkRunner` (so one decoder) per basis and
+    reuses it for every chunk it runs.
     """
 
     def __init__(self, spec, cache=None) -> None:
         self.spec = spec
         self.pipeline = Pipeline(spec)
-        sizes = chunk_sizes(spec.budget.plan_shots, DEFAULT_CHUNK_SHOTS)
-        self.streams = {
-            basis: chunk_streams(stream, len(sizes))
+        self.plans = {
+            basis: chunk_plan(spec.budget.plan_shots, stream, DEFAULT_CHUNK_SHOTS)
             for basis, stream in basis_streams(spec.eval_seed())
         }
         self.stores = {}
         if cache is not None:
             self.stores = {
-                basis: cache.chunk_store(spec, basis, DEFAULT_CHUNK_SHOTS)
-                for basis in self.streams
+                basis: cache.chunk_store(spec, basis, DEFAULT_CHUNK_SHOTS) for basis in self.plans
             }
-        self._decoders: dict = {}
+        self._runners: dict[str, ChunkRunner] = {}
         self._info: dict | None = None
 
     def info(self) -> dict:
@@ -97,39 +102,28 @@ class JobContext:
             }
         return self._info
 
-    def decoder(self, basis: str):
-        """The basis's decoder, built on first use and shared by its chunks."""
-        decoder = self._decoders.get(basis)
-        if decoder is None:
-            decoder = self.pipeline.decoder_factory(self.pipeline.dem[basis])
-            self._decoders[basis] = decoder
-        return decoder
+    def _run_fresh(self, basis: str, shots: int, stream):
+        """Sample and decode one chunk with the basis's runner, built on first use."""
+        runner = self._runners.get(basis)
+        if runner is None:
+            pipeline = self.pipeline
+            runner = self._runners[basis] = ChunkRunner(
+                chunk_error_counts,
+                pipeline.dem[basis],
+                pipeline.decoder_factory,
+                pipeline.samplers[basis],
+            )
+        return runner(shots, stream)
 
     def run_chunk(self, task: ChunkTask) -> "tuple[int, int, bool]":
-        """Execute (or cache-replay) one chunk: ``(shots, errors, cached)``.
-
-        A fresh chunk samples and decodes through the same batch-first
-        stack as the in-process pool (``chunk_error_counts`` →
-        ``run_chunk`` → ``decode_predictions``): packed syndromes feed the
-        decoder's dedup front end, so a served chunk decodes only its
-        unique syndromes — and stays bit-identical to local execution.
-        """
-        store = self.stores.get(task.basis)
-        if store is not None:
-            summary = store.get(task.index)
-            if summary is not None and summary.shots == task.shots:
-                return summary.shots, summary.errors, True
-        shots, errors = chunk_error_counts(
-            self.pipeline.dem[task.basis],
-            self.pipeline.decoder_factory,
-            self.pipeline.samplers[task.basis],
-            task.shots,
-            self.streams[task.basis][task.index],
-            decoder=self.decoder(task.basis),
+        """Replay or execute one chunk: ``(shots, errors, cached)``."""
+        (shots, errors), fresh = chunk_step(
+            self.plans[task.basis],
+            task.index,
+            self.stores.get(task.basis),
+            partial(self._run_fresh, task.basis),
         )
-        if store is not None:
-            store.put(task.index, shots, errors)
-        return shots, errors, False
+        return shots, errors, not fresh
 
 
 def worker_main(

@@ -27,6 +27,7 @@ from repro.sim.dem import DetectorErrorModel, build_detector_error_model
 from repro.sim.sampler import DemSampler, SampleBatch, sample_detector_error_model  # noqa: F401
 
 __all__ = [
+    "BASES",
     "LogicalErrorRates",
     "basis_streams",
     "count_wrong",
@@ -96,6 +97,10 @@ def count_wrong(predictions: np.ndarray, batch: SampleBatch) -> int:
     return int(np.count_nonzero((predictions != batch.observables).any(axis=1)))
 
 
+#: The measurement bases in execution order (see :func:`basis_streams`).
+BASES = ("Z", "X")
+
+
 def basis_streams(
     seed: "int | np.random.SeedSequence | None",
 ) -> "list[tuple[str, np.random.SeedSequence | None]]":
@@ -103,12 +108,12 @@ def basis_streams(
 
     Basis Z consumes the first spawned child (and reports ``error_x``);
     basis X the second.  This single derivation is shared by the serial
-    estimator, the pooled :class:`repro.core.ScheduleEvaluator` fan-out and
-    the :class:`repro.api.Pipeline`, so the streams can never drift apart
-    between the paths (which would silently break their bit-identity).
+    estimator, the pooled :class:`repro.core.ScheduleEvaluator` fan-out,
+    the :class:`repro.api.Pipeline` and the ``repro serve`` workers, so the
+    streams can never drift apart between the paths (which would silently
+    break their bit-identity).
     """
-    stream_x, stream_z = spawn_streams(seed, 2)
-    return [("Z", stream_x), ("X", stream_z)]
+    return list(zip(BASES, spawn_streams(seed, 2)))
 
 
 def decode_predictions(decoder, batch: SampleBatch) -> np.ndarray:

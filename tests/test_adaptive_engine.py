@@ -24,9 +24,15 @@ from repro.analysis.stats import (
     z_for_confidence,
 )
 from repro.api import Budget, Pipeline, RunSpec
-from repro.cache import ResultCache, chunk_address
+from repro.cache import ChunkSummary, ResultCache, chunk_address
 from repro.core.evaluator import ScheduleEvaluator
-from repro.parallel import chunk_sizes, sample_and_decode, sample_batches
+from repro.parallel import (
+    chunk_plan,
+    chunk_sizes,
+    chunk_step,
+    sample_and_decode,
+    sample_batches,
+)
 from repro.sim import count_wrong
 from repro.sim.sampler import DemSampler, SampleBatch
 
@@ -81,7 +87,6 @@ class TestStoppingRule:
     def test_no_target_never_converges(self):
         rule = StoppingRule(max_shots=1000)
         assert not rule.converged(500, 1000)
-        assert rule.should_stop(0, 1000)  # budget still stops it
 
     def test_zero_errors_never_converges(self):
         rule = StoppingRule(max_shots=10**9, target_rse=0.5)
@@ -90,7 +95,6 @@ class TestStoppingRule:
     def test_zero_trials_never_converges(self):
         rule = StoppingRule(max_shots=100, target_rse=0.5)
         assert not rule.converged(0, 0)
-        assert not rule.should_stop(0, 0)
 
     def test_precision_convergence(self):
         rule = StoppingRule(max_shots=10**9, target_rse=0.2)
@@ -102,6 +106,97 @@ class TestStoppingRule:
             StoppingRule(max_shots=10, target_rse=0.0)
         with pytest.raises(ValueError, match="max_shots"):
             StoppingRule(max_shots=-1)
+
+
+# ----------------------------------------------------------------------
+# The shared chunk units: plan, replay rule, chunk step, consume step
+# ----------------------------------------------------------------------
+class _DictStore:
+    """A ChunkStore stand-in: summaries in a dict, every put recorded."""
+
+    def __init__(self, summaries=None):
+        self.summaries = dict(summaries or {})
+        self.puts = []
+
+    def get(self, index):
+        return self.summaries.get(index)
+
+    def put(self, index, shots, errors):
+        self.puts.append((index, shots, errors))
+        self.summaries[index] = ChunkSummary(shots, errors)
+
+
+class TestChunkUnits:
+    def test_plan_spawns_one_child_stream_per_chunk(self):
+        plan = chunk_plan(2500, np.random.SeedSequence(7), chunk_shots=1000)
+        assert plan.sizes == chunk_sizes(2500, 1000) == [834, 833, 833]
+        expected = np.random.SeedSequence(7).spawn(3)
+        assert [s.spawn_key for s in plan.streams] == [s.spawn_key for s in expected]
+        assert all(s.entropy == 7 for s in plan.streams)
+
+    def test_single_chunk_and_empty_plans_reuse_the_stream(self):
+        stream = np.random.SeedSequence(3)
+        single = chunk_plan(500, stream, chunk_shots=1000)
+        assert single.sizes == [500]
+        assert single.streams == [stream]
+        assert stream.n_children_spawned == 0
+        empty = chunk_plan(0, stream)
+        assert empty.sizes == [] and empty.streams == [stream]
+
+    def test_replay_counts_a_summary_only_at_its_planned_size(self):
+        plan = chunk_plan(2000, np.random.SeedSequence(1), chunk_shots=1000)
+        store = _DictStore({0: ChunkSummary(1000, 4), 1: ChunkSummary(999, 2)})
+        assert plan.replay(store, 0) == (1000, 4)
+        assert plan.replay(store, 1) is None  # a stale layout is a miss
+        assert plan.replay(_DictStore(), 0) is None
+        assert plan.replay(None, 0) is None
+
+    def test_chunk_step_replays_without_running(self):
+        plan = chunk_plan(2000, np.random.SeedSequence(1), chunk_shots=1000)
+        store = _DictStore({1: ChunkSummary(1000, 5)})
+
+        def run(shots, stream):
+            raise AssertionError("a replayed chunk must not run")
+
+        assert chunk_step(plan, 1, store, run) == ((1000, 5), False)
+        assert store.puts == []
+
+    def test_chunk_step_runs_and_publishes_a_miss(self):
+        plan = chunk_plan(2000, np.random.SeedSequence(1), chunk_shots=1000)
+        store = _DictStore({0: ChunkSummary(7, 1)})
+        calls = []
+
+        def run(shots, stream):
+            calls.append((shots, stream))
+            return shots, 3
+
+        assert chunk_step(plan, 0, store, run) == ((1000, 3), True)
+        assert calls == [(1000, plan.streams[0])]
+        assert store.puts == [(0, 1000, 3)]
+        assert chunk_step(plan, 0, None, run) == ((1000, 3), True)
+
+    def test_consume_without_target_stops_at_the_plan_end(self):
+        rule = StoppingRule(max_shots=3000)
+        progress = parallel.AdaptiveEstimate()
+        assert not progress.consume(1000, 10, True, rule, planned=3)
+        assert not progress.consume(1000, 20, False, rule, planned=3)
+        assert progress.consume(1000, 30, True, rule, planned=3)
+        assert (progress.shots, progress.errors, progress.chunks) == (3000, 60, 3)
+        assert progress.chunk_counts == [(1000, 10), (1000, 20), (1000, 30)]
+        assert (progress.fresh_chunks, progress.cache_hits) == (2, 1)
+        assert not progress.converged
+        assert progress.rate == pytest.approx(0.02)
+
+    def test_consume_stops_once_the_rule_converges(self):
+        rule = StoppingRule(max_shots=10**6, target_rse=0.2)
+        progress = parallel.AdaptiveEstimate()
+        assert progress.rate == 0.0
+        assert not progress.consume(100, 0, True, rule, planned=1000)
+        assert not progress.converged
+        assert progress.consume(10_000, 500, False, rule, planned=1000)
+        assert progress.converged
+        assert (progress.shots, progress.errors) == (10_100, 500)
+        assert (progress.fresh_chunks, progress.cache_hits) == (1, 1)
 
 
 class TestCountWrongEdges:
@@ -587,28 +682,28 @@ class TestEstimatorAdaptiveEntryPoint:
         assert again == first
 
 
-class TestStoreSatisfiesRule:
-    def test_probe_matches_engine_outcome(self, tmp_path, problem):
-        from repro.parallel import store_satisfies_rule
+class TestWarmPooledRun:
+    def test_fully_cached_pooled_run_starts_no_worker(self, tmp_path, monkeypatch):
+        """A warm adaptive Pipeline(workers=2) submits nothing to its pool,
+        so the pool forks no process, and it returns the cold run's rates."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        dem, factory, sampler, make_stream = problem
-        cache = ResultCache(tmp_path / "cache")
-        store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 256)
-        rule = StoppingRule(max_shots=1024, target_rse=0.6, z=1.96)
-        assert not store_satisfies_rule(rule, store, chunk_shots=256)
-        sample_and_decode(
-            dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
-        )
-        assert store_satisfies_rule(rule, store, chunk_shots=256)
-        # A warm probe guarantees a zero-sampling replay.
-        replay = sample_and_decode(
-            dem, factory, sampler, make_stream(), rule, chunk_shots=256, store=store
-        )
-        assert replay.fresh_chunks == 0
+        spec = ADAPTIVE_SPEC.replace(workers=2)
+        cold = Pipeline(spec, cache=tmp_path / "cache")
+        assert cold.adaptive_report["fresh_chunks"] > 0
+        cold_rates = cold.rates
 
-    def test_none_store_never_satisfies(self):
-        from repro.parallel import store_satisfies_rule
+        submits = []
+        original = ProcessPoolExecutor.submit
 
-        assert not store_satisfies_rule(
-            StoppingRule(max_shots=100, target_rse=0.5), None
-        )
+        def counting_submit(self, *args, **kwargs):
+            submits.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        warm = Pipeline(spec, cache=tmp_path / "cache")
+        assert warm.rates == cold_rates
+        assert warm.adaptive_report["fresh_chunks"] == 0
+        assert submits == []
+        assert not multiprocessing.active_children()

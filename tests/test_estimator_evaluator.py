@@ -159,27 +159,6 @@ class TestScheduleEvaluator:
         rates_bad = evaluator.evaluate(trivial_schedule(steane))
         assert (good >= bad) == (rates_good.overall <= rates_bad.overall)
 
-    def test_neg_log_objective(self, steane, lookup_factory, brisbane):
-        evaluator = ScheduleEvaluator(
-            code=steane,
-            noise=brisbane,
-            decoder_factory=lookup_factory,
-            shots=100,
-            seed=0,
-            objective="neg_log",
-        )
-        score = evaluator.score(lowest_depth_schedule(steane))
-        assert score > 0
-
-    def test_invalid_objective_rejected(self, steane, lookup_factory, brisbane):
-        with pytest.raises(ValueError):
-            ScheduleEvaluator(
-                code=steane,
-                noise=brisbane,
-                decoder_factory=lookup_factory,
-                objective="magic",
-            )
-
     def test_perfect_schedule_score_capped(self, steane, lookup_factory):
         evaluator = ScheduleEvaluator(
             code=steane,
@@ -217,30 +196,6 @@ class TestScheduleEvaluatorCacheSemantics:
         second = evaluator.evaluate(permuted)
         assert first is second
         assert evaluator.cache_size == 1
-
-    def test_neg_log_zero_error_capped(self, steane, lookup_factory):
-        import math
-
-        evaluator = ScheduleEvaluator(
-            code=steane,
-            noise=NoiseModel(0.0, 0.0),
-            decoder_factory=lookup_factory,
-            shots=50,
-            seed=0,
-            objective="neg_log",
-        )
-        assert evaluator.score(lowest_depth_schedule(steane)) == pytest.approx(
-            math.log(1e6)
-        )
-
-    def test_neg_log_matches_log_of_overall(self, steane, lookup_factory, brisbane):
-        import math
-
-        evaluator = self._evaluator(steane, lookup_factory, brisbane, objective="neg_log")
-        schedule = trivial_schedule(steane)
-        rates = evaluator.evaluate(schedule)
-        assert rates.overall > 0
-        assert evaluator.score(schedule) == pytest.approx(-math.log(rates.overall))
 
     def test_evaluate_many_orders_and_dedupes(self, steane, lookup_factory, brisbane):
         evaluator = self._evaluator(steane, lookup_factory, brisbane)

@@ -31,7 +31,6 @@ class TestMCTSNode:
         child = node.child_for_move(checks[0])
         assert child.schedule.num_assigned == 1
         assert len(child.remaining) == len(checks) - 1
-        assert child.parent is node
 
     def test_uct_prefers_unvisited(self, steane):
         checks = tuple(checks_of_code(steane))
@@ -42,7 +41,7 @@ class TestMCTSNode:
         child_a.total_score = 4.0
         child_b = node.child_for_move(checks[1])
         node.children = [child_a, child_b]
-        assert child_b.uct(1.4) > child_a.uct(1.4)
+        assert child_b.uct(1.4, node.visits) > child_a.uct(1.4, node.visits)
 
     def test_terminal_when_no_remaining(self, steane):
         node = MCTSNode(Schedule(steane), ())
@@ -77,22 +76,67 @@ class TestPartitionMCTS:
         assert len(moves) == len(checks)
         assert search.evaluations_used <= 8 + len(checks)
 
-    def test_subtree_reuse_reduces_evaluations(self):
+    def test_rerooted_step_tops_visits_up_to_the_step_budget(self):
+        """Continuous search (Section 4.5): after a re-root, a step runs
+        max(iterations_per_step - root.visits, 1) rollouts."""
         code = repetition_code(4)
-        checks = tuple(checks_of_code(code))
+        search = PartitionMCTS(
+            evaluator=self._evaluator(code),
+            checks=tuple(checks_of_code(code)),
+            compose=lambda schedule: schedule,
+            config=MCTSConfig(iterations_per_step=5, seed=2),
+        )
+        steps = []  # [root, root.visits when its step began, rollouts run]
+        iterate = search._iterate_batch
 
-        def run(reuse: bool) -> int:
-            evaluator = self._evaluator(code)
-            search = PartitionMCTS(
-                evaluator=evaluator,
-                checks=checks,
-                compose=lambda schedule: schedule,
-                config=MCTSConfig(iterations_per_step=4, seed=2, reuse_subtree=reuse),
-            )
+        def recording(root, count):
+            if not steps or steps[-1][0] is not root:
+                steps.append([root, root.visits, 0])
+            completed = iterate(root, count)
+            steps[-1][2] += completed
+            return completed
+
+        search._iterate_batch = recording
+        search.search()
+        assert len(steps) > 1
+        assert any(visits > 0 for _, visits, _ in steps[1:])  # re-roots kept visits
+        for _, visits, rollouts in steps:
+            assert rollouts == max(5 - visits, 1)
+
+    def test_search_tree_is_freed_without_the_cycle_collector(self, monkeypatch):
+        """Nodes hold no parent pointer, so every node of the search tree is
+        freed by reference counting as soon as search() returns."""
+        import gc
+        import weakref
+
+        import repro.core.mcts as mcts
+
+        nodes = []
+
+        class TrackedNode(mcts.MCTSNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(weakref.ref(self))
+
+        monkeypatch.setattr(mcts, "MCTSNode", TrackedNode)
+        code = repetition_code(4)
+        search = PartitionMCTS(
+            evaluator=self._evaluator(code),
+            checks=tuple(checks_of_code(code)),
+            compose=lambda schedule: schedule,
+            config=MCTSConfig(iterations_per_step=3, seed=1),
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
             search.search()
-            return search.evaluations_used
-
-        assert run(True) <= run(False)
+            root = nodes[0]
+            assert len(nodes) > 1
+            assert root() is None
+            assert all(node() is None for node in nodes)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAlphaSyndrome:

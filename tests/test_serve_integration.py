@@ -198,8 +198,9 @@ def test_job_context_builds_one_decoder_per_basis():
     # Counts equal a fresh decoder per chunk: decoding is a pure function
     # of the DEM and the syndrome.
     dem, sampler = context.pipeline.dem["Z"], context.pipeline.samplers["Z"]
+    streams = context.plans["Z"].streams
     assert counts == [
-        (*chunk_error_counts(dem, factory, sampler, shots, context.streams["Z"][index]), False)
+        (*chunk_error_counts(dem, factory, sampler, shots, streams[index]), False)
         for index, shots in enumerate(sizes)
     ]
 

@@ -9,11 +9,17 @@ same semantics through real worker processes and HTTP.
 
 from __future__ import annotations
 
-import pytest
+from typing import NamedTuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.stats import StoppingRule
 from repro.api.spec import Budget, RunSpec
-from repro.parallel import DEFAULT_CHUNK_SHOTS, chunk_sizes
-from repro.serve.jobs import BASES, JobScheduler, JobState, job_key
+from repro.parallel import DEFAULT_CHUNK_SHOTS, chunk_sizes, sample_and_decode
+from repro.serve.jobs import BasisProgress, JobScheduler, JobState, job_key
+from repro.sim.estimator import BASES
 
 
 def make_spec(**overrides):
@@ -161,13 +167,13 @@ class TestLeases:
         scheduler.reap(now=10.0)  # w1 presumed dead; chunks requeued
         drain(scheduler, "w2", now=11.0)  # w2 completes the whole job
         assert job.state == JobState.DONE
-        before = (job.progress["Z"].shots, job.progress["Z"].errors)
+        before = (job.progress["Z"].consumed.shots, job.progress["Z"].consumed.errors)
         discarded = scheduler.stats.chunks_discarded
         # The "dead" worker reports late; the result must change nothing.
         scheduler.record_result(
             "w1", tasks[0], tasks[0].shots, 999, False, None, now=12.0
         )
-        assert (job.progress["Z"].shots, job.progress["Z"].errors) == before
+        assert (job.progress["Z"].consumed.shots, job.progress["Z"].consumed.errors) == before
         assert scheduler.stats.chunks_discarded == discarded + 1
 
 
@@ -178,13 +184,14 @@ class TestOrderedConsumption:
         tasks = [t for t in scheduler.assign("w1", 0.0) if t.basis == "Z"]
         by_index = {t.index: t for t in tasks}
         progress = job.progress["Z"]
+        consumed = progress.consumed
         scheduler.record_result("w1", by_index[2], 1000, 5, False, None, 0.0)
         scheduler.record_result("w1", by_index[1], 1000, 3, False, None, 0.0)
-        assert progress.next_consume == 0 and progress.shots == 0
+        assert progress.next_consume == 0 and consumed.shots == 0
         scheduler.record_result("w1", by_index[0], 1000, 2, False, None, 0.0)
         assert progress.next_consume == 3
-        assert (progress.shots, progress.errors) == (3000, 10)
-        assert progress.chunk_counts == [(1000, 2), (1000, 3), (1000, 5)]
+        assert (consumed.shots, consumed.errors) == (3000, 10)
+        assert consumed.chunk_counts == [(1000, 2), (1000, 3), (1000, 5)]
 
     def test_fixed_rate_is_single_division_of_summed_counts(self):
         scheduler = JobScheduler(lease_chunks=64, window=64)
@@ -192,8 +199,58 @@ class TestOrderedConsumption:
         drain(scheduler)
         result = job.result
         for basis, field in (("Z", "error_x"), ("X", "error_z")):
-            progress = job.progress[basis]
-            assert result[field] == progress.errors / progress.shots
+            consumed = job.progress[basis].consumed
+            assert result[field] == consumed.errors / consumed.shots
+
+
+class _Summary(NamedTuple):
+    shots: int
+    errors: int
+
+
+class _StoredCounts:
+    """A chunk store holding every chunk of a plan (``put`` must never run)."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def get(self, index):
+        return _Summary(*self.counts[index])
+
+    def put(self, index, shots, errors):
+        raise AssertionError("a fully stored plan samples no chunk")
+
+
+@st.composite
+def _arrivals(draw):
+    """A chunk plan's counts, a rule, and a racy arrival order of its chunks."""
+    sizes = chunk_sizes(draw(st.integers(1, 1500)), 100)
+    counts = [(size, draw(st.integers(0, size // 4))) for size in sizes]
+    target = draw(st.one_of(st.none(), st.floats(0.2, 1.0)))
+    rule = StoppingRule(max_shots=sum(sizes), target_rse=target)
+    duplicates = draw(st.lists(st.sampled_from(range(len(sizes))), max_size=len(sizes)))
+    order = draw(st.permutations(list(range(len(sizes))) + duplicates))
+    return sizes, counts, rule, order
+
+
+class TestOutOfOrderConsumer:
+    @settings(max_examples=150, deadline=None)
+    @given(_arrivals())
+    def test_matches_the_in_order_engine(self, case):
+        """Any arrival order (duplicates and arrivals after an adaptive stop
+        included) consumes exactly what sample_and_decode replays in order."""
+        sizes, counts, rule, order = case
+        progress = BasisProgress(sizes, rule)
+        for index in order:
+            progress.record(index, *counts[index], True)
+        assert progress.done and not progress.buffered
+        engine = sample_and_decode(
+            None, None, None, None, rule, chunk_shots=100, store=_StoredCounts(counts)
+        )
+        consumed = progress.consumed
+        assert (consumed.shots, consumed.errors) == (engine.shots, engine.errors)
+        assert consumed.chunk_counts == engine.chunk_counts
+        assert consumed.converged == engine.converged
 
 
 class TestAdaptive:
@@ -210,14 +267,15 @@ class TestAdaptive:
         assert job.state == JobState.DONE
         for basis in BASES:
             progress = job.progress[basis]
-            assert progress.converged
-            assert rule.converged(progress.errors, progress.shots)
+            consumed = progress.consumed
+            assert consumed.converged
+            assert rule.converged(consumed.errors, consumed.shots)
             # Strictly fewer chunks than the plan: the stop was early.
             assert progress.next_consume < len(progress.sizes)
             # The stop is the *first* qualifying prefix: the rule must not
             # already hold one chunk earlier.
             shots, errors = 0, 0
-            for chunk_shots, chunk_errors in progress.chunk_counts[:-1]:
+            for chunk_shots, chunk_errors in consumed.chunk_counts[:-1]:
                 shots += chunk_shots
                 errors += chunk_errors
                 assert not rule.converged(errors, shots)
