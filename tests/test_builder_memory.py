@@ -165,6 +165,9 @@ class TestMemoryExperiment:
         assert depolarize2 == total_checks
 
 
+DEPOLARIZING = "depolarizing:two_qubit=0.004,idle=0.002,measurement=0.001,reset=0.0005"
+
+
 class TestInstructionStreamPinned:
     """The memory circuits' instruction streams, pinned by digest.
 
@@ -194,15 +197,65 @@ class TestInstructionStreamPinned:
         ),
     }
 
+    # ``surface:d=3`` / ``lowest_depth`` under every other noise spec (and
+    # Brisbane over two noisy rounds), keyed by (noise, rounds, basis).
+    NOISE_DIGESTS = {
+        ("biased:p=0.001,eta=10", 1, "Z"): (
+            "2a2dbd5b35b80a8cef5db9b231429b95c6537ded345a7e2383ff6cac0f70937b"
+        ),
+        ("biased:p=0.001,eta=10", 1, "X"): (
+            "702470aea0ee9eaf00585c91e6d88bc3f9c1cf142eadf913b8dc0403cb55d324"
+        ),
+        ("dephasing:p=0.001", 1, "Z"): (
+            "f33a903403ed944bec9174d80b6deb8cbb452a0e3f501b53d057d209760f0c4b"
+        ),
+        ("dephasing:p=0.001", 1, "X"): (
+            "d0cc7e0a2216bbd4fa9b9c88e75d824c6f51357b8382e9f8eb3882a0c11feb55"
+        ),
+        (DEPOLARIZING, 1, "Z"): (
+            "0d91ac1662e48270d71415fdc6b70ef7c1ed628d40161d019b9bcf2daac73225"
+        ),
+        (DEPOLARIZING, 1, "X"): (
+            "ae01af79f5cb299ed621d44ea2f0c2fb5057bd29caeae2b6b161e109f177044d"
+        ),
+        ("nonuniform:variance=0.5,seed=7", 1, "Z"): (
+            "09e4b9483a879635b7ccfa3dfd07d566eda6d85901cc87268f506555d71b3093"
+        ),
+        ("nonuniform:variance=0.5,seed=7", 1, "X"): (
+            "9123c8bf7d208526e84fd1191f9b21c3fcf5af7cbe42baa684c4497afd165c1c"
+        ),
+        ("brisbane", 2, "Z"): (
+            "44b9f88469b60456d6e7ecd989fd667b2aa8d2d17bf8aafd0f36392a262b93ea"
+        ),
+        ("brisbane", 2, "X"): (
+            "5e4bb843c6ae9058d304c7c388a40cf87c34db1eb0cb314d4c00782ac094cfc4"
+        ),
+    }
+
     @pytest.mark.parametrize(
-        "code, scheduler",
-        [("surface:d=3", "lowest_depth"), ("bb_18", "ibm_bb"), ("color:d=3", "lowest_depth")],
+        "code, scheduler, noise, rounds",
+        [
+            pytest.param(code, scheduler, "brisbane", 1, id=f"{code}-{scheduler}")
+            for code, scheduler in (
+                ("surface:d=3", "lowest_depth"),
+                ("bb_18", "ibm_bb"),
+                ("color:d=3", "lowest_depth"),
+            )
+        ]
+        + [
+            pytest.param("surface:d=3", "lowest_depth", noise, rounds, id=f"{noise}-r{rounds}")
+            for noise, rounds in sorted({key[:2] for key in NOISE_DIGESTS})
+        ],
     )
-    def test_str_digest(self, code, scheduler):
-        circuits = Pipeline(RunSpec(code=code, scheduler=scheduler)).circuit
+    def test_str_digest(self, code, scheduler, noise, rounds):
+        spec = RunSpec(code=code, scheduler=scheduler, noise=noise, rounds=rounds)
+        circuits = Pipeline(spec).circuit
         for basis in ("Z", "X"):
             digest = hashlib.sha256(str(circuits[basis]).encode()).hexdigest()
-            assert digest == self.DIGESTS[code, scheduler, basis], basis
+            if (noise, rounds) == ("brisbane", 1):
+                assert digest == self.DIGESTS[code, scheduler, basis], basis
+            else:
+                assert digest == self.NOISE_DIGESTS[noise, rounds, basis], basis
 
     def test_round_records_are_consecutive(self, steane, brisbane):
         circuit = Circuit()
