@@ -1,4 +1,4 @@
-"""Threshold study under composable biased noise channels.
+"""Threshold study under biased noise channels.
 
 Builds the threshold workload twice — once under uniform depolarizing
 noise and once under Z-biased noise (``eta = 10``) — using the same suite
@@ -9,7 +9,7 @@ very different error diets.
 
 The noise axis is just a spec-string template, so swapping scenarios is a
 one-line change; try ``"dephasing:p={p}"`` or
-``"drift:p0={p},slope=0.5"`` (with ``rounds > 1``) next.
+``"biased:p={p},eta=100"`` next.
 
 Run with:
 

@@ -51,7 +51,8 @@ def main() -> None:
     print(f"code: {code!r}")
     print("per-ancilla two-qubit error rates:")
     for ancilla in ancillas:
-        print(f"  ancilla {ancilla}: {pipeline.noise.two_qubit_rate(ancilla, 0):.5f}")
+        (gate_op,) = pipeline.noise.ops("gate", (ancilla, 0))
+        print(f"  ancilla {ancilla}: {gate_op.probability:.5f}")
 
     print("\nsynthesising noise-aware schedule ...")
     runs = {"alphasyndrome": pipeline}

@@ -113,8 +113,7 @@ def _add_component_flags(parser: argparse.ArgumentParser, *, scheduler: bool = T
         "--rounds",
         type=int,
         default=None,
-        help="noisy syndrome rounds per memory experiment (default 1; drift "
-        "noise channels vary across rounds)",
+        help="noisy syndrome rounds per memory experiment (default 1)",
     )
     parser.add_argument(
         "--sampler",

@@ -60,8 +60,14 @@ from repro.decoders.bposd import (
 from repro.decoders.lookup import DEFAULT_MAX_ORDER, LookupDecoder
 from repro.decoders.matching import MWPMDecoder
 from repro.decoders.union_find import UnionFindDecoder
-from repro.noise.channels import biased_noise, dephasing_noise, drifting_noise
-from repro.noise.models import NoiseModel, brisbane_noise, non_uniform_noise, scaled_noise
+from repro.noise.models import (
+    biased_noise,
+    brisbane_noise,
+    dephasing_noise,
+    depolarizing_noise,
+    non_uniform_noise,
+    scaled_noise,
+)
 from repro.scheduling.baselines import (
     lowest_depth_schedule,
     random_order_schedule,
@@ -286,32 +292,23 @@ def _depolarizing(
     measurement: float = 0.0,
     reset: float = 0.0,
 ):
-    return NoiseModel(
-        two_qubit_error=float(two_qubit),
-        idle_error=float(idle),
-        measurement_error=float(measurement),
-        reset_error=float(reset),
-    )
+    return depolarizing_noise(float(two_qubit), float(idle), float(measurement), float(reset))
 
 
 @register_noise("noiseless", help="All error rates zero (debugging)")
 def _noiseless():
-    return NoiseModel(two_qubit_error=0.0, idle_error=0.0)
+    return depolarizing_noise(0.0, 0.0)
 
 
-# The channel-composition factories register directly: parse_spec already
-# coerces spec tokens to int/float/bool/None, so one definition carries the
-# signature, the defaults and what `repro list` advertises.
+# The preset functions register directly: parse_spec already coerces spec
+# tokens to int/float/bool/None, so one definition carries the signature,
+# the defaults and what `repro list` advertises.
 register_noise(
     "biased", help="Z-biased Pauli gate+idle channels at rate p, bias eta (eta=1 = depolarizing)"
 )(biased_noise)
 register_noise(
     "dephasing", help="Pure-Z dephasing at rate p on idles (and gates unless gates=false)"
 )(dephasing_noise)
-register_noise(
-    "drift",
-    help="Uniform model drifting per round: p(t)=p0*(1+slope*t); slope=0 equals scaled:p=p0",
-)(drifting_noise)
 
 
 @register_noise("nonuniform", aliases=("non_uniform",), help="Per-ancilla rate variation (Fig. 15)")

@@ -147,8 +147,9 @@ class RunSpec:
 
     ``rounds`` is the number of consecutive noisy syndrome rounds in the
     memory experiment (the paper uses one).  More rounds grow the detector
-    volume and give time-varying noise channels (``"drift:..."``) a time
-    axis to act on; it is a sweepable axis like any other field.  It is an
+    volume (evaluation at distance ``d`` uses ``rounds = d``); every noisy
+    round carries the same noise.  It is a sweepable axis like any other
+    field.  It is an
     *evaluation* axis only: synthesising schedulers (``"alphasyndrome"``)
     score candidate schedules on the paper's single-round experiment
     regardless of ``rounds`` — a schedule is a per-round object, and one

@@ -103,31 +103,23 @@ class ChunkStore:
         self._spec = spec
         self._basis = basis
         self._chunk_shots = int(chunk_shots)
-        # Per-instance read memo: each uncached get() costs an address
-        # hash + file read + JSON parse, and a store asked again (a second
-        # run on the same store) answers from memory.  A miss is memoised too —
-        # if a concurrent process fills it meanwhile, this run just
-        # recomputes the chunk and the write stays idempotent.
-        self._memo: dict[int, ChunkSummary | None] = {}
 
     def _address(self, index: int) -> dict:
         return chunk_address(self._spec, self._basis, index, self._chunk_shots)
 
     def get(self, index: int) -> ChunkSummary | None:
-        """The persisted summary of chunk ``index``, or ``None`` on a miss."""
-        if index in self._memo:
-            return self._memo[index]
+        """The persisted summary of chunk ``index``, or ``None`` on a miss.
+
+        Every call reads the file: the engine asks for each index once, and
+        another process may fill a miss in the meantime.
+        """
         payload = self._cache._read(_key_of(self._address(index)))
-        summary = None
-        if payload is not None:
-            try:
-                summary = ChunkSummary(
-                    shots=int(payload["shots"]), errors=int(payload["errors"])
-                )
-            except (KeyError, TypeError, ValueError):
-                summary = None  # corrupt entry: fall back to resampling it
-        self._memo[index] = summary
-        return summary
+        if payload is None:
+            return None
+        try:
+            return ChunkSummary(shots=int(payload["shots"]), errors=int(payload["errors"]))
+        except (KeyError, TypeError, ValueError):
+            return None  # corrupt entry: fall back to resampling it
 
     def put(self, index: int, shots: int, errors: int) -> None:
         """Persist chunk ``index`` (atomic; idempotent across processes)."""
@@ -136,7 +128,6 @@ class ChunkStore:
             _key_of(address),
             {"address": address, "shots": int(shots), "errors": int(errors)},
         )
-        self._memo[index] = ChunkSummary(shots=int(shots), errors=int(errors))
 
 
 class ResultCache:

@@ -7,13 +7,11 @@ Two building blocks are provided:
   start and end of the paper's Figure 10 sampling circuit);
 * :func:`append_syndrome_round` — one full syndrome-measurement round that
   executes every Pauli check at the tick chosen by the schedule, optionally
-  injecting circuit-level noise.  Noise is injected through the *site
-  protocol* of :mod:`repro.noise.channels`: the builder announces every
-  noise location (a gate pair after each check, each idling qubit per
-  tick, each ancilla readout, the reset of all ancillas) as a
-  :class:`~repro.noise.channels.NoiseSite` and appends whatever ops the
-  model's channels fire there, so uniform legacy models and arbitrary
-  channel compositions (bias, dephasing, drift, ...) share one code path.
+  injecting circuit-level noise.  At every noise location (a gate pair
+  after each check, each idling qubit per tick, each ancilla readout, the
+  reset of all ancillas) the builder asks the model for
+  :meth:`~repro.noise.models.NoiseModel.ops` of that ``(kind, qubits)``
+  and appends them.
 
 Ancilla-as-control convention: every Pauli check is implemented as a
 controlled-Pauli with the ancilla (prepared in ``|+>`` and read out in the X
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit, Instruction
 from repro.codes.base import StabilizerCode
-from repro.noise.channels import GATE, IDLE, MEASURE, RESET, NoiseSite
+from repro.noise.models import GATE, IDLE, MEASURE, RESET, NoiseModel
 from repro.pauli import PauliString
 from repro.scheduling.schedule import Schedule
 
@@ -39,7 +37,6 @@ __all__ = [
     "append_logical_measurement",
     "append_syndrome_round",
     "ancilla_qubits",
-    "emit_noise",
 ]
 
 
@@ -76,44 +73,25 @@ def append_logical_measurement(
     return circuit.measure(ancilla, basis="X")[0]
 
 
-def emit_noise(circuit: Circuit, noise, site: NoiseSite) -> None:
-    """Append every op ``noise`` fires at ``site`` to ``circuit``.
-
-    ``noise`` is any object implementing the ``channel_ops(site)``
-    protocol (:class:`~repro.noise.models.NoiseModel` or
-    :class:`~repro.noise.channels.ComposedNoiseModel`).  Zero-probability
-    ops are dropped by :meth:`Circuit.append_noise_op`.
-    """
-    for op in noise.channel_ops(site):
-        circuit.append_noise_op(op)
-
-
 def append_syndrome_round(
     circuit: Circuit,
     code: StabilizerCode,
     schedule: Schedule,
     *,
-    noise=None,
-    idle_data_qubits: bool = True,
-    round_index: int = 0,
+    noise: NoiseModel | None = None,
 ) -> SyndromeRoundRecord:
     """Append one syndrome-measurement round laid out according to ``schedule``.
 
     Parameters
     ----------
     noise:
-        Any object implementing the channel-site protocol
-        (``channel_ops(site)``); when provided, every noise location of
-        the round — gate pairs, idling qubits per tick, ancilla readouts,
-        the ancilla reset — is offered to it and the resulting ops are
-        appended.  ``None`` produces a noiseless round.
-    idle_data_qubits:
-        Apply idle noise to data qubits that are not touched during a tick
-        (the paper's model); ancillas idle between their first and last
-        scheduled tick.
-    round_index:
-        0-based index of this noisy round within the experiment — the
-        time coordinate time-varying (drift) channels see.
+        The :class:`~repro.noise.models.NoiseModel`; when provided, the ops
+        it fires at every noise location of the round are appended: each
+        gate pair, each idling qubit per tick (data qubits a tick does not
+        touch, and ancillas between their first and last scheduled tick),
+        each ancilla readout and the reset of all ancillas.  ``None``
+        produces a noiseless round.  Zero-probability ops are dropped by
+        :meth:`Circuit.append_noise_op`.
     """
     ticks = schedule.ticks()
     active_stabilizers = sorted({check.stabilizer for check in schedule.assignment})
@@ -125,18 +103,16 @@ def append_syndrome_round(
         first_tick[stabilizer] = min(first_tick.get(stabilizer, tick), tick)
         last_tick[stabilizer] = max(last_tick.get(stabilizer, tick), tick)
 
+    def emit(kind: str, qubits: tuple[int, ...]) -> None:
+        for op in noise.ops(kind, qubits):
+            circuit.append_noise_op(op)
+
     # Ancilla preparation.  The reset site covers every prepared ancilla at
-    # once, so reset-flip channels emit one multi-qubit instruction (the
-    # legacy stream shape).
+    # once, so reset-flip channels emit one multi-qubit instruction.
     for stabilizer in active_stabilizers:
         circuit.reset(ancilla_of[stabilizer], basis="X")
     if noise is not None:
-        reset_qubits = tuple(ancilla_of[s] for s in active_stabilizers)
-        emit_noise(
-            circuit,
-            noise,
-            NoiseSite(RESET, reset_qubits, tick=0, round_index=round_index),
-        )
+        emit(RESET, tuple(ancilla_of[s] for s in active_stabilizers))
 
     depth = schedule.depth
     for tick in range(1, depth + 1):
@@ -147,22 +123,9 @@ def append_syndrome_round(
             busy.add(ancilla)
             busy.add(check.data_qubit)
             if noise is not None:
-                emit_noise(
-                    circuit,
-                    noise,
-                    NoiseSite(
-                        GATE,
-                        (ancilla, check.data_qubit),
-                        tick=tick,
-                        round_index=round_index,
-                    ),
-                )
+                emit(GATE, (ancilla, check.data_qubit))
         if noise is not None:
-            idle: list[int] = []
-            if idle_data_qubits:
-                idle.extend(
-                    q for q in range(code.num_qubits) if q not in busy
-                )
+            idle = [q for q in range(code.num_qubits) if q not in busy]
             for stabilizer in active_stabilizers:
                 ancilla = ancilla_of[stabilizer]
                 if ancilla in busy:
@@ -170,11 +133,7 @@ def append_syndrome_round(
                 if first_tick[stabilizer] <= tick <= last_tick[stabilizer]:
                     idle.append(ancilla)
             for qubit in idle:
-                emit_noise(
-                    circuit,
-                    noise,
-                    NoiseSite(IDLE, (qubit,), tick=tick, round_index=round_index),
-                )
+                emit(IDLE, (qubit,))
         circuit.tick()
 
     # Ancilla readout: one record per ancilla, in order from the current
@@ -184,11 +143,7 @@ def append_syndrome_round(
     for stabilizer in active_stabilizers:
         ancilla = ancilla_of[stabilizer]
         if noise is not None:
-            emit_noise(
-                circuit,
-                noise,
-                NoiseSite(MEASURE, (ancilla,), tick=depth + 1, round_index=round_index),
-            )
+            emit(MEASURE, (ancilla,))
         circuit.append(Instruction("MX", (ancilla,)))
         measurements[stabilizer] = record
         record += 1

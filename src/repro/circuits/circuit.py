@@ -23,7 +23,7 @@ syndrome-measurement experiments:
     general stochastic Pauli channels carrying one probability per
     non-identity Pauli (3 for one qubit, 15 for a pair, in
     :data:`ONE_QUBIT_PAULIS` / :data:`TWO_QUBIT_PAULIS` order); the
-    channel realisation of biased noise (``repro.noise.channels``).
+    channel realisation of biased noise (``repro.noise.models``).
 ``TICK``
     timing barrier (purely annotational).
 ``DETECTOR``
@@ -299,14 +299,13 @@ class Circuit:
             )
 
     def append_noise_op(self, op) -> None:
-        """Append one :class:`repro.noise.channels.NoiseOp`-like object.
+        """Append one :class:`repro.noise.models.NoiseOp`-like object.
 
         Zero-probability ops are skipped entirely (no instruction is
-        appended), matching the behaviour of the dedicated emitters — this
-        keeps instruction streams from channel-based models bit-identical
-        to the legacy hand-emitted ones.  ``op`` is duck-typed (``name``,
-        ``qubits``, ``probability``, ``probabilities``) so this module
-        never imports the noise layer.
+        appended), matching the behaviour of the dedicated emitters, so a
+        model whose rate is zero adds nothing to the stream.  ``op`` is
+        duck-typed (``name``, ``qubits``, ``probability``,
+        ``probabilities``) so this module never imports the noise layer.
         """
         probabilities = getattr(op, "probabilities", None)
         if probabilities is not None:

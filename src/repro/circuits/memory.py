@@ -55,7 +55,7 @@ class MemoryExperiment:
 def build_memory_experiment(
     code: StabilizerCode,
     schedule: Schedule,
-    noise: "NoiseModel | object",
+    noise: NoiseModel,
     *,
     basis: str = "Z",
     noisy_rounds: int = 1,
@@ -97,10 +97,8 @@ def build_memory_experiment(
     reference_record = append_syndrome_round(circuit, code, schedule, noise=None)
     previous_round = reference_record
     noisy_record = None
-    for round_index in range(noisy_rounds):
-        record = append_syndrome_round(
-            circuit, code, schedule, noise=noise, round_index=round_index
-        )
+    for _ in range(noisy_rounds):
+        record = append_syndrome_round(circuit, code, schedule, noise=noise)
         for stabilizer, measurement in record.measurements.items():
             circuit.detector([previous_round.measurements[stabilizer], measurement])
         previous_round = record

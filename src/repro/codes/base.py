@@ -178,18 +178,9 @@ class StabilizerCode:
         normalizer = gf2_nullspace(constraint)
         # Extract coset representatives of the normalizer modulo the
         # stabilizer row space (2k of them).
-        logicals: list[np.ndarray] = []
-        accumulated = stab.copy()
-        rank = gf2_rank(accumulated)
-        for candidate in normalizer:
-            stacked = np.vstack([accumulated, candidate.reshape(1, -1)])
-            new_rank = gf2_rank(stacked)
-            if new_rank > rank:
-                logicals.append(candidate)
-                accumulated = stacked
-                rank = new_rank
-            if len(logicals) == 2 * self.num_logical_qubits:
-                break
+        logicals = _independent_vectors(
+            normalizer, span=stab, limit=2 * self.num_logical_qubits
+        )
         if len(logicals) != 2 * self.num_logical_qubits:
             raise CodeValidationError("failed to derive a complete logical basis")
         pairs = self._symplectic_pairing(np.array(logicals, dtype=np.uint8), lam)
@@ -349,8 +340,8 @@ class CSSCode(StabilizerCode):
     # the X/Z structure (logical X supported on X letters only).
     def _derive_logicals(self) -> None:
         n = self.num_qubits
-        lx_candidates = _coset_representatives(gf2_nullspace(self.hz), self.hx)
-        lz_candidates = _coset_representatives(gf2_nullspace(self.hx), self.hz)
+        lx_candidates = _independent_vectors(gf2_nullspace(self.hz), span=self.hx)
+        lz_candidates = _independent_vectors(gf2_nullspace(self.hx), span=self.hz)
         k = self.num_logical_qubits
         if len(lx_candidates) != k or len(lz_candidates) != k:
             raise CodeValidationError("CSS logical derivation produced wrong count")
@@ -378,34 +369,48 @@ class CSSCode(StabilizerCode):
         return best
 
 
+def _independent_vectors(
+    candidates: Sequence[np.ndarray] | np.ndarray,
+    *,
+    span: Sequence[np.ndarray] | np.ndarray = (),
+    limit: int | None = None,
+) -> list[np.ndarray]:
+    """The candidates independent of ``span``'s rows and of those kept before.
+
+    Candidates are taken in order, up to ``limit`` of them.  The span is
+    kept as an echelon basis of bit-packed rows, one per pivot bit; a
+    candidate is kept when its reduction against that basis is nonzero, and
+    the reduction joins the basis.
+    """
+    echelon: list[tuple[int, int]] = []  # (pivot bit, reduced row)
+
+    def extend(vector: np.ndarray) -> bool:
+        residual = int.from_bytes(np.packbits(vector, bitorder="little").tobytes(), "little")
+        for pivot, row in echelon:
+            if residual & pivot:
+                residual ^= row
+        if not residual:
+            return False
+        echelon.append((residual & -residual, residual))
+        return True
+
+    for row in span:
+        extend(row)
+    kept: list[np.ndarray] = []
+    for vector in candidates:
+        if len(kept) == limit:
+            break
+        if extend(vector):
+            kept.append(vector)
+    return kept
+
+
 def _independent_rows(matrix: np.ndarray) -> np.ndarray:
     """Return a maximal independent subset of the rows of ``matrix``."""
-    kept: list[np.ndarray] = []
-    rank = 0
-    for row in matrix:
-        candidate = kept + [row]
-        new_rank = gf2_rank(np.array(candidate, dtype=np.uint8))
-        if new_rank > rank:
-            kept.append(row)
-            rank = new_rank
+    kept = _independent_vectors(matrix)
     if not kept:
         return np.zeros((0, matrix.shape[1]), dtype=np.uint8)
     return np.array(kept, dtype=np.uint8)
-
-
-def _coset_representatives(kernel: np.ndarray, span: np.ndarray) -> list[np.ndarray]:
-    """Return kernel vectors extending the row span of ``span`` (one per coset)."""
-    representatives: list[np.ndarray] = []
-    accumulated = span.copy() if span.size else np.zeros((0, kernel.shape[1]), np.uint8)
-    rank = gf2_rank(accumulated)
-    for vector in kernel:
-        stacked = np.vstack([accumulated, vector.reshape(1, -1)])
-        new_rank = gf2_rank(stacked)
-        if new_rank > rank:
-            representatives.append(vector)
-            accumulated = stacked
-            rank = new_rank
-    return representatives
 
 
 def _min_weight_coset_element(

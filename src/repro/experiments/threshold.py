@@ -18,7 +18,8 @@ spend the ceiling.
 
 The noise axis is a spec-string template, so the same suite shape covers
 uniform (``"scaled:p={p}"``), biased (``"biased:p={p},eta=10"``) or
-drifting noise — pass ``noise_template`` to :func:`threshold_rows`.
+dephasing (``"dephasing:p={p}"``) noise — pass ``noise_template`` to
+:func:`threshold_rows`.
 
 Default scheduler/decoder choice: the suite evaluates the *hook-robust*
 ``google`` schedule with the ``bposd`` decoder.  The memory-experiment

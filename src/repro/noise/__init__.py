@@ -1,60 +1,39 @@
 """Noise models for syndrome-measurement circuits.
 
-Two layers live here: :mod:`repro.noise.channels` — the composable
-channel algebra (sites, ops, channels, :class:`ComposedNoiseModel` and
-its builder) — and :mod:`repro.noise.models` — the uniform/legacy
-:class:`NoiseModel` family, now a facade over the same channels.  Every
-model, legacy or composed, talks to the circuit builders through the one
-``channel_ops(site)`` protocol.
+:mod:`repro.noise.models` holds the one model type, :class:`NoiseModel` —
+a tuple of :class:`Channel` objects asked once per ``(kind, qubits)`` —
+its channels and the presets behind the registry spec strings.
 """
 
-from repro.noise.channels import (
-    Channel,
-    ComposedNoiseModel,
-    Dephasing,
-    DriftingChannel,
-    IdleBiasedPauli,
-    IdleDepolarizing,
-    MeasurementFlip,
-    NoiseModelBuilder,
-    NoiseOp,
-    NoiseSite,
-    ResetFlip,
-    TwoQubitBiasedPauli,
-    TwoQubitDepolarizing,
-    biased_noise,
-    biased_pauli_rates,
-    dephasing_noise,
-    drifting_noise,
-    two_qubit_biased_rates,
-)
 from repro.noise.models import (
     BRISBANE_IDLE_ERROR,
     BRISBANE_MEASUREMENT_TIME_NS,
     BRISBANE_TWO_QUBIT_ERROR,
     BRISBANE_TWO_QUBIT_TIME_NS,
+    Channel,
+    Dephasing,
+    IdleBiasedPauli,
+    IdleDepolarizing,
+    MeasurementFlip,
     NoiseModel,
+    NoiseOp,
+    ResetFlip,
+    TwoQubitBiasedPauli,
+    TwoQubitDepolarizing,
+    biased_noise,
+    biased_pauli_rates,
     brisbane_noise,
+    dephasing_noise,
+    depolarizing_noise,
     non_uniform_noise,
     scaled_noise,
+    two_qubit_biased_rates,
 )
 
 __all__ = [
-    # Legacy uniform family
     "NoiseModel",
-    "brisbane_noise",
-    "scaled_noise",
-    "non_uniform_noise",
-    "BRISBANE_TWO_QUBIT_ERROR",
-    "BRISBANE_IDLE_ERROR",
-    "BRISBANE_TWO_QUBIT_TIME_NS",
-    "BRISBANE_MEASUREMENT_TIME_NS",
-    # Channel algebra
     "Channel",
-    "ComposedNoiseModel",
-    "NoiseModelBuilder",
     "NoiseOp",
-    "NoiseSite",
     "TwoQubitDepolarizing",
     "IdleDepolarizing",
     "TwoQubitBiasedPauli",
@@ -62,10 +41,17 @@ __all__ = [
     "Dephasing",
     "MeasurementFlip",
     "ResetFlip",
-    "DriftingChannel",
+    # Presets
+    "depolarizing_noise",
+    "brisbane_noise",
+    "scaled_noise",
+    "non_uniform_noise",
     "biased_noise",
     "dephasing_noise",
-    "drifting_noise",
     "biased_pauli_rates",
     "two_qubit_biased_rates",
+    "BRISBANE_TWO_QUBIT_ERROR",
+    "BRISBANE_IDLE_ERROR",
+    "BRISBANE_TWO_QUBIT_TIME_NS",
+    "BRISBANE_MEASUREMENT_TIME_NS",
 ]

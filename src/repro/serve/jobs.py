@@ -492,6 +492,7 @@ class JobScheduler:
             return []
         job.absorb_info(info)
         progress = job.progress.get(task.basis)
+        consumed_before = progress.consumed.chunks if progress is not None else 0
         if progress is None or not progress.record(task.index, shots, errors, cached):
             # Speculation past an adaptive stop, or a duplicate of a chunk
             # another worker (possibly before a server restart) already
@@ -503,14 +504,13 @@ class JobScheduler:
             self.stats.chunks_cached += 1
         else:
             self.stats.chunks_executed += 1
-        events = [
-            {
-                "event": "progress",
-                "job_id": job.id,
-                "basis": task.basis,
-                **progress.summary(),
-            }
-        ]
+        # A chunk that only entered the out-of-order buffer moves no counter
+        # a subscriber can see, so only an advanced prefix is news.
+        events = []
+        if progress.consumed.chunks != consumed_before:
+            events.append(
+                {"event": "progress", "job_id": job.id, "basis": task.basis, **progress.summary()}
+            )
         if job.complete:
             result = job.finalize()
             self.stats.jobs_completed += 1

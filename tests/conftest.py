@@ -20,7 +20,7 @@ from repro.codes import (
 )
 from repro.core import MCTSConfig
 from repro.api.registries import decoders
-from repro.noise import NoiseModel, brisbane_noise
+from repro.noise import brisbane_noise, depolarizing_noise
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule, trivial_schedule
 
 
@@ -72,7 +72,7 @@ def brisbane():
 @pytest.fixture(scope="session")
 def light_noise():
     """A lighter uniform noise model that keeps sampled error rates small."""
-    return NoiseModel(two_qubit_error=0.002, idle_error=0.001)
+    return depolarizing_noise(0.002, 0.001)
 
 
 @pytest.fixture(scope="session")

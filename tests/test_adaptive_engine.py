@@ -531,19 +531,16 @@ class TestResultCacheMaintenance:
         cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024).put(0, 1024, 3)
         for path in cache._entry_files():
             path.write_text("{not json")
-        # A fresh store (fresh process) must treat the torn entry as a miss;
-        # the writing store may still serve its own in-memory memo.
+        # A fresh store (fresh process) must treat the torn entry as a miss.
         fresh = cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024)
         assert fresh.get(0) is None
 
-    def test_get_is_memoised_per_store(self, tmp_path):
+    def test_a_miss_sees_a_later_put_by_another_store(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         store = cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024)
-        store.put(0, 1024, 3)
-        first = store.get(0)
-        for path in cache._entry_files():
-            path.unlink()
-        assert store.get(0) == first  # served from the memo, no re-read
+        assert store.get(0) is None
+        cache.chunk_store(ADAPTIVE_SPEC, "Z", 1024).put(0, 1024, 3)
+        assert store.get(0) == ChunkSummary(shots=1024, errors=3)
 
 
 # ----------------------------------------------------------------------

@@ -159,19 +159,19 @@ class TestDecoderRegistry:
 
 class TestNoiseRegistry:
     def test_brisbane_default(self):
-        model = noise.build("brisbane")
-        assert model.two_qubit_error == pytest.approx(0.0074)
+        gate, *_ = noise.build("brisbane").channels
+        assert gate.p == pytest.approx(0.0074)
 
     def test_scaled_spec(self):
-        model = noise.build("scaled:p=0.001")
-        assert model.two_qubit_error == pytest.approx(0.001)
-        assert model.idle_error == pytest.approx(0.001)
+        gate, idle, *_ = noise.build("scaled:p=0.001").channels
+        assert gate.p == pytest.approx(0.001)
+        assert idle.p == pytest.approx(0.001)
 
     def test_nonuniform_requires_code(self, surface_d3):
         with pytest.raises(ValueError, match="code"):
             noise.build("nonuniform")
         model = noise.build("nonuniform:variance=0.4,seed=3", code=surface_d3)
-        assert len(model.per_qubit_two_qubit) == surface_d3.num_stabilizers
+        assert len(model.channels[0].per_qubit) == surface_d3.num_stabilizers
 
 
 class TestSchedulerRegistry:

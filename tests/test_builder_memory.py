@@ -14,7 +14,7 @@ from repro.circuits import (
     append_syndrome_round,
     build_memory_experiment,
 )
-from repro.noise import NoiseModel, brisbane_noise
+from repro.noise import depolarizing_noise
 from repro.scheduling import lowest_depth_schedule, trivial_schedule
 from repro.sim import simulate_circuit
 
@@ -52,7 +52,7 @@ class TestSyndromeRound:
         assert any(inst.name == "DEPOLARIZE1" for inst in circuit.instructions)
 
     def test_idle_noise_absent_when_disabled(self, steane):
-        noise = NoiseModel(two_qubit_error=0.01, idle_error=0.0)
+        noise = depolarizing_noise(0.01, 0.0)
         circuit = Circuit()
         append_syndrome_round(circuit, steane, lowest_depth_schedule(steane), noise=noise)
         assert not any(inst.name == "DEPOLARIZE1" for inst in circuit.instructions)

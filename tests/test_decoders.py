@@ -13,7 +13,7 @@ from repro.decoders import (
     MWPMDecoder,
     UnionFindDecoder,
 )
-from repro.noise import NoiseModel
+from repro.noise import depolarizing_noise
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule
 from repro.sim import build_detector_error_model, sample_detector_error_model
 
@@ -21,14 +21,14 @@ ALL_DECODERS = [MWPMDecoder, UnionFindDecoder, BPOSDDecoder, LookupDecoder]
 
 
 def _surface_dem(code, noise=None, basis="Z"):
-    noise = noise or NoiseModel(two_qubit_error=0.01, idle_error=0.005)
+    noise = noise or depolarizing_noise(0.01, 0.005)
     schedule = google_surface_schedule(code)
     experiment = build_memory_experiment(code, schedule, noise, basis=basis)
     return build_detector_error_model(experiment.circuit)
 
 
 def _steane_dem(code, noise=None, basis="Z"):
-    noise = noise or NoiseModel(two_qubit_error=0.01, idle_error=0.005)
+    noise = noise or depolarizing_noise(0.01, 0.005)
     schedule = lowest_depth_schedule(code)
     experiment = build_memory_experiment(code, schedule, noise, basis=basis)
     return build_detector_error_model(experiment.circuit)
@@ -140,7 +140,7 @@ class TestDecodingAccuracy:
         assert lookup_errors <= uf_errors + 0.01
 
     def test_bposd_handles_multi_observable_codes(self, toric_d3):
-        noise = NoiseModel(two_qubit_error=0.01, idle_error=0.005)
+        noise = depolarizing_noise(0.01, 0.005)
         schedule = lowest_depth_schedule(toric_d3)
         experiment = build_memory_experiment(toric_d3, schedule, noise, basis="Z")
         dem = build_detector_error_model(experiment.circuit)

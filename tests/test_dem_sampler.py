@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, Instruction, build_memory_experiment
-from repro.noise import NoiseModel, brisbane_noise
+from repro.noise import depolarizing_noise
 from repro.scheduling import lowest_depth_schedule
 from repro.sim import (
     build_detector_error_model,
@@ -151,7 +151,7 @@ class TestSampler:
 class TestDEMAgainstTableau:
     def test_observable_flip_rates_agree_with_direct_simulation(self, steane):
         """The DEM sampler and the tableau simulator must agree statistically."""
-        noise = NoiseModel(two_qubit_error=0.05, idle_error=0.0)
+        noise = depolarizing_noise(0.05, 0.0)
         schedule = lowest_depth_schedule(steane)
         experiment = build_memory_experiment(steane, schedule, noise, basis="Z")
         dem = build_detector_error_model(experiment.circuit)

@@ -23,7 +23,6 @@ AUDITED_MODULES = (
     "repro.api.registry",
     "repro.api.spec",
     "repro.noise",
-    "repro.noise.channels",
     "repro.noise.models",
     "repro.experiments.suite",
     "repro.serve.client",

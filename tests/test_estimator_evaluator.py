@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import Pipeline, RunSpec
 from repro.core import ScheduleEvaluator
-from repro.noise import NoiseModel
+from repro.noise import depolarizing_noise
 from repro.scheduling import google_surface_schedule, lowest_depth_schedule, trivial_schedule
 from repro.sim import LogicalErrorRates, count_wrong, estimate_logical_error_rates
 
@@ -36,7 +36,7 @@ class TestLogicalErrorRates:
 
 class TestEstimator:
     def test_zero_noise_gives_zero_error(self, steane, lookup_factory):
-        noise = NoiseModel(two_qubit_error=0.0, idle_error=0.0)
+        noise = depolarizing_noise(0.0, 0.0)
         rates = estimate_logical_error_rates(
             steane, lowest_depth_schedule(steane), noise, lookup_factory, shots=200, seed=0
         )
@@ -58,10 +58,10 @@ class TestEstimator:
     def test_error_rate_grows_with_noise(self, steane, lookup_factory):
         schedule = lowest_depth_schedule(steane)
         low = estimate_logical_error_rates(
-            steane, schedule, NoiseModel(0.001, 0.0005), lookup_factory, shots=1500, seed=3
+            steane, schedule, depolarizing_noise(0.001, 0.0005), lookup_factory, shots=1500, seed=3
         )
         high = estimate_logical_error_rates(
-            steane, schedule, NoiseModel(0.02, 0.01), lookup_factory, shots=1500, seed=3
+            steane, schedule, depolarizing_noise(0.02, 0.01), lookup_factory, shots=1500, seed=3
         )
         assert high.overall > low.overall
 
@@ -162,7 +162,7 @@ class TestScheduleEvaluator:
     def test_perfect_schedule_score_capped(self, steane, lookup_factory):
         evaluator = ScheduleEvaluator(
             code=steane,
-            noise=NoiseModel(0.0, 0.0),
+            noise=depolarizing_noise(0.0, 0.0),
             decoder_factory=lookup_factory,
             shots=50,
             seed=0,

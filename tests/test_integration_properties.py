@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.circuits import build_memory_experiment
 from repro.codes import repetition_code, rotated_surface_code, steane_code
 from repro.decoders import LookupDecoder, UnionFindDecoder
-from repro.noise import NoiseModel, brisbane_noise
+from repro.noise import brisbane_noise, depolarizing_noise
 from repro.scheduling import random_order_schedule
 from repro.sim import (
     build_detector_error_model,
@@ -44,7 +44,7 @@ class TestRandomScheduleInvariants:
     def test_dem_mechanism_count_scales_with_depth(self, seed):
         """Deeper schedules contain at least as many idle-error mechanisms."""
         code = repetition_code(3)
-        noise = NoiseModel(two_qubit_error=0.01, idle_error=0.005)
+        noise = depolarizing_noise(0.01, 0.005)
         schedule = random_order_schedule(code, rng=random.Random(seed))
         experiment = build_memory_experiment(code, schedule, noise, basis="Z")
         dem = build_detector_error_model(experiment.circuit)
@@ -55,7 +55,7 @@ class TestRandomScheduleInvariants:
     @settings(max_examples=4, deadline=None)
     def test_decoding_never_hurts_for_random_schedules(self, seed):
         code = steane_code()
-        noise = NoiseModel(two_qubit_error=0.01, idle_error=0.002)
+        noise = depolarizing_noise(0.01, 0.002)
         schedule = random_order_schedule(code, rng=random.Random(seed))
         experiment = build_memory_experiment(code, schedule, noise, basis="Z")
         dem = build_detector_error_model(experiment.circuit)
@@ -114,7 +114,7 @@ class TestSchedulesChangeErrorProfile:
         schedule = lowest_depth_schedule(code)
         overall = []
         for p in (0.002, 0.01, 0.03):
-            noise = NoiseModel(two_qubit_error=p, idle_error=p / 2)
+            noise = depolarizing_noise(p, p / 2)
             experiment = build_memory_experiment(code, schedule, noise, basis="Z")
             dem = build_detector_error_model(experiment.circuit)
             batch = sample_detector_error_model(dem, 2500, seed=5)

@@ -13,7 +13,7 @@ from repro.core import (
     ScheduleEvaluator,
     synthesize_schedule,
 )
-from repro.noise import NoiseModel, brisbane_noise
+from repro.noise import brisbane_noise, depolarizing_noise
 from repro.scheduling import Schedule, checks_of_code, lowest_depth_schedule
 
 
@@ -178,7 +178,7 @@ class TestAlphaSyndrome:
 
         result = synthesize_schedule(
             repetition_code(3),
-            NoiseModel(two_qubit_error=0.01, idle_error=0.005),
+            depolarizing_noise(0.01, 0.005),
             decoders.build("lookup"),
             shots=60,
             iterations_per_step=2,

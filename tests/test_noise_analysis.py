@@ -14,8 +14,8 @@ from repro.analysis import (
 from repro.noise import (
     BRISBANE_IDLE_ERROR,
     BRISBANE_TWO_QUBIT_ERROR,
-    NoiseModel,
     brisbane_noise,
+    depolarizing_noise,
     non_uniform_noise,
     scaled_noise,
 )
@@ -23,48 +23,34 @@ from repro.noise import (
 
 class TestNoiseModels:
     def test_brisbane_defaults_match_paper(self):
-        noise = brisbane_noise()
-        assert noise.two_qubit_error == pytest.approx(0.0074)
-        assert noise.idle_error == pytest.approx(0.0052)
+        gate, idle, *_ = brisbane_noise().channels
+        assert gate.p == pytest.approx(0.0074)
+        assert idle.p == pytest.approx(0.0052)
         assert BRISBANE_TWO_QUBIT_ERROR == pytest.approx(0.0074)
         assert BRISBANE_IDLE_ERROR == pytest.approx(0.0052)
 
     def test_scaled_noise(self):
-        noise = scaled_noise(1e-4)
-        assert noise.two_qubit_error == pytest.approx(1e-4)
-        assert noise.idle_error == pytest.approx(1e-4)
-
-    def test_scaling_factor(self):
-        noise = brisbane_noise().scaled(0.1)
-        assert noise.two_qubit_error == pytest.approx(0.00074)
-        assert noise.idle_error == pytest.approx(0.00052)
-
-    def test_per_qubit_two_qubit_rate_uses_maximum(self):
-        noise = NoiseModel(two_qubit_error=0.01, per_qubit_two_qubit={5: 0.03})
-        assert noise.two_qubit_rate(5, 0) == pytest.approx(0.03)
-        assert noise.two_qubit_rate(0, 1) == pytest.approx(0.01)
+        gate, idle, *_ = scaled_noise(1e-4).channels
+        assert gate.p == pytest.approx(1e-4)
+        assert idle.p == pytest.approx(1e-4)
 
     def test_per_qubit_idle_rate(self):
-        noise = NoiseModel(idle_error=0.001, per_qubit_idle={2: 0.01})
-        assert noise.idle_rate(2) == pytest.approx(0.01)
-        assert noise.idle_rate(3) == pytest.approx(0.001)
-
-    def test_is_noiseless(self):
-        assert NoiseModel(0.0, 0.0).is_noiseless()
-        assert not brisbane_noise().is_noiseless()
+        noise = depolarizing_noise(0.0074, 0.001, per_qubit_idle={2: 0.01})
+        assert noise.ops("idle", (2,))[0].probability == pytest.approx(0.01)
+        assert noise.ops("idle", (3,))[0].probability == pytest.approx(0.001)
 
     def test_non_uniform_noise_varies_ancillas(self):
         ancillas = list(range(10, 18))
         noise = non_uniform_noise(ancillas, variance=0.5, seed=3)
-        rates = [noise.two_qubit_rate(a, 0) for a in ancillas]
+        rates = [noise.ops("gate", (a, 0))[0].probability for a in ancillas]
         assert len(set(rates)) > 1
-        base = brisbane_noise().two_qubit_error
+        base = BRISBANE_TWO_QUBIT_ERROR
         assert all(0.4 * base < rate < 1.6 * base for rate in rates)
 
     def test_non_uniform_noise_reproducible(self):
         first = non_uniform_noise([1, 2, 3], seed=5)
         second = non_uniform_noise([1, 2, 3], seed=5)
-        assert first.per_qubit_two_qubit == second.per_qubit_two_qubit
+        assert first.channels[0].per_qubit == second.channels[0].per_qubit
 
 
 class TestSpaceTime:

@@ -1,11 +1,10 @@
-"""Tests for the composable noise-channel subsystem (repro.noise.channels).
+"""Tests for the noise channels and the one model type (repro.noise.models).
 
-The heart of this file is the bit-identity battery: the legacy uniform
-models must produce *bit-identical* detector error models through the new
-channel path (pinned against digests captured before the refactor), and
-the algebra's advertised reductions — ``eta=1`` == depolarizing, zero
-drift == static, zero rates == noiseless — must hold at DEM level, not
-just approximately.
+The heart of this file is the bit-identity battery: the uniform models
+must produce *bit-identical* detector error models through the channel
+path (pinned against digests captured before the channel refactor), and
+the advertised reductions — ``eta=1`` == depolarizing, zero rates ==
+noiseless — must hold at DEM level, not just approximately.
 """
 
 from __future__ import annotations
@@ -23,21 +22,20 @@ from repro.circuits.circuit import Circuit, Instruction
 from repro.circuits.memory import build_memory_experiment
 from repro.experiments.artifacts import row_fingerprint
 from repro.noise import (
-    ComposedNoiseModel,
     Dephasing,
-    DriftingChannel,
     IdleBiasedPauli,
     IdleDepolarizing,
     MeasurementFlip,
     NoiseModel,
-    NoiseModelBuilder,
     NoiseOp,
-    NoiseSite,
     ResetFlip,
     TwoQubitBiasedPauli,
     TwoQubitDepolarizing,
+    biased_noise,
     biased_pauli_rates,
     brisbane_noise,
+    dephasing_noise,
+    depolarizing_noise,
     non_uniform_noise,
     scaled_noise,
     two_qubit_biased_rates,
@@ -116,29 +114,34 @@ class TestLegacyBitIdentity:
         assert pipeline.rates.error_z == 0.03125
 
     def test_legacy_model_routes_through_channels(self):
-        """NoiseModel.channel_ops is the decomposition the builder consumes."""
-        model = NoiseModel(
-            two_qubit_error=0.01,
-            idle_error=0.002,
-            measurement_error=0.003,
-            reset_error=0.004,
-        )
-        gate_ops = model.channel_ops(NoiseSite("gate", (7, 2), tick=1))
+        """NoiseModel.ops is the decomposition the builder consumes."""
+        model = depolarizing_noise(0.01, 0.002, 0.003, 0.004)
+        gate_ops = model.ops("gate", (7, 2))
         assert [op.name for op in gate_ops] == ["DEPOLARIZE2"]
         assert gate_ops[0].probability == 0.01
-        idle_ops = model.channel_ops(NoiseSite("idle", (3,), tick=2))
+        idle_ops = model.ops("idle", (3,))
         assert [op.name for op in idle_ops] == ["DEPOLARIZE1"]
-        measure_ops = model.channel_ops(NoiseSite("measure", (9,)))
+        measure_ops = model.ops("measure", (9,))
         assert [(op.name, op.probability) for op in measure_ops] == [("Z_ERROR", 0.003)]
-        reset_ops = model.channel_ops(NoiseSite("reset", (9, 10, 11)))
+        reset_ops = model.ops("reset", (9, 10, 11))
         assert [(op.name, op.qubits) for op in reset_ops] == [("Z_ERROR", (9, 10, 11))]
 
     def test_per_qubit_override_uses_pair_maximum(self):
-        model = NoiseModel(two_qubit_error=0.01, per_qubit_two_qubit={5: 0.03})
-        (op,) = model.channel_ops(NoiseSite("gate", (5, 0), tick=1))
+        model = depolarizing_noise(0.01, 0.0052, per_qubit_two_qubit={5: 0.03})
+        (op,) = model.ops("gate", (5, 0))
         assert op.probability == 0.03
-        (op,) = model.channel_ops(NoiseSite("gate", (0, 1), tick=1))
+        (op,) = model.ops("gate", (0, 1))
         assert op.probability == 0.01
+
+    def test_presets_keep_the_legacy_channel_order(self):
+        """Gate, idle, readout, reset: the order the four-rate model fired in."""
+        assert brisbane_noise().channels == (
+            TwoQubitDepolarizing(0.0074),
+            IdleDepolarizing(0.0052),
+            MeasurementFlip(0.0),
+            ResetFlip(0.0),
+        )
+        assert scaled_noise(0.002).channels == depolarizing_noise(0.002, 0.002).channels
 
 
 def _surface_d3_ancillas() -> list[int]:
@@ -146,29 +149,31 @@ def _surface_d3_ancillas() -> list[int]:
     return [code.num_qubits + s for s in range(code.num_stabilizers)]
 
 
-_LEGACY_MODELS = {
+_MODELS = {
     "brisbane": brisbane_noise,
     "scaled_1e-3": lambda: scaled_noise(1e-3),
     "non_uniform": lambda: non_uniform_noise(_surface_d3_ancillas()),
+    "biased": lambda: biased_noise(1e-3, 10.0, measurement=1e-3, reset=5e-4),
+    "dephasing": lambda: dephasing_noise(1e-3),
 }
 
 
 class TestSiteOpsMemo:
-    """``NoiseModel.channel_ops`` memoises its ops per ``(kind, qubits)``."""
+    """``NoiseModel.ops`` memoises its ops per ``(kind, qubits)``."""
 
-    @pytest.mark.parametrize("name", sorted(_LEGACY_MODELS))
+    @pytest.mark.parametrize("name", sorted(_MODELS))
     def test_warm_model_builds_the_fresh_circuit(self, name):
         """A model that already built other circuits (other schedule, basis
         and round count, so other ticks and rounds) emits the same
         instructions as a fresh copy."""
         code = codes.build("surface:d=3")
-        warm = _LEGACY_MODELS[name]()
+        warm = _MODELS[name]()
         for schedule, basis, rounds in (
             (lowest_depth_schedule(code), "X", 3),
             (google_surface_schedule(code), "Z", 1),
         ):
             build_memory_experiment(code, schedule, warm, basis=basis, noisy_rounds=rounds)
-        assert warm.__dict__["_site_ops"]
+        assert warm._ops
         for basis in ("Z", "X"):
             for rounds in (1, 2):
                 circuits = [
@@ -179,16 +184,16 @@ class TestSiteOpsMemo:
                         basis=basis,
                         noisy_rounds=rounds,
                     ).circuit
-                    for model in (warm, _LEGACY_MODELS[name]())
+                    for model in (warm, _MODELS[name]())
                 ]
                 assert circuits[0].instructions == circuits[1].instructions
 
-    def test_memo_ignores_tick_and_round(self):
+    def test_ops_are_resolved_once_per_kind_and_qubits(self):
         model = brisbane_noise()
-        first = model.channel_ops(NoiseSite("idle", (4,), tick=1, round_index=0))
-        later = model.channel_ops(NoiseSite("idle", (4,), tick=6, round_index=3))
-        assert later is first
-        assert model.channel_ops(NoiseSite("idle", (5,), tick=1)) != first
+        first = model.ops("idle", (4,))
+        assert model.ops("idle", (4,)) is first
+        assert model.ops("idle", (5,)) != first
+        assert model.ops("gate", (4, 5)) != model.ops("gate", (4, 6))
 
     #: Chunk-address keys and row fingerprints of surface d=3 specs, as
     #: computed before the memo existed.  They hash the spec alone, so a
@@ -256,149 +261,59 @@ class TestBiasConvention:
         )
 
 
-class TestDrift:
-    def test_zero_slope_bit_identical_to_static(self):
-        assert pipeline_digests("surface:d=3", "drift:p0=0.003,slope=0") == pipeline_digests(
-            "surface:d=3", "scaled:p=0.003"
-        )
-
-    def test_zero_slope_multi_round_bit_identical_to_static(self):
-        """The guarantee holds per round, not just for single-round circuits."""
-        assert pipeline_digests(
-            "surface:d=3", "drift:p0=0.003,slope=0", rounds=3
-        ) == pipeline_digests("surface:d=3", "scaled:p=0.003", rounds=3)
-
-    def test_drift_changes_later_rounds(self):
-        static = pipeline_digests("surface:d=3", "scaled:p=0.003", rounds=3)
-        drifting = pipeline_digests("surface:d=3", "drift:p0=0.003,slope=0.5", rounds=3)
-        assert static != drifting
-
-    def test_single_round_drift_is_static(self):
-        """With one noisy round there is no time axis; drift cannot act."""
-        assert pipeline_digests(
-            "surface:d=3", "drift:p0=0.003,slope=0.5"
-        ) == pipeline_digests("surface:d=3", "scaled:p=0.003")
-
-    def test_round_unit_scales_rates_linearly(self):
-        channel = DriftingChannel(IdleDepolarizing(0.01), slope=0.5)
-        (op0,) = channel.ops(NoiseSite("idle", (0,), tick=1, round_index=0))
-        (op2,) = channel.ops(NoiseSite("idle", (0,), tick=1, round_index=2))
-        assert op0.probability == 0.01
-        assert op2.probability == pytest.approx(0.02)
-
-    def test_tick_unit_uses_tick_coordinate(self):
-        channel = DriftingChannel(IdleDepolarizing(0.01), slope=1.0, unit="tick")
-        (op,) = channel.ops(NoiseSite("idle", (0,), tick=3, round_index=0))
-        assert op.probability == pytest.approx(0.04)
-
-    def test_negative_slope_clamps_at_zero(self):
-        channel = DriftingChannel(IdleDepolarizing(0.01), slope=-1.0)
-        (op,) = channel.ops(NoiseSite("idle", (0,), tick=1, round_index=5))
-        assert op.probability == 0.0
-
-    def test_invalid_unit_rejected(self):
-        with pytest.raises(ValueError):
-            DriftingChannel(IdleDepolarizing(0.01), slope=0.1, unit="shots")
-
-
 class TestComposition:
     def test_zero_rate_channels_compose_to_noiseless(self):
-        model = (
-            NoiseModelBuilder()
-            .gate_biased(0.0, eta=5.0)
-            .idle_depolarizing(0.0)
-            .dephasing(0.0)
-            .measurement_flip(0.0)
-            .reset_flip(0.0)
-            .build()
+        model = NoiseModel(
+            (
+                TwoQubitBiasedPauli(0.0, 5.0),
+                IdleDepolarizing(0.0),
+                Dephasing(0.0),
+                MeasurementFlip(0.0),
+                ResetFlip(0.0),
+            )
         )
-        assert model.is_noiseless()
-        # And the DEM agrees: no mechanisms at all, matching "noiseless".
+        # The DEM has no mechanisms at all, matching "noiseless".
         zero_digests = _composed_digests(model)
         noiseless_digests = pipeline_digests("surface:d=3", "noiseless")
         assert zero_digests == noiseless_digests
 
     def test_composition_is_concatenation_in_order(self):
-        model = ComposedNoiseModel(
-            (Dephasing(0.001), TwoQubitDepolarizing(0.002))
-        )
-        ops = model.channel_ops(NoiseSite("gate", (0, 1), tick=1))
+        model = NoiseModel((Dephasing(0.001), TwoQubitDepolarizing(0.002)))
+        ops = model.ops("gate", (0, 1))
         assert [op.name for op in ops] == ["Z_ERROR", "DEPOLARIZE2"]
 
-    def test_builder_drift_wraps_only_prior_channels(self):
-        model = (
-            NoiseModelBuilder()
-            .gate_depolarizing(0.01)
-            .drift(slope=1.0)
-            .measurement_flip(0.005)
-            .build()
+    def test_every_channel_kind_composes(self):
+        model = NoiseModel(
+            (
+                TwoQubitDepolarizing(0.01, {1: 0.02}),
+                IdleDepolarizing(0.005),
+                TwoQubitBiasedPauli(0.01, 3.0),
+                IdleBiasedPauli(0.005, 3.0, {2: 0.01}),
+                Dephasing(0.001, gates=False),
+                MeasurementFlip(0.002, {9: 0.004}),
+                ResetFlip(0.003),
+            ),
+            "full",
         )
-        drifted, flat = model.channels
-        assert isinstance(drifted, DriftingChannel)
-        assert isinstance(flat, MeasurementFlip)
-
-    def test_scaled_scales_every_channel(self):
-        model = ComposedNoiseModel(
-            (TwoQubitBiasedPauli(0.01, 10.0), IdleBiasedPauli(0.004, 10.0), ResetFlip(0.002))
-        )
-        scaled = model.scaled(0.5)
-        (gate_op,) = scaled.channel_ops(NoiseSite("gate", (0, 1), tick=1))
-        assert sum(gate_op.probabilities) == pytest.approx(0.005)
-        (reset_op,) = scaled.channel_ops(NoiseSite("reset", (2,)))
-        assert reset_op.probability == pytest.approx(0.001)
-
-    def test_noise_op_scaled_clamps_and_renormalises(self):
-        assert NoiseOp("Z_ERROR", (0,), probability=0.6).scaled(2.0).probability == 1.0
-        op = NoiseOp("PAULI_CHANNEL_1", (0,), probabilities=(0.4, 0.4, 0.1)).scaled(2.0)
-        assert sum(op.probabilities) == pytest.approx(1.0)
-
-    def test_every_channel_scales_and_reports_noiselessness(self):
-        """scaled(0) yields a noiseless channel for every concrete type."""
-        channels = [
-            TwoQubitDepolarizing(0.01, {3: 0.02}),
-            IdleDepolarizing(0.01, {3: 0.02}),
-            TwoQubitBiasedPauli(0.01, 5.0, {3: 0.02}),
-            IdleBiasedPauli(0.01, 5.0, {3: 0.02}),
-            Dephasing(0.01),
-            MeasurementFlip(0.01, {3: 0.02}),
-            ResetFlip(0.01),
-            DriftingChannel(IdleDepolarizing(0.01), slope=0.5),
-        ]
-        for channel in channels:
-            assert not channel.is_noiseless(), channel
-            halved = channel.scaled(0.5)
-            assert type(halved) is type(channel)
-            assert channel.scaled(0.0).is_noiseless(), channel
-
-    def test_builder_covers_every_channel_kind(self):
-        model = (
-            NoiseModelBuilder("full")
-            .gate_depolarizing(0.01, per_qubit={1: 0.02})
-            .idle_depolarizing(0.005)
-            .gate_biased(0.01, eta=3.0)
-            .idle_biased(0.005, eta=3.0, per_qubit={2: 0.01})
-            .dephasing(0.001, gates=False)
-            .measurement_flip(0.002, per_qubit={9: 0.004})
-            .reset_flip(0.003)
-            .build()
-        )
-        assert len(model.channels) == 7
-        assert model.with_channels(ResetFlip(0.1)).channels[-1] == ResetFlip(0.1)
-        gate_ops = model.channel_ops(NoiseSite("gate", (0, 1), tick=1))
+        gate_ops = model.ops("gate", (0, 1))
         assert [op.name for op in gate_ops] == ["DEPOLARIZE2", "PAULI_CHANNEL_2"]
-        idle_ops = model.channel_ops(NoiseSite("idle", (2,), tick=1))
+        idle_ops = model.ops("idle", (2,))
         assert [op.name for op in idle_ops] == ["DEPOLARIZE1", "PAULI_CHANNEL_1", "Z_ERROR"]
         # per-qubit override on the biased idle channel resolves for qubit 2
         assert sum(idle_ops[1].probabilities) == pytest.approx(0.01)
+        assert [op.probability for op in model.ops("measure", (9,))] == [0.004]
+        assert [op.qubits for op in model.ops("reset", (9, 10))] == [(9, 10)]
 
     def test_channels_pickle(self):
-        """Models must survive the process-pool boundary."""
+        """Models must survive the process-pool boundary, warm or not."""
         import pickle
 
-        model = (
-            NoiseModelBuilder("demo").gate_biased(0.01, eta=4.0).drift(slope=0.1).build()
-        )
+        model = NoiseModel((TwoQubitBiasedPauli(0.01, 4.0),), "demo")
         assert pickle.loads(pickle.dumps(model)) == model
+        model.ops("gate", (0, 1))
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
+        assert clone.ops("gate", (0, 1)) == model.ops("gate", (0, 1))
 
 
 def _composed_digests(model) -> tuple[str, str]:
@@ -478,15 +393,27 @@ class TestPauliChannelInstructions:
 
 
 class TestRegistrySpecs:
-    def test_new_specs_registered(self):
-        for name in ("biased", "dephasing", "drift"):
-            assert name in noise_registry
+    def test_seven_specs_registered(self):
+        assert noise_registry.available() == sorted(
+            [
+                "biased",
+                "brisbane",
+                "dephasing",
+                "depolarizing",
+                "noiseless",
+                "nonuniform",
+                "scaled",
+            ]
+        )
 
-    def test_biased_spec_builds_composed_model(self):
+    def test_biased_spec_builds_channel_tuple(self):
         model = noise_registry.build("biased:p=0.002,eta=5,measurement=0.001")
-        assert isinstance(model, ComposedNoiseModel)
-        assert not model.is_noiseless()
-        assert any(isinstance(c, MeasurementFlip) for c in model.channels)
+        assert isinstance(model, NoiseModel)
+        assert model.channels == (
+            TwoQubitBiasedPauli(0.002, 5),
+            IdleBiasedPauli(0.002, 5),
+            MeasurementFlip(0.001),
+        )
 
     def test_signature_rendering_for_discovery(self):
         entry = noise_registry.entry("biased")

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.circuits import build_memory_experiment
 from repro.codes import hypergraph_product_code
-from repro.noise import NoiseModel
+from repro.noise import depolarizing_noise
 from repro.pauli import commutes
 from repro.pauli.gf2 import gf2_rank
 from repro.scheduling import (
@@ -89,7 +89,7 @@ class TestRandomHGPCodes:
         code, _, _ = code_and_seeds
         if code.num_logical_qubits == 0:
             return
-        noise = NoiseModel(two_qubit_error=0.01, idle_error=0.001)
+        noise = depolarizing_noise(0.01, 0.001)
         schedule = lowest_depth_schedule(code)
         experiment = build_memory_experiment(code, schedule, noise, basis="Z")
         _, detectors, observables = simulate_circuit(

@@ -319,6 +319,19 @@ class TestEvents:
         assert events[-1]["result"] == job.result
         assert job.result["depth"] == 9
 
+    def test_progress_only_when_the_consumed_prefix_advances(self):
+        scheduler = JobScheduler(lease_chunks=64, window=64)
+        scheduler.submit(make_spec())
+        tasks = {
+            task.index: task
+            for task in scheduler.assign("w1", 0.0)
+            if task.basis == "Z" and task.index in (0, 1)
+        }
+        # Chunk 1 waits in the buffer for chunk 0: nothing a subscriber sees moves.
+        assert scheduler.record_result("w1", tasks[1], tasks[1].shots, 1, False, None, 0.0) == []
+        events = scheduler.record_result("w1", tasks[0], tasks[0].shots, 0, False, None, 0.0)
+        assert [(event["event"], event["chunks_done"]) for event in events] == [("progress", 2)]
+
     def test_summary_is_json_ready(self):
         import json
 
