@@ -16,6 +16,7 @@ import pytest
 from oracles.bposd_reference import ReferenceBPOSDDecoder
 from oracles.dem_reference import build_detector_error_model as reference_dem
 from oracles.frame_program_reference import ReferenceFrameProgram
+from oracles.lookup_reference import ReferenceLookupDecoder
 from oracles.matching_reference import ReferenceMWPMDecoder
 from oracles.sampler_reference import sample_dense
 
@@ -26,6 +27,7 @@ from repro.core import MCTSConfig, PartitionMCTS, ScheduleEvaluator
 from repro.noise import brisbane_noise
 from repro.scheduling import checks_of_code, google_surface_schedule, lowest_depth_schedule
 from repro.sim import build_detector_error_model, sample_detector_error_model
+from repro.sim.bitops import unpack_rows
 from repro.sim.frames import FrameSampler, TableauSampler
 
 
@@ -222,6 +224,41 @@ class TestComponentThroughput:
         required = 2.0 if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") else 1.0
         assert speedup >= required
 
+    def test_lookup_build_vs_reference_speedup(self, surface_dem):
+        """Acceptance: the vectorised lookup table build is >= 5x faster
+        than the reference loop over ``itertools.combinations`` on the
+        surface d=3 DEM at ``max_order=2``, with an equal table.
+
+        Best-of-N ``perf_counter`` timings, alternating the two sides; the
+        hard >=5x gate arms only under ``REPRO_BENCH_ASSERT_SPEEDUP`` (the
+        bench-quick CI job) and relaxes to "the vectorised build is faster"
+        in the ordinary matrix.  Locally the measured ratio is ~10-15x.
+        Table identity on many more DEMs is pinned in
+        ``tests/test_lookup_table.py``.
+        """
+        build = decoders.build("lookup:max_order=2")
+        table = build(surface_dem)
+        oracle = ReferenceLookupDecoder(surface_dem, max_order=2)
+        rows = unpack_rows(table._packed_keys, surface_dem.num_detectors)
+        assert {
+            row.tobytes(): correction.tobytes()
+            for row, correction in zip(rows, table._packed_corrections)
+        } == {key: entry[1].tobytes() for key, entry in oracle._table.items()}
+
+        # Alternate the two builds so host load drifts hit both sides alike.
+        vector_time, reference_time = float("inf"), float("inf")
+        for _ in range(10):
+            vector_time = min(vector_time, _best_of(lambda: build(surface_dem), repeats=1))
+            reference_time = min(
+                reference_time,
+                _best_of(lambda: ReferenceLookupDecoder(surface_dem, max_order=2), repeats=1),
+            )
+        speedup = reference_time / vector_time
+        print(f"\nLookup build d=3: reference {reference_time * 1e3:.2f}ms "
+              f"vectorised {vector_time * 1e3:.2f}ms speedup {speedup:.1f}x")
+        required = 5.0 if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") else 1.0
+        assert speedup >= required
+
     def test_sampler_throughput(self, benchmark, surface_dem):
         batch = benchmark(sample_detector_error_model, surface_dem, 2000, seed=0)
         assert batch.num_shots == 2000
@@ -349,11 +386,12 @@ class TestComponentThroughput:
         assert predictions.shape == batch.observables.shape
 
     def test_lookup_decode_batch_vectorized(self, benchmark, surface_dem):
-        """Micro-benchmark of the NumPy-indexed LookupDecoder.decode_batch.
+        """Micro-benchmark of LookupDecoder.decode_batch.
 
-        The vectorised path packs syndromes into uint64 keys and resolves
-        the whole batch with one searchsorted; the assertion pins it to the
-        per-shot reference on a slice of the batch.
+        The shared front end packs the batch and deduplicates it; the
+        unique syndromes resolve against the sorted table with one
+        searchsorted.  The assertion pins it to the per-shot reference on
+        a slice of the batch.
         """
         decoder = decoders.build("lookup")(surface_dem)
         batch = sample_detector_error_model(surface_dem, 20000, seed=2)

@@ -57,7 +57,7 @@ from repro.decoders.bposd import (
     BPOSDDecoder,
     check_bposd_parameters,
 )
-from repro.decoders.lookup import DEFAULT_MAX_ORDER, LookupDecoder
+from repro.decoders.lookup import DEFAULT_MAX_ORDER, LookupDecoder, check_lookup_parameters
 from repro.decoders.matching import MWPMDecoder
 from repro.decoders.union_find import UnionFindDecoder
 from repro.noise.models import (
@@ -269,6 +269,7 @@ def _bposd(
 
 @register_decoder("lookup", help="Most-likely-error table (exact, small DEMs only)")
 def _lookup(max_order: int = DEFAULT_MAX_ORDER):
+    check_lookup_parameters(max_order)
     return partial(LookupDecoder, max_order=max_order)
 
 

@@ -8,12 +8,13 @@ minimum-weight perfect matching, (hypergraph) union-find, and BP-OSD.
 
 The abstract surface is *batch-first*: subclasses implement
 :meth:`Decoder._decode_unique`, which receives a block of **distinct**
-dense syndromes, and the base class supplies the shared batch front end
-(:meth:`Decoder.decode_batch` / :meth:`Decoder.decode_batch_packed`) that
+dense syndromes, and the base class supplies the one batch front end,
+:meth:`Decoder.decode_batch_packed`, which no subclass overrides.  It
 
-1. bit-packs the batch into ``uint64`` words (:mod:`repro.sim.bitops`) —
-   or consumes the sampler's packed words directly, never materialising a
-   dense copy of the full batch;
+1. takes the batch as bit-packed ``uint64`` words (:mod:`repro.sim.bitops`):
+   the sampler's packed words directly, never materialising a dense copy
+   of the full batch, or a dense batch that :meth:`Decoder.decode_batch`
+   packs first;
 2. deduplicates repeated syndromes with one ``np.unique`` over the packed
    rows (at paper-regime physical error rates most shots share few
    distinct syndromes, so this alone is a 5–50x shot-count reduction);
@@ -33,6 +34,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.sim.bitops import pack_rows, packed_words, unpack_rows
 from repro.sim.dem import DetectorErrorModel
 
 __all__ = ["Decoder"]
@@ -76,37 +78,19 @@ class Decoder(ABC):
         return self._decode_unique(syndrome)[0]
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode ``(shots, num_detectors)`` syndromes via the dedup front end."""
-        syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
-        shots = syndromes.shape[0]
-        if shots == 0:
-            return self._empty_predictions()
-        if shots == 1:
-            return self._decode_unique(syndromes)
-        if syndromes.shape[1] == 0:
-            # Zero-detector DEM: every row is the (single) empty syndrome.
-            return np.repeat(self._decode_unique(syndromes[:1]), shots, axis=0)
-        from repro.sim.bitops import pack_rows
+        """Decode dense ``(shots, num_detectors)`` syndromes.
 
-        _, first_index, inverse = np.unique(
-            pack_rows(syndromes), axis=0, return_index=True, return_inverse=True
-        )
-        # Take the unique rows from the dense input (cheaper than unpacking,
-        # bit-identical: packing is injective at fixed width).
-        unique = np.ascontiguousarray(syndromes[first_index])
-        return self._decode_unique(unique)[inverse.reshape(-1)]
-
-    @property
-    def has_packed_fast_path(self) -> bool:
-        """True: the batch front end consumes packed words natively.
-
-        The hot path (:func:`repro.sim.estimator.decode_predictions`) routes
-        packed syndromes to decoders that advertise this.  Since the dedup
-        front end deduplicates *on the packed words themselves* and unpacks
-        only the unique rows, packed input is now the norm for every
-        decoder, not a lookup-table exception.
+        Packs the batch and hands it to :meth:`decode_batch_packed`, the one
+        dedup front end.  A row width other than ``num_detectors`` raises
+        ``ValueError``.
         """
-        return True
+        syndromes = np.asarray(syndromes)
+        if syndromes.ndim != 2 or syndromes.shape[1] != self.dem.num_detectors:
+            raise ValueError(
+                f"expected syndromes of shape (shots, {self.dem.num_detectors}), "
+                f"got {syndromes.shape}"
+            )
+        return self.decode_batch_packed(pack_rows(syndromes))
 
     def decode_batch_packed(self, packed: np.ndarray) -> np.ndarray:
         """Decode syndromes given in bit-packed form.
@@ -116,23 +100,23 @@ class Decoder(ABC):
         (what the packed sampler emits as ``SampleBatch.packed_detectors``).
         Deduplication happens directly on the packed words; only the unique
         rows are ever unpacked, so duplicate shots never touch dense memory.
+        A word count other than the DEM's raises ``ValueError``.
         """
-        from repro.sim.bitops import unpack_rows
-
         packed = np.asarray(packed)
+        words = packed_words(self.dem.num_detectors)
+        if packed.ndim != 2 or packed.shape[1] != words:
+            raise ValueError(
+                f"expected packed syndromes of shape (shots, {words}), got {packed.shape}"
+            )
         shots = packed.shape[0]
         if shots == 0:
-            return self._empty_predictions()
+            return np.zeros((0, self.dem.num_observables), dtype=np.uint8)
         if packed.shape[1] == 0:
             empty = np.zeros((1, self.dem.num_detectors), dtype=np.uint8)
             return np.repeat(self._decode_unique(empty), shots, axis=0)
         unique_words, inverse = np.unique(packed, axis=0, return_inverse=True)
         unique = unpack_rows(unique_words, self.dem.num_detectors)
         return self._decode_unique(np.ascontiguousarray(unique))[inverse.reshape(-1)]
-
-    def _empty_predictions(self) -> np.ndarray:
-        """The correctly shaped result for a zero-shot batch."""
-        return np.zeros((0, self.dem.num_observables), dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Observable projection

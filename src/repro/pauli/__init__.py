@@ -7,7 +7,6 @@ spaces) that stabilizer-code constructions rely on.
 """
 
 from repro.pauli.gf2 import (
-    gf2_gauss_elim,
     gf2_inverse,
     gf2_matmul,
     gf2_nullspace,
@@ -22,7 +21,6 @@ __all__ = [
     "PauliString",
     "commutes",
     "pauli_product_phase",
-    "gf2_gauss_elim",
     "gf2_inverse",
     "gf2_matmul",
     "gf2_nullspace",

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "gf2_row_reduce",
-    "gf2_gauss_elim",
     "gf2_rank",
     "gf2_solve",
     "gf2_nullspace",
@@ -59,11 +58,6 @@ def gf2_row_reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         pivot_row += 1
     return mat, pivots
-
-
-def gf2_gauss_elim(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Alias of :func:`gf2_row_reduce` kept for call-site readability."""
-    return gf2_row_reduce(matrix)
 
 
 def gf2_rank(matrix: np.ndarray) -> int:

@@ -3,8 +3,9 @@
 This is the evaluation function at the heart of AlphaSyndrome (Section 4.4):
 given a code, a schedule, a noise model and a decoder, build the Figure 10
 sampling circuits for both logical bases, sample them, decode every shot and
-report the logical X / logical Z / overall error rates.  The overall score
-used by the MCTS search is ``1 / overall`` as in the paper.
+report the logical X / logical Z / overall error rates.  The score used by
+the MCTS search, ``1 / overall`` as in the paper, is
+:meth:`repro.core.ScheduleEvaluator.score`.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class LogicalErrorRates:
         """Probability that at least one logical error (X or Z) occurred."""
         return 1.0 - (1.0 - self.error_x) * (1.0 - self.error_z)
 
-    @property
-    def score(self) -> float:
-        """The MCTS evaluation score ``1 / overall`` (capped for zero errors)."""
-        overall = self.overall
-        if overall <= 0.0:
-            return float("inf")
-        return 1.0 / overall
-
     def __str__(self) -> str:
         return (
             f"err_x={self.error_x:.3e} err_z={self.error_z:.3e} "
@@ -119,17 +112,14 @@ def basis_streams(
 def decode_predictions(decoder, batch: SampleBatch) -> np.ndarray:
     """Decode a batch, preferring the bit-packed syndrome path.
 
-    Since the decoder stack went batch-first, ``has_packed_fast_path`` is
-    the norm rather than a lookup-table exception: the shared front end in
-    :class:`repro.decoders.Decoder` deduplicates repeated syndromes on the
-    packed ``uint64`` words themselves and unpacks only the unique rows, so
-    handing over ``batch.packed_detectors`` skips both a pack pass and a
-    dense materialisation of duplicate shots.  The dense ``batch.detectors``
-    fallback remains for decoders outside that hierarchy (the attribute
-    defaults to False via ``getattr`` for duck-typed third-party decoders).
+    Every :class:`repro.decoders.Decoder` takes ``batch.packed_detectors``
+    through its one front end, ``decode_batch_packed``, which deduplicates
+    repeated syndromes on the packed ``uint64`` words themselves and
+    unpacks only the unique rows.  Duck-typed decoders without that method
+    get the dense ``batch.detectors`` through their ``decode_batch``.
     Predictions are bit-identical either way.
     """
-    if getattr(decoder, "has_packed_fast_path", False):
+    if hasattr(decoder, "decode_batch_packed"):
         return decoder.decode_batch_packed(batch.packed_detectors)
     return decoder.decode_batch(batch.detectors)
 

@@ -40,11 +40,11 @@ class SampleBatch:
     shape ``(shots, num_observables)``; both are uint8 arrays of 0/1 values.
     ``packed_detectors`` is the bit-packed form of ``detectors`` (shape
     ``(shots, ceil(num_detectors / 64))``, little-endian ``uint64`` words as
-    produced by :func:`repro.sim.bitops.pack_rows`).  Every decoder's batch
-    front end now consumes it directly — ``decode_batch_packed``
+    produced by :func:`repro.sim.bitops.pack_rows`).  The decoders' one
+    batch front end, ``decode_batch_packed``, consumes it directly: it
     deduplicates repeated syndromes on the packed words and unpacks only
-    the unique rows — so the packed form is the primary hand-off from
-    sampler to decoder, not a fast-path extra.  Every sampler sets it.
+    the unique rows, so the packed form is the primary hand-off from
+    sampler to decoder.  Every sampler sets it.
     """
 
     detectors: np.ndarray

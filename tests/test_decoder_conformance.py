@@ -34,7 +34,7 @@ from repro.sim import (
     estimate_logical_error_rates,
     sample_detector_error_model,
 )
-from repro.sim.bitops import pack_rows
+from repro.sim.bitops import pack_rows, packed_words
 
 #: Every decoder registered under its canonical name.
 DECODER_NAMES = sorted(name for name, _aliases, _help in decoder_registry.describe())
@@ -113,6 +113,16 @@ class TestDecoderContracts:
         assert predictions.dtype == np.uint8
         packed = decoder.decode_batch_packed(pack_rows(empty))
         assert packed.shape == (0, dem.num_observables)
+
+    def test_wrong_syndrome_width_raises(self, problems, decoder_name, code_name):
+        dem, _batch = problems[code_name]
+        decoder = _build(decoder_name, dem)
+        for width in (dem.num_detectors - 1, dem.num_detectors + 1):
+            with pytest.raises(ValueError, match="expected syndromes"):
+                decoder.decode_batch(np.zeros((3, width), dtype=np.uint8))
+        words = np.zeros((3, packed_words(dem.num_detectors) + 1), dtype="<u8")
+        with pytest.raises(ValueError, match="expected packed syndromes"):
+            decoder.decode_batch_packed(words)
 
     def test_single_shot_batch_matches_decode(self, problems, decoder_name, code_name):
         dem, batch = problems[code_name]

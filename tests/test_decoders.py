@@ -223,9 +223,9 @@ class TestLookupPackedKeys:
     """The 64-detector boundary of the lookup decoder's packed key table.
 
     63 and 64 detectors pack into one platform-independent little-endian
-    ``uint64`` key (``np.dtype('<u8')``); 65 detectors exceed a word and
-    must fall back to the per-shot dict lookup.  In all three regimes the
-    batch paths must agree bit for bit with per-shot ``decode``.
+    ``uint64`` word (``np.dtype('<u8')``); 65 detectors take two words.
+    In all three regimes the batch paths must agree bit for bit with
+    per-shot ``decode``.
     """
 
     @staticmethod
@@ -249,8 +249,6 @@ class TestLookupPackedKeys:
     def test_decode_batch_matches_per_shot_decode(self, num_detectors):
         dem = self._chain_dem(num_detectors)
         decoder = LookupDecoder(dem, max_order=1)
-        uses_packed_table = decoder._packed_keys is not None
-        assert uses_packed_table == (num_detectors <= 64)
         rng = np.random.default_rng(num_detectors)
         # Mix reachable syndromes (from sampling) with unreachable random
         # ones so the "no logical flip" fallback is exercised too.
@@ -284,3 +282,32 @@ class TestLookupPackedKeys:
         decoder = LookupDecoder(dem)
         assert decoder._packed_keys is not None
         assert decoder._packed_keys.dtype == np.dtype("<u8")
+
+
+class TestLookupParameterValidation:
+    @pytest.mark.parametrize("max_order", [-1, 2.5, "3", True, None])
+    def test_constructor_rejects(self, steane, max_order):
+        with pytest.raises(ValueError, match="max_order") as info:
+            LookupDecoder(_steane_dem(steane), max_order=max_order)
+        message = str(info.value)
+        assert repr(max_order) in message and "\n" not in message
+
+    @pytest.mark.parametrize(
+        "spec, fragment",
+        [
+            ("lookup:max_order=-1", "max_order must be a non-negative integer, got -1"),
+            ("lookup:max_order=2.5", "max_order must be a non-negative integer, got 2.5"),
+        ],
+    )
+    def test_registry_spec_rejects(self, spec, fragment):
+        with pytest.raises(ValueError) as info:
+            decoders.build(spec)
+        assert fragment in str(info.value)
+
+    def test_boundary_values_accepted(self, steane):
+        dem = _steane_dem(steane)
+        for max_order in (0, np.int64(1)):
+            assert isinstance(LookupDecoder(dem, max_order=max_order), LookupDecoder)
+        decoder = decoders.build("lookup:max_order=0")(dem)
+        # Order 0 holds only the empty pattern: every syndrome predicts no flip.
+        assert len(decoder._packed_keys) == 1

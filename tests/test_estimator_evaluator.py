@@ -21,14 +21,6 @@ class TestLogicalErrorRates:
         rates = LogicalErrorRates(error_x=0.1, error_z=0.2, shots=100, depth=4)
         assert rates.overall == pytest.approx(1 - 0.9 * 0.8)
 
-    def test_score_is_inverse_overall(self):
-        rates = LogicalErrorRates(error_x=0.1, error_z=0.0, shots=100, depth=4)
-        assert rates.score == pytest.approx(10.0)
-
-    def test_zero_error_score_is_infinite(self):
-        rates = LogicalErrorRates(error_x=0.0, error_z=0.0, shots=100, depth=4)
-        assert rates.score == float("inf")
-
     def test_str_contains_rates(self):
         rates = LogicalErrorRates(error_x=0.1, error_z=0.2, shots=10, depth=3)
         assert "err_x" in str(rates) and "depth=3" in str(rates)
