@@ -43,7 +43,7 @@ from repro.scheduling import (
 )
 from repro.sim import estimate_logical_error_rates
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Budget",

@@ -20,12 +20,14 @@ dense syndromes, and the base class supplies the one batch front end,
    distinct syndromes, so this alone is a 5–50x shot-count reduction);
 3. decodes the unique block once and scatters predictions back.
 
-:meth:`Decoder.decode` is the thin single-shot wrapper over the batch
-path.  Deduplication is a pure routing change: every decoder's
-``_decode_unique`` is elementwise (a row's prediction depends on nothing
-but the row itself — BP freezes each column at its own convergence), so
-the scattered predictions are bit-identical to decoding every shot in
-place, and batch composition can never change a prediction.
+:meth:`Decoder.decode` decodes one syndrome straight through
+``_decode_unique`` (a single row needs no dedup), behind the same width
+check as the batch entry points.  Deduplication is a pure routing
+change: every decoder's ``_decode_unique`` is elementwise (a row's
+prediction depends on nothing but the row itself — BP freezes each column
+at its own convergence), so the scattered predictions are bit-identical to
+decoding every shot in place, and batch composition can never change a
+prediction.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ class Decoder(ABC):
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Decode one syndrome (length ``num_detectors``) to observable flips.
 
-        Thin wrapper over :meth:`decode_batch`; a single-row batch skips
-        the dedup machinery entirely.
+        A single row skips the dedup machinery and goes straight to
+        ``_decode_unique``.  Anything but a 1-D array of length
+        ``num_detectors`` raises ``ValueError``.
         """
-        syndrome = np.ascontiguousarray(syndrome, dtype=np.uint8).reshape(1, -1)
+        syndrome = np.ascontiguousarray(syndrome, dtype=np.uint8)[np.newaxis]
+        self._check_width(syndrome)
         return self._decode_unique(syndrome)[0]
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
@@ -85,12 +89,16 @@ class Decoder(ABC):
         ``ValueError``.
         """
         syndromes = np.asarray(syndromes)
+        self._check_width(syndromes)
+        return self.decode_batch_packed(pack_rows(syndromes))
+
+    def _check_width(self, syndromes: np.ndarray) -> None:
+        """Raise the one-line ``ValueError`` unless rows are ``num_detectors`` wide."""
         if syndromes.ndim != 2 or syndromes.shape[1] != self.dem.num_detectors:
             raise ValueError(
                 f"expected syndromes of shape (shots, {self.dem.num_detectors}), "
                 f"got {syndromes.shape}"
             )
-        return self.decode_batch_packed(pack_rows(syndromes))
 
     def decode_batch_packed(self, packed: np.ndarray) -> np.ndarray:
         """Decode syndromes given in bit-packed form.

@@ -28,13 +28,16 @@ bulk: for small defect sets (the overwhelming majority at paper-regime
 rates) every possible pairing — defect-defect or defect-boundary — is
 enumerated from a cached per-count table, all pairings of a whole group
 are costed with one gather/sum against the distance matrix, and the first
-optimum's prediction is one gathered XOR-reduce per block.  networkx's
-blossom (``nx.max_weight_matching``) is used only as the fallback for
-large defect sets and for the rare degenerate optimum whose tied pairings
-disagree on the predicted flip; either way predictions are bit-identical
-to the historical per-shot implementation (the enumerated argmin *is* the
-minimum-weight perfect matching, and ties that cannot change the
-prediction are the only ones resolved without blossom).
+optimum's prediction is one gathered XOR-reduce per block.  Blossom
+(:func:`repro.decoders.blossom.max_weight_matching`, an int-indexed port
+of networkx's ``max_weight_matching`` that walks its containers in
+networkx's order) is used only as the fallback for large defect sets and
+for the rare degenerate optimum whose tied pairings disagree on the
+predicted flip; either way predictions are bit-identical to the historical
+per-shot networkx implementation (the enumerated argmin *is* the
+minimum-weight perfect matching, ties that cannot change the prediction
+are the only ones resolved without blossom, and the port returns
+networkx's matching, pair orientation included, on the historical graph).
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 
-import networkx as nx
 import numpy as np
 
 from repro.decoders.base import Decoder
+from repro.decoders.blossom import max_weight_matching
 from repro.sim.dem import DetectorErrorModel
 
 __all__ = ["MWPMDecoder"]
@@ -318,9 +321,10 @@ class MWPMDecoder(Decoder):
     def _match_defects(self, defects: np.ndarray, prediction: np.ndarray) -> None:
         """Match one defect set with blossom; XOR path parities into ``prediction``.
 
-        The matching graph has the historical nodes, edges, insertion order
-        and float weights, so ``nx.max_weight_matching`` returns the
-        identical matching.
+        Node ``i`` is defect ``i`` and node ``num_defects + i`` its boundary
+        copy, the order the historical ``nx.from_edgelist`` graph inserted
+        them; edges, their order and float weights are the historical ones
+        too, so blossom returns networkx's matching.
         """
         boundary = self._boundary_index
         distance = self._distance
@@ -329,25 +333,18 @@ class MWPMDecoder(Decoder):
         for i in range(num_defects):
             u = defects[i]
             for j in range(i + 1, num_defects):
-                edges.append(
-                    (("d", i), ("d", j), {"weight": -float(distance[u, defects[j]])})
-                )
-            edges.append((("d", i), ("b", i), {"weight": -float(distance[u, boundary])}))
+                edges.append((i, j, -float(distance[u, defects[j]])))
+            edges.append((i, num_defects + i, -float(distance[u, boundary])))
         # Boundary copies may pair among themselves at zero cost.
         for i in range(num_defects):
             for j in range(i + 1, num_defects):
-                edges.append((("b", i), ("b", j), {"weight": 0.0}))
+                edges.append((num_defects + i, num_defects + j, 0.0))
 
-        matching = nx.max_weight_matching(nx.from_edgelist(edges), maxcardinality=True)
-        for first, second in matching:
-            kinds = {first[0], second[0]}
-            if kinds == {"b"}:
+        for first, second in max_weight_matching(2 * num_defects, edges):
+            if first >= num_defects and second >= num_defects:
                 continue
-            if kinds == {"d"}:
-                u = defects[first[1]]
-                v = defects[second[1]]
+            if first < num_defects and second < num_defects:
+                u, v = defects[first], defects[second]
             else:
-                defect_node = first if first[0] == "d" else second
-                u = defects[defect_node[1]]
-                v = boundary
+                u, v = defects[min(first, second)], boundary
             prediction ^= self._parity[u, v]

@@ -18,8 +18,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-import networkx as nx
-
 from repro.codes.base import StabilizerCode
 
 __all__ = [
@@ -76,19 +74,25 @@ def partition_stabilizers(code: StabilizerCode) -> list[list[int]]:
     if is_css:
         return [block for block in (x_block, z_block) if block]
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(code.num_stabilizers))
-    for first in range(code.num_stabilizers):
-        for second in range(first + 1, code.num_stabilizers):
+    # Greedy colouring of the incompatibility graph: stabilizers by degree,
+    # largest first (ties by index), each taking the smallest colour none
+    # of its neighbours holds.
+    count = code.num_stabilizers
+    neighbours: list[list[int]] = [[] for _ in range(count)]
+    for first in range(count):
+        for second in range(first + 1, count):
             if not compatible_stabilizers(code, first, second):
-                graph.add_edge(first, second)
-    best: dict[int, int] | None = None
-    for strategy in ("connected_sequential_bfs", "largest_first", "smallest_last"):
-        colouring = nx.coloring.greedy_color(graph, strategy=strategy)
-        if best is None or max(colouring.values(), default=0) < max(best.values(), default=0):
-            best = colouring
+                neighbours[first].append(second)
+                neighbours[second].append(first)
+    colours: dict[int, int] = {}
+    for stabilizer in sorted(range(count), key=lambda index: -len(neighbours[index])):
+        taken = {colours[other] for other in neighbours[stabilizer] if other in colours}
+        colour = 0
+        while colour in taken:
+            colour += 1
+        colours[stabilizer] = colour
     partitions: dict[int, list[int]] = {}
-    for stabilizer, colour in best.items():
+    for stabilizer, colour in colours.items():
         partitions.setdefault(colour, []).append(stabilizer)
     return [sorted(partitions[colour]) for colour in sorted(partitions)]
 

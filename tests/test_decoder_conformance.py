@@ -124,6 +124,16 @@ class TestDecoderContracts:
         with pytest.raises(ValueError, match="expected packed syndromes"):
             decoder.decode_batch_packed(words)
 
+    def test_wrong_single_syndrome_width_raises(self, problems, decoder_name, code_name):
+        # surface_d3 has 16 detectors: lengths 15 and 17 must not decode,
+        # nor may a column of the right length.
+        dem, _batch = problems[code_name]
+        decoder = _build(decoder_name, dem)
+        for shape in (dem.num_detectors - 1, dem.num_detectors + 1, (dem.num_detectors, 1)):
+            with pytest.raises(ValueError, match="expected syndromes") as raised:
+                decoder.decode(np.zeros(shape, dtype=np.uint8))
+            assert "\n" not in str(raised.value)
+
     def test_single_shot_batch_matches_decode(self, problems, decoder_name, code_name):
         dem, batch = problems[code_name]
         decoder = _build(decoder_name, dem)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.partition_reference import reference_partition
 
 from repro.api.registries import codes
 from repro.scheduling import (
@@ -63,6 +64,25 @@ class TestPartition:
         partitions = partition_stabilizers(code)
         validate_partition(code, partitions)
         assert len(partitions) == expected
+
+    def test_greedy_colouring_matches_networkx_on_every_non_css_code(self):
+        """One largest-first colouring reproduces the best-of-three networkx one."""
+        non_css = []
+        for name in [*codes.available(), "xzzx:d=7"]:
+            if name == "stimfile":
+                continue
+            code = codes.build(name)
+            letters = [
+                {stabilizer.pauli_at(q) for q in stabilizer.support}
+                for stabilizer in code.stabilizers
+            ]
+            if all(kinds in ({"X"}, {"Z"}) for kinds in letters):
+                continue
+            non_css.append(name)
+            partitions = partition_stabilizers(code)
+            validate_partition(code, partitions)
+            assert partitions == reference_partition(code), name
+        assert {"five_qubit", "xzzx", "xzzx_d3", "xzzx_d5"} <= set(non_css)
 
     def test_css_partition_separates_types(self, surface_d3):
         partitions = partition_stabilizers(surface_d3)
