@@ -33,7 +33,7 @@ through the ``repro.api`` registries (``repro.api.codes.build("steane")``,
 """
 
 from repro.api import Budget, Pipeline, RunResult, RunSpec
-from repro.core import AlphaSyndrome, MCTSConfig, SynthesisResult, synthesize_schedule
+from repro.core import AlphaSyndrome, MCTSConfig, SynthesisResult
 from repro.noise import NoiseModel, brisbane_noise, non_uniform_noise, scaled_noise
 from repro.scheduling import (
     Schedule,
@@ -43,7 +43,7 @@ from repro.scheduling import (
 )
 from repro.sim import estimate_logical_error_rates
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "Budget",
@@ -53,7 +53,6 @@ __all__ = [
     "AlphaSyndrome",
     "MCTSConfig",
     "SynthesisResult",
-    "synthesize_schedule",
     "NoiseModel",
     "brisbane_noise",
     "scaled_noise",

@@ -255,8 +255,8 @@ def _mwpm():
 
 
 @register_decoder("unionfind", aliases=("union_find", "uf"), help="(Hypergraph) union-find")
-def _unionfind(max_growth_rounds: int | None = None):
-    return partial(UnionFindDecoder, max_growth_rounds=max_growth_rounds)
+def _unionfind():
+    return UnionFindDecoder
 
 
 @register_decoder("bposd", aliases=("bp_osd",), help="Belief propagation + ordered statistics")

@@ -253,20 +253,9 @@ class Registry:
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
-    def available(self, *, include_aliases: bool = False) -> list[str]:
-        """Sorted canonical names (optionally including aliases)."""
-        names = list(self._entries)
-        if include_aliases:
-            names += list(self._aliases)
-        return sorted(names)
-
-    def describe(self) -> list[tuple[str, str, str]]:
-        """``(name, aliases, help)`` rows for CLI listings."""
-        rows = []
-        for name in self.available():
-            entry = self._entries[name]
-            rows.append((name, ", ".join(entry.aliases), entry.help))
-        return rows
+    def available(self) -> list[str]:
+        """Sorted canonical names (aliases excluded)."""
+        return sorted(self._entries)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries or name in self._aliases

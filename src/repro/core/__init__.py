@@ -1,13 +1,12 @@
 """AlphaSyndrome core: schedule evaluation and MCTS-based synthesis."""
 
-from repro.core.alphasyndrome import AlphaSyndrome, SynthesisResult, synthesize_schedule
+from repro.core.alphasyndrome import AlphaSyndrome, SynthesisResult
 from repro.core.evaluator import ScheduleEvaluator
 from repro.core.mcts import MCTSConfig, MCTSNode, PartitionMCTS
 
 __all__ = [
     "AlphaSyndrome",
     "SynthesisResult",
-    "synthesize_schedule",
     "ScheduleEvaluator",
     "MCTSConfig",
     "MCTSNode",

@@ -9,8 +9,7 @@ Ties the pieces together exactly as the paper describes:
    being searched);
 3. concatenate the per-partition schedules into the final round schedule.
 
-The public entry point is :class:`AlphaSyndrome`; :func:`synthesize_schedule`
-is a convenience wrapper used by the examples and the benchmark harness.
+The public entry point is :class:`AlphaSyndrome`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.scheduling.partition import partition_stabilizers
 from repro.scheduling.schedule import PauliCheck, Schedule
 from repro.sim.estimator import DecoderFactory, LogicalErrorRates
 
-__all__ = ["SynthesisResult", "AlphaSyndrome", "synthesize_schedule"]
+__all__ = ["SynthesisResult", "AlphaSyndrome"]
 
 
 @dataclass
@@ -188,23 +187,3 @@ class AlphaSyndrome:
             offset = merged.depth
         return merged
 
-
-def synthesize_schedule(
-    code: StabilizerCode,
-    noise: NoiseModel,
-    decoder_factory: DecoderFactory,
-    *,
-    shots: int = 500,
-    iterations_per_step: int = 32,
-    seed: int = 0,
-) -> SynthesisResult:
-    """One-call convenience wrapper around :class:`AlphaSyndrome`."""
-    synthesiser = AlphaSyndrome(
-        code=code,
-        noise=noise,
-        decoder_factory=decoder_factory,
-        shots=shots,
-        mcts_config=MCTSConfig(iterations_per_step=iterations_per_step, seed=seed),
-        seed=seed,
-    )
-    return synthesiser.synthesize()

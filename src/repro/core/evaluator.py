@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import StoppingRule
-from repro.api.spec import Budget
 from repro.codes.base import StabilizerCode
 from repro.noise.models import NoiseModel
 from repro.scheduling.schedule import Schedule
@@ -61,7 +60,9 @@ class ScheduleEvaluator:
     shots:
         Monte-Carlo shots per logical basis per evaluation.  The paper uses
         large parallel stim batches; here the default is laptop-sized and
-        should be raised for final measurements.
+        should be raised for final measurements.  Every evaluation samples
+        exactly ``shots`` per basis (``StoppingRule(max_shots=shots)``), so
+        ``shots < 0`` raises at construction, not in the middle of a search.
     seed:
         Base RNG seed.  Evaluations are deterministic given the seed and the
         schedule — for *any* ``workers`` value — which keeps MCTS runs
@@ -70,16 +71,6 @@ class ScheduleEvaluator:
         Process-pool width used by :meth:`evaluate_many` /
         :meth:`score_many` for cache misses.  ``1`` (the default) evaluates
         in process.
-    target_rse / max_shots / confidence:
-        Optional precision target.  With ``target_rse`` set, every
-        evaluation streams fixed deterministic chunks through a Wilson
-        stopping rule (:mod:`repro.analysis.stats`) per basis and stops
-        early once the observed rate is precise enough, up to ``max_shots``
-        (default: ``shots``).  Scores stay deterministic for any worker
-        count; ``target_rse=None`` samples exactly ``shots`` per basis.
-        The stopping rule is built at construction, so an invalid budget
-        (``shots < 0``, ``confidence`` outside ``(0, 1)``) raises there,
-        not in the middle of a search.
     """
 
     code: StabilizerCode
@@ -88,9 +79,6 @@ class ScheduleEvaluator:
     shots: int = 500
     seed: int = 0
     workers: int = 1
-    target_rse: float | None = None
-    max_shots: int | None = None
-    confidence: float = 0.95
     _cache: dict[tuple, LogicalErrorRates] = field(default_factory=dict, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False, compare=False)
     _rule: StoppingRule = field(init=False, repr=False, compare=False)
@@ -98,15 +86,7 @@ class ScheduleEvaluator:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # Derived through Budget.stopping_rule — the single place that
-        # encodes the max_shots fallback and the confidence-to-z conversion
-        # — so the evaluator can never drift from the Pipeline's rule.
-        self._rule = Budget(
-            shots=self.shots,
-            target_rse=self.target_rse,
-            max_shots=self.max_shots,
-            confidence=self.confidence,
-        ).stopping_rule()
+        self._rule = StoppingRule(max_shots=self.shots)
 
     # ------------------------------------------------------------------
     def schedule_key(self, schedule: Schedule) -> tuple:
@@ -156,8 +136,7 @@ class ScheduleEvaluator:
         """Submit two basis tasks per miss, via the serial path's own
         :func:`repro.sim.estimator.basis_streams` plan and per-basis helper
         — one shared derivation, so the pooled results cannot drift from
-        serial.  Each task runs its whole chunk loop in-worker, keeping an
-        adaptive stopping point worker-count independent."""
+        serial.  Each task runs its whole chunk loop in-worker."""
         pool = self._ensure_pool()
         submitted = []
         for key, schedule in misses.items():

@@ -27,6 +27,9 @@ from repro.scheduling.schedule import PauliCheck, Schedule
 
 __all__ = ["MCTSConfig", "MCTSNode", "PartitionMCTS"]
 
+#: UCT's exploration constant ``c`` (Section 2.3).
+EXPLORATION = math.sqrt(2.0)
+
 
 @dataclass
 class MCTSConfig:
@@ -35,16 +38,15 @@ class MCTSConfig:
     ``iterations_per_step`` is the paper's ``#iters_per_step`` (4000-8000 at
     paper scale; laptop defaults are much smaller): after a re-root, a step
     runs ``max(iterations_per_step - root.visits, 1)`` rollouts (Section
-    4.5).  ``exploration`` is the UCT constant ``c``.  ``rollout_batch``
-    collects that many leaves per round (diversified by a virtual-visit
-    count on the selection path) and scores them in one
+    4.5); UCT's ``c`` is the module constant :data:`EXPLORATION`.
+    ``rollout_batch`` collects that many leaves per round (diversified by a
+    virtual-visit count on the selection path) and scores them in one
     :meth:`~repro.core.evaluator.ScheduleEvaluator.score_many` call, so a
     pool-backed evaluator spreads rollout scoring across cores;  ``1``
     reproduces the classic serial iteration exactly.
     """
 
     iterations_per_step: int = 32
-    exploration: float = math.sqrt(2.0)
     seed: int = 0
     max_total_evaluations: int | None = None
     rollout_batch: int = 1
@@ -81,10 +83,10 @@ class MCTSNode:
     def expectation(self) -> float:
         return self.total_score / self.visits if self.visits else 0.0
 
-    def uct(self, exploration: float, parent_visits: int) -> float:
+    def uct(self, parent_visits: int) -> float:
         if self.visits == 0:
             return math.inf
-        return self.expectation + exploration * math.sqrt(
+        return self.expectation + EXPLORATION * math.sqrt(
             math.log(max(parent_visits, 1)) / self.visits
         )
 
@@ -181,13 +183,12 @@ class PartitionMCTS:
 
     def _select(self, root: MCTSNode) -> "list[MCTSNode]":
         """The UCT path from ``root`` down to the node to expand."""
-        exploration = self.config.exploration
         path = [root]
         current = root
         while not current.is_terminal and current.is_fully_expanded and current.children:
             parent_visits = current.visits
             current = max(
-                current.children, key=lambda child: child.uct(exploration, parent_visits)
+                current.children, key=lambda child: child.uct(parent_visits)
             )
             path.append(current)
         return path

@@ -42,11 +42,15 @@ __all__ = ["UnionFindDecoder"]
 
 
 class UnionFindDecoder(Decoder):
-    """Cluster-growth (union-find style) decoder on the DEM hypergraph."""
+    """Cluster-growth (union-find style) decoder on the DEM hypergraph.
 
-    def __init__(self, dem: DetectorErrorModel, *, max_growth_rounds: int | None = None) -> None:
+    Growth stops once every cluster is valid, or after ``num_detectors + 1``
+    rounds: a round that changes a cluster adds at least one detector to
+    it, so by then every cluster has reached its whole connected component.
+    """
+
+    def __init__(self, dem: DetectorErrorModel) -> None:
         super().__init__(dem)
-        self.max_growth_rounds = max_growth_rounds or (dem.num_detectors + 1)
         # Detector-by-mechanism incidence, in the forms the mask algebra
         # wants: boolean for unions, int32 for overflow-safe matmul growth.
         self._incidence = self.check_matrix.astype(bool)
@@ -75,7 +79,7 @@ class UnionFindDecoder(Decoder):
         det_masks[np.arange(defects.size), defects] = True
         mech_masks = np.zeros((defects.size, self.dem.num_mechanisms), dtype=bool)
 
-        for _ in range(self.max_growth_rounds):
+        for _ in range(num_detectors + 1):
             det_masks, mech_masks = self._merge_overlapping(det_masks, mech_masks)
             # A cluster is invalid when its sub-problem is unsolvable (False)
             # or solves to the empty correction with defects left over ([]).

@@ -83,6 +83,9 @@ QUICK_BUDGET = Budget(
 #: drivers' ``named_stream(seed, "evaluation")`` derivation bit for bit.
 EVALUATION_STAGE = "evaluation"
 
+#: Seconds ``SuiteRunner`` waits for one served cell's result.
+SERVER_TIMEOUT = 900.0
+
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -528,7 +531,8 @@ class SuiteRunner:
         not executed in this process: every cell is submitted as a job
         (identical cells across suites coalesce server-side) and results
         stream back — bit-identical to local execution, so resumed stores
-        mix freely with either mode.
+        mix freely with either mode.  Each cell's result is awaited for at
+        most :data:`SERVER_TIMEOUT` seconds.
     """
 
     def __init__(
@@ -538,7 +542,6 @@ class SuiteRunner:
         cache=None,
         store=None,
         server=None,
-        server_timeout: float = 900.0,
     ) -> None:
         self.config = config or SuiteConfig()
         if isinstance(cache, (str, Path)):
@@ -554,7 +557,6 @@ class SuiteRunner:
 
             server = ServeClient(server)
         self.server = server
-        self.server_timeout = server_timeout
         #: SynthesisResult memo shared by every row this runner executes.
         self._syntheses: dict = {}
 
@@ -597,7 +599,7 @@ class SuiteRunner:
         remotes = {
             run.name: _RemoteRun(
                 run.spec,
-                self.server.result(job_ids[run.name], timeout=self.server_timeout),
+                self.server.result(job_ids[run.name], timeout=SERVER_TIMEOUT),
             )
             for run in row.runs
         }

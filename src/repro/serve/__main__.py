@@ -68,12 +68,6 @@ def add_serve_flags(parser: argparse.ArgumentParser) -> None:
         help="seconds before an unrenewed worker lease is requeued (default %(default)s)",
     )
     parser.add_argument(
-        "--lease-chunks",
-        type=int,
-        default=4,
-        help="chunks granted per lease (default %(default)s)",
-    )
-    parser.add_argument(
         "--poll-interval",
         type=float,
         default=0.25,
@@ -108,7 +102,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         memo_ttl=args.memo_ttl or None,
         memo_cap=args.memo_cap or None,
         lease_timeout=args.lease_timeout,
-        lease_chunks=args.lease_chunks,
         poll_interval=args.poll_interval,
         throttle=args.throttle,
     )
@@ -130,8 +123,13 @@ def run_server(config: ServeConfig) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """Entry point: parse arguments, serve until shutdown."""
-    args = build_parser().parse_args(argv)
-    return run_server(config_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as error:
+        parser.error(str(error))
+    return run_server(config)
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ __all__ = [
     "job_key",
 ]
 
+#: Chunks one lease grants (``JobScheduler``'s default).
+LEASE_CHUNKS = 4
+
+
 def job_key(spec: RunSpec) -> str:
     """Content address of one job: SHA-256 of the canonical spec payload.
 
@@ -309,7 +313,7 @@ class JobScheduler:
         self,
         *,
         lease_timeout: float = 30.0,
-        lease_chunks: int = 4,
+        lease_chunks: int = LEASE_CHUNKS,
         window: int = 8,
         memo_ttl: float | None = None,
         memo_cap: int | None = None,

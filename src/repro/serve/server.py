@@ -66,7 +66,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.spec import RunSpec
-from repro.serve.jobs import JobScheduler, JobState
+from repro.serve.jobs import LEASE_CHUNKS, JobScheduler, JobState
 from repro.serve.journal import JobJournal, load_journal
 from repro.serve.worker import worker_main
 
@@ -123,17 +123,17 @@ class ServeConfig:
 
     ``port=0`` binds an ephemeral port (the bound port is reported by
     :attr:`ReproServer.url`).  ``workers=0`` starts no worker process,
-    so submitted jobs stay queued.  ``lease_timeout`` is the
-    watchdog horizon for worker death; ``lease_chunks`` the chunk-range
-    size one lease grants; ``window`` the per-basis speculation bound
-    (defaults to enough chunks to keep the whole fleet busy).
+    so submitted jobs stay queued.  ``lease_timeout`` is how long a
+    worker may hold a lease without reporting a chunk before its chunks
+    are requeued.
 
     ``journal`` is the durable queue's JSONL path (``"auto"`` places it at
     ``<cache_dir>/journal.jsonl``); ``None`` disables durability.
     ``memo_ttl``/``memo_cap`` bound how long and how many terminal job
     memos are retained (``None`` disables the respective bound).
     ``throttle`` artificially slows workers (seconds per chunk) — a
-    test/debug knob only.
+    test/debug knob only.  Out-of-range values raise a one-line
+    ``ValueError`` naming the field, before anything binds or spawns.
     """
 
     host: str = "127.0.0.1"
@@ -142,20 +142,24 @@ class ServeConfig:
     cache_dir: str | None = None
     journal: str | None = None
     lease_timeout: float = 30.0
-    lease_chunks: int = 4
-    window: int | None = None
     memo_ttl: float | None = 3600.0
     memo_cap: int | None = 1024
     poll_interval: float = 0.25
     respawn: bool = True
     throttle: float = 0.0
 
-    @property
-    def effective_window(self) -> int:
-        """The speculation window: explicit, or sized to saturate the fleet."""
-        if self.window is not None:
-            return max(1, self.window)
-        return max(8, 2 * max(1, self.workers) * self.lease_chunks)
+    def __post_init__(self) -> None:
+        for name, valid, bound in (
+            ("workers", self.workers >= 0, ">= 0"),
+            ("port", 0 <= self.port <= 65535, "in 0..65535"),
+            ("lease_timeout", self.lease_timeout > 0, "> 0"),
+            ("poll_interval", self.poll_interval > 0, "> 0"),
+            ("memo_ttl", self.memo_ttl is None or self.memo_ttl >= 0, ">= 0"),
+            ("memo_cap", self.memo_cap is None or self.memo_cap >= 0, ">= 0"),
+            ("throttle", self.throttle >= 0, ">= 0"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
     @property
     def journal_path(self) -> str | None:
@@ -191,8 +195,8 @@ class ReproServer:
         self.journal = JobJournal(journal_path) if journal_path else None
         self.scheduler = JobScheduler(
             lease_timeout=self.config.lease_timeout,
-            lease_chunks=self.config.lease_chunks,
-            window=self.config.effective_window,
+            # Per-basis speculation: enough chunks to keep every lease full.
+            window=max(8, 2 * max(1, self.config.workers) * LEASE_CHUNKS),
             memo_ttl=self.config.memo_ttl,
             memo_cap=self.config.memo_cap,
             journal=self.journal,

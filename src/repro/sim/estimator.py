@@ -132,7 +132,6 @@ def _estimate_basis(
     basis: str,
     rule: StoppingRule,
     stream: "np.random.SeedSequence | None",
-    store=None,
 ):
     """One basis run: memory experiment -> DEM -> the chunk loop.
 
@@ -149,7 +148,7 @@ def _estimate_basis(
 
     experiment = build_memory_experiment(code, schedule, noise, basis=basis)
     dem = build_detector_error_model(experiment.circuit)
-    return sample_and_decode(dem, decoder_factory, DemSampler(dem=dem), stream, rule, store=store)
+    return sample_and_decode(dem, decoder_factory, DemSampler(dem=dem), stream, rule)
 
 
 def rates_from_estimates(depth: int, estimates: dict, rule: StoppingRule) -> LogicalErrorRates:
@@ -191,7 +190,6 @@ def estimate_logical_error_rates(
     shots: int = 2000,
     seed: "int | np.random.SeedSequence | None" = None,
     rule: StoppingRule | None = None,
-    store_factory=None,
 ) -> LogicalErrorRates:
     """Estimate logical X, Z and overall error rates of ``schedule``.
 
@@ -204,24 +202,14 @@ def estimate_logical_error_rates(
     rule that never stops early.  A precision-targeted rule stops each basis
     on the first chunk prefix that meets the target, bit-identical to the
     fixed run's first chunks.  The rates equal a :class:`repro.api.Pipeline`
-    run of the same budget bit for bit, for every worker count.
-
-    ``store_factory(basis)`` may supply a :class:`repro.cache.ChunkStore`
-    per basis to resume from (and refine) previously measured chunks.
+    run of the same budget bit for bit, for every worker count.  This path
+    reads and writes no chunk cache; ``Pipeline(cache=...)`` is the cached
+    one.
     """
     if rule is None:
         rule = StoppingRule(max_shots=shots)
     estimates = {
-        basis: _estimate_basis(
-            code,
-            schedule,
-            noise,
-            decoder_factory,
-            basis,
-            rule,
-            stream,
-            store_factory(basis) if store_factory is not None else None,
-        )
+        basis: _estimate_basis(code, schedule, noise, decoder_factory, basis, rule, stream)
         for basis, stream in basis_streams(seed)
     }
     return rates_from_estimates(schedule.depth, estimates, rule)

@@ -3,8 +3,8 @@
 Covers the Wilson stopping rule (including its zero-error and zero-trial
 edge cases), the chunk-streaming engine's prefix-reproducibility and
 worker-invariance guarantees, the content-addressed chunk cache (resume
-with zero new sampling, refinement under a tighter target), and the
-adaptive paths of Budget/RunSpec, Pipeline and ScheduleEvaluator.
+with zero new sampling, refinement under a tighter target), the adaptive
+paths of Budget/RunSpec and Pipeline, and the evaluator's fixed budget.
 """
 
 from __future__ import annotations
@@ -544,9 +544,9 @@ class TestResultCacheMaintenance:
 
 
 # ----------------------------------------------------------------------
-# Evaluator adaptive mode
+# The evaluator samples a fixed budget (its precision settings are retired)
 # ----------------------------------------------------------------------
-class TestAdaptiveEvaluator:
+class TestFixedShotEvaluator:
     @pytest.fixture(scope="class")
     def context(self, steane, brisbane, lookup_factory):
         from repro.scheduling import lowest_depth_schedule, trivial_schedule
@@ -559,38 +559,31 @@ class TestAdaptiveEvaluator:
             trivial_schedule(steane),
         )
 
-    def test_adaptive_evaluate_deterministic(self, context):
+    def test_evaluate_deterministic(self, context):
         code, noise, factory, schedule, _ = context
-        first = ScheduleEvaluator(
-            code, noise, factory, shots=300, seed=4, target_rse=0.4, max_shots=2000
-        ).evaluate(schedule)
-        second = ScheduleEvaluator(
-            code, noise, factory, shots=300, seed=4, target_rse=0.4, max_shots=2000
-        ).evaluate(schedule)
+        first = ScheduleEvaluator(code, noise, factory, shots=300, seed=4).evaluate(schedule)
+        second = ScheduleEvaluator(code, noise, factory, shots=300, seed=4).evaluate(schedule)
         assert first == second
-        assert first.shots <= 2000
-        assert set(first.shots_by_basis) == {"Z", "X"}
+        assert first.shots == 300
+        assert first.shots_by_basis is None and first.converged is None
 
     def test_pooled_matches_serial(self, context):
         code, noise, factory, schedule, other = context
-        serial = ScheduleEvaluator(
-            code, noise, factory, shots=300, seed=4, target_rse=0.4, max_shots=2000
-        )
+        serial = ScheduleEvaluator(code, noise, factory, shots=300, seed=4)
         expected = [serial.evaluate(schedule), serial.evaluate(other)]
-        with ScheduleEvaluator(
-            code, noise, factory, shots=300, seed=4, target_rse=0.4, max_shots=2000, workers=2
-        ) as pooled:
+        with ScheduleEvaluator(code, noise, factory, shots=300, seed=4, workers=2) as pooled:
             got = pooled.evaluate_many([schedule, other])
         assert got == expected
 
-    def test_max_shots_defaults_to_shots(self, context):
-        code, noise, factory, schedule, _ = context
-        evaluator = ScheduleEvaluator(
-            code, noise, factory, shots=250, seed=4, target_rse=1e-9
-        )
-        rates = evaluator.evaluate(schedule)
-        assert rates.shots == 250
-        assert rates.converged is False
+    @pytest.mark.parametrize(
+        "retired", [{"target_rse": 0.1}, {"max_shots": 2000}, {"confidence": 0.9}]
+    )
+    def test_precision_settings_are_refused(self, context, retired):
+        code, noise, factory, _, _ = context
+        (name,) = retired
+        with pytest.raises(TypeError, match=name) as raised:
+            ScheduleEvaluator(code, noise, factory, **retired)
+        assert "\n" not in str(raised.value)
 
     def test_fixed_mode_unchanged(self, context):
         code, noise, factory, schedule, _ = context
@@ -607,12 +600,10 @@ class TestAdaptiveEvaluator:
     def test_validation(self, context):
         """An invalid budget fails at construction, not mid-search."""
         code, noise, factory, _, _ = context
-        with pytest.raises(ValueError, match="target_rse"):
-            ScheduleEvaluator(code, noise, factory, target_rse=0.0)
-        with pytest.raises(ValueError, match="confidence"):
-            ScheduleEvaluator(code, noise, factory, target_rse=0.1, confidence=1.5)
         with pytest.raises(ValueError, match="max_shots"):
             ScheduleEvaluator(code, noise, factory, shots=-5)
+        with pytest.raises(ValueError, match="workers"):
+            ScheduleEvaluator(code, noise, factory, workers=0)
 
 
 class TestDefaultChunkGranularityInvariance:
@@ -631,7 +622,7 @@ class TestDefaultChunkGranularityInvariance:
 class TestEstimatorAdaptiveEntryPoint:
     """estimate_logical_error_rates(rule=...) is THE shared adaptive path."""
 
-    def test_matches_evaluator_and_is_deterministic(self, steane, brisbane, lookup_factory):
+    def test_matches_pipeline_and_is_deterministic(self, steane, brisbane, lookup_factory):
         from repro.scheduling import lowest_depth_schedule
         from repro.sim import estimate_logical_error_rates
 
@@ -643,40 +634,46 @@ class TestEstimatorAdaptiveEntryPoint:
         assert set(rates.shots_by_basis) == {"Z", "X"}
         assert rates.shots == max(rates.shots_by_basis.values())
         assert rates.converged is not None
-        via_evaluator = ScheduleEvaluator(
-            steane, brisbane, lookup_factory, shots=300, seed=4,
-            target_rse=0.4, max_shots=2000,
-        ).evaluate(schedule)
-        assert via_evaluator == rates
+        again = estimate_logical_error_rates(
+            steane, schedule, brisbane, lookup_factory, rule=rule, seed=4,
+        )
+        assert again == rates
+        spec = RunSpec(
+            code="steane",
+            decoder="lookup",
+            scheduler="lowest_depth",
+            noise="brisbane",
+            seed=4,
+            budget=Budget(shots=300, target_rse=0.4, max_shots=2000),
+        )
+        assert Pipeline(spec).rates == estimate_logical_error_rates(
+            steane, schedule, brisbane, lookup_factory,
+            rule=spec.budget.stopping_rule(), seed=spec.eval_seed(),
+        )
 
-    def test_store_factory_persists_chunks(self, steane, brisbane, lookup_factory, tmp_path):
+    def test_cached_path_is_the_pipeline(self, steane, brisbane, lookup_factory, tmp_path):
+        """The estimator takes no chunk store; ``Pipeline(cache=)`` persists
+        chunks and a warm rerun samples nothing and returns the same rates."""
         from repro.scheduling import lowest_depth_schedule
         from repro.sim import estimate_logical_error_rates
 
-        schedule = lowest_depth_schedule(steane)
+        rule = StoppingRule(max_shots=2000, target_rse=0.4)
+        with pytest.raises(TypeError, match="store_factory"):
+            estimate_logical_error_rates(
+                steane, lowest_depth_schedule(steane), brisbane, lookup_factory,
+                rule=rule, seed=4, store_factory=lambda basis: None,
+            )
+        spec = RunSpec(
+            code="steane", decoder="lookup", scheduler="lowest_depth", seed=4,
+            budget=Budget(shots=300, target_rse=0.4, max_shots=2000),
+        )
         cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec(code="steane", decoder="lookup", scheduler="lowest_depth", seed=4)
-        puts = []
-
-        def factory(basis):
-            store = cache.chunk_store(spec, basis, 1024)
-            put = store.put
-            store.put = lambda *args, **kwargs: (puts.append(basis), put(*args, **kwargs))
-            return store
-
-        rule = StoppingRule(max_shots=2000, target_rse=0.4, z=z_for_confidence(0.95))
-        first = estimate_logical_error_rates(
-            steane, schedule, brisbane, lookup_factory,
-            rule=rule, seed=4, store_factory=factory,
-        )
-        assert len(puts) > 0 and len(cache) == len(puts)
-        fresh = len(puts)
-        again = estimate_logical_error_rates(
-            steane, schedule, brisbane, lookup_factory,
-            rule=rule, seed=4, store_factory=factory,
-        )
-        assert len(puts) == fresh  # the replay sampled (and stored) nothing
-        assert again == first
+        first = Pipeline(spec, cache=cache)
+        assert first.adaptive_report["fresh_chunks"] > 0
+        assert len(cache) == first.adaptive_report["fresh_chunks"]
+        again = Pipeline(spec, cache=cache)
+        assert again.adaptive_report["fresh_chunks"] == 0
+        assert again.rates == first.rates
 
 
 class TestWarmPooledRun:

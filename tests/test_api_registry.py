@@ -52,7 +52,8 @@ class TestRegistry:
         assert registry.build("a:size=2") == ("alpha", 2)
         assert "a" in registry
         assert registry.available() == ["alpha"]
-        assert registry.available(include_aliases=True) == ["a", "alpha"]
+        with pytest.raises(TypeError, match="include_aliases"):
+            registry.available(include_aliases=True)
 
     def test_duplicate_name_rejected(self):
         registry = self._fresh()
@@ -91,10 +92,12 @@ class TestRegistry:
 
         assert registry.build("seeded:seed=9", seed=1) == 9
 
-    def test_describe_rows(self):
+    def test_entries_carry_listing_metadata(self):
+        """``repro list`` reads each entry; the registry has no ``describe``."""
         registry = self._fresh()
-        rows = registry.describe()
-        assert rows == [("alpha", "a", "first")]
+        entry = registry.entry("a")
+        assert (entry.name, entry.aliases, entry.help) == ("alpha", ("a",), "first")
+        assert not hasattr(registry, "describe")
 
 
 class TestCodeRegistry:
@@ -228,7 +231,7 @@ class TestSpecArgumentErrors:
             "bposd": "bposd:max_iterations=30,scaling_factor=0.75",
             "lookup": "lookup:max_order=2",
             "mwpm": "mwpm",
-            "unionfind": "unionfind:max_growth_rounds=none",
+            "unionfind": "unionfind",
         }
 
     def test_builder_errors_past_binding_pass_through(self):

@@ -37,7 +37,7 @@ from repro.sim import (
 from repro.sim.bitops import pack_rows, packed_words
 
 #: Every decoder registered under its canonical name.
-DECODER_NAMES = sorted(name for name, _aliases, _help in decoder_registry.describe())
+DECODER_NAMES = decoder_registry.available()
 
 #: Small decoding problems every decoder must handle.
 CODE_BUILDERS = {

@@ -211,11 +211,17 @@ class TestUnionFindInternals:
         prediction = decoder.decode(syndrome)
         assert prediction.shape == (dem.num_observables,)
 
-    def test_respects_max_growth_rounds(self, steane):
+    def test_growth_rounds_are_not_a_setting(self, steane):
         dem = _steane_dem(steane)
-        decoder = UnionFindDecoder(dem, max_growth_rounds=1)
+        with pytest.raises(TypeError, match="max_growth_rounds"):
+            UnionFindDecoder(dem, max_growth_rounds=1)
+        # The registry refuses the retired spec argument in one line.
+        with pytest.raises(ValueError, match="accepted: none") as raised:
+            decoders.build("unionfind:max_growth_rounds=3")
+        assert "\n" not in str(raised.value)
+        assert decoders.build("unionfind") is UnionFindDecoder
         batch = sample_detector_error_model(dem, 20, seed=2)
-        predictions = decoder.decode_batch(batch.detectors)
+        predictions = UnionFindDecoder(dem).decode_batch(batch.detectors)
         assert predictions.shape == (20, dem.num_observables)
 
 

@@ -11,7 +11,6 @@ from repro.core import (
     MCTSNode,
     PartitionMCTS,
     ScheduleEvaluator,
-    synthesize_schedule,
 )
 from repro.noise import brisbane_noise, depolarizing_noise
 from repro.scheduling import Schedule, checks_of_code, lowest_depth_schedule
@@ -41,7 +40,23 @@ class TestMCTSNode:
         child_a.total_score = 4.0
         child_b = node.child_for_move(checks[1])
         node.children = [child_a, child_b]
-        assert child_b.uct(1.4, node.visits) > child_a.uct(1.4, node.visits)
+        assert child_b.uct(node.visits) > child_a.uct(node.visits)
+
+    def test_uct_uses_the_module_constant(self, steane):
+        import math
+
+        from repro.core.mcts import EXPLORATION
+
+        checks = tuple(checks_of_code(steane))
+        child = MCTSNode(Schedule(steane), checks)
+        child.visits = 2
+        child.total_score = 4.0
+        assert EXPLORATION == math.sqrt(2.0)
+        assert child.uct(8) == 2.0 + EXPLORATION * math.sqrt(math.log(8) / 2)
+
+    def test_exploration_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="exploration"):
+            MCTSConfig(exploration=1.0)
 
     def test_terminal_when_no_remaining(self, steane):
         node = MCTSNode(Schedule(steane), ())
@@ -172,18 +187,19 @@ class TestAlphaSyndrome:
     def test_evaluations_counted(self, synthesis_result):
         assert synthesis_result.evaluations > 0
 
-    def test_convenience_wrapper(self):
+    def test_small_code_synthesis(self):
+        """What the retired ``synthesize_schedule`` wrapper did, spelled out."""
         from repro.codes import repetition_code
         from repro.api.registries import decoders
 
-        result = synthesize_schedule(
-            repetition_code(3),
-            depolarizing_noise(0.01, 0.005),
-            decoders.build("lookup"),
+        result = AlphaSyndrome(
+            code=repetition_code(3),
+            noise=depolarizing_noise(0.01, 0.005),
+            decoder_factory=decoders.build("lookup"),
             shots=60,
-            iterations_per_step=2,
+            mcts_config=MCTSConfig(iterations_per_step=2, seed=1),
             seed=1,
-        )
+        ).synthesize()
         result.schedule.validate()
         assert result.schedule.depth >= 2
 

@@ -11,6 +11,8 @@ The satellite contract hardened here:
   "not done yet" and re-polls until its *own* deadline;
 * :meth:`ServeClient.events` survives dropped connections by resuming
   from the last sequence number, without duplicating or reordering.
+* an out-of-range :class:`ServeConfig` field is a one-line ``ValueError``
+  naming the field (``repro serve`` exits 2) before anything binds.
 
 Servers here run with ``workers=0`` where possible (no subprocess spawn),
 so the module stays fast.
@@ -325,3 +327,60 @@ def test_events_stream_resumes_over_real_http():
     # No duplicates, strictly increasing sequence in the resumed stream.
     seqs = [event["seq"] for event in replayed]
     assert seqs == sorted(set(seqs))
+
+
+# ----------------------------------------------------------------------
+# Configuration is validated before anything binds or spawns
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("workers", -3),
+        ("port", -1),
+        ("port", 70000),
+        ("lease_timeout", 0),
+        ("lease_timeout", -1.0),
+        ("poll_interval", 0),
+        ("poll_interval", -1),
+        ("memo_ttl", -1.0),
+        ("memo_cap", -5),
+        ("throttle", -0.1),
+    ],
+)
+def test_out_of_range_config_is_a_one_line_value_error(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be") as raised:
+        ServeConfig(**{field: value})
+    assert "\n" not in str(raised.value)
+
+
+def test_boundary_config_values_are_accepted():
+    config = ServeConfig(port=0, workers=0, memo_ttl=None, memo_cap=None, throttle=0.0)
+    assert (config.port, config.workers) == (0, 0)
+    assert ServeConfig(port=65535, memo_ttl=0.0, memo_cap=0).port == 65535
+
+
+@pytest.mark.parametrize("field", ["lease_chunks", "window"])
+def test_retired_config_fields_are_refused(field):
+    with pytest.raises(TypeError, match=field):
+        ServeConfig(**{field: 2})
+
+
+def test_cli_serve_rejects_bad_config_with_exit_2(capsys):
+    from repro.api.cli import main
+
+    assert main(["serve", "--port", "70000", "--workers", "0"]) == 2
+    assert main(["serve", "--port", "0", "--workers", "0", "--poll-interval", "0"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        "error: port must be in 0..65535, got 70000",
+        "error: poll_interval must be > 0, got 0.0",
+    ]
+
+
+def test_cli_serve_lease_chunks_flag_is_retired(capsys):
+    from repro.api.cli import main
+
+    with pytest.raises(SystemExit) as raised:
+        main(["serve", "--lease-chunks", "2"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --lease-chunks 2" in capsys.readouterr().err

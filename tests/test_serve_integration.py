@@ -6,8 +6,10 @@ The acceptance contract of the service:
   `repro.api.Pipeline` for every server worker count;
 * concurrent submissions of one canonical spec coalesce into exactly one
   computation (pinned via the fabric counters);
-* a worker SIGKILLed mid-job is recovered by the lease machinery and the
-  job still completes with the identical result;
+* a worker SIGKILLed mid-job is seen dead at the next reaper tick and
+  its chunks are requeued, and a worker SIGSTOPped mid-job loses its lease
+  at the lease deadline; either way the job completes with the identical
+  result;
 * adaptive (target_rse) jobs stop at the same prefix as offline;
 * served chunks replay from the shared content-addressed cache;
 * a worker's job context builds one decoder per basis, not one per chunk,
@@ -98,27 +100,52 @@ def test_concurrent_identical_submissions_run_one_computation(offline_result):
     assert stats["chunks_executed"] == 6
 
 
-def test_killed_worker_recovered_by_lease_timeout(offline_result):
+def _busy_worker(client) -> dict:
+    """Wait until some live worker holds leased work and return it."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        for worker in client.health()["workers"]:
+            if worker["alive"] and worker["outstanding"] > 0:
+                return worker
+        time.sleep(0.05)
+    raise AssertionError("no worker ever held a lease")
+
+
+def test_killed_worker_recovered_by_death_detection(offline_result):
+    # Process.is_alive sees the SIGKILL within one 0.05 s reaper tick, long
+    # before the 1.5 s lease deadline; worker_lost requeues its chunks (and
+    # counts the lease as expired).
     config = fast_config(workers=2, lease_timeout=1.5, throttle=0.4)
     with serve_in_thread(config) as server:
         client = ServeClient(server.url)
         job_id = client.submit(SPEC)["job"]["id"]
-        # Wait until a worker actually holds work, then kill it dead.
-        victim = None
-        deadline = time.monotonic() + 30.0
-        while victim is None and time.monotonic() < deadline:
-            for worker in client.health()["workers"]:
-                if worker["alive"] and worker["outstanding"] > 0:
-                    victim = worker
-                    break
-            time.sleep(0.05)
-        assert victim is not None, "no worker ever held a lease"
+        victim = _busy_worker(client)
         os.kill(victim["pid"], signal.SIGKILL)
         result = client.result(job_id, timeout=180.0)
         health = client.health()
     assert result == offline_result
     assert health["workers_respawned"] >= 1
     assert health["stats"]["leases_expired"] >= 1
+
+
+def test_stopped_worker_recovered_by_lease_timeout(offline_result):
+    # A SIGSTOPped worker is alive but silent: only the lease deadline can
+    # hand its chunks to the other worker, and nothing is respawned.
+    config = fast_config(workers=2, lease_timeout=1.0, throttle=0.4)
+    with serve_in_thread(config) as server:
+        client = ServeClient(server.url)
+        job_id = client.submit(SPEC)["job"]["id"]
+        victim = _busy_worker(client)
+        os.kill(victim["pid"], signal.SIGSTOP)
+        try:
+            result = client.result(job_id, timeout=180.0)
+            health = client.health()
+        finally:
+            # Resume before the server exits, so teardown can stop it.
+            os.kill(victim["pid"], signal.SIGCONT)
+    assert result == offline_result
+    assert health["stats"]["leases_expired"] >= 1
+    assert health["workers_respawned"] == 0
 
 
 def test_adaptive_job_matches_offline_early_stop():
@@ -233,15 +260,7 @@ def test_dead_fleet_without_respawn_fails_pending_jobs():
     with serve_in_thread(config) as server:
         client = ServeClient(server.url)
         job_id = client.submit(SPEC)["job"]["id"]
-        victim = None
-        deadline = time.monotonic() + 30.0
-        while victim is None and time.monotonic() < deadline:
-            for worker in client.health()["workers"]:
-                if worker["alive"] and worker["outstanding"] > 0:
-                    victim = worker
-                    break
-            time.sleep(0.05)
-        assert victim is not None, "the worker never held a lease"
+        victim = _busy_worker(client)
         os.kill(victim["pid"], signal.SIGKILL)
         with pytest.raises(ServeError) as excinfo:
             client.result(job_id, timeout=60.0, poll_window=0.5)
