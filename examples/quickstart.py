@@ -9,7 +9,7 @@ comparison is one ``spec.replace(scheduler=...)`` away.
 
 The equivalent shell one-liner is::
 
-    repro synth --code surface:d=3 --decoder mwpm --shots 2000
+    repro run --code surface:d=3 --decoder mwpm --scheduler alphasyndrome --shots 2000
 
 Run with::
 

@@ -12,7 +12,8 @@ Three pillars:
   (``.schedule``/``.circuit``/``.dem``/``.syndromes``/``.rates``) and
   optional process-pool shot sharding.
 * **CLI** — the ``repro`` console script (:mod:`repro.api.cli`) with
-  ``run``, ``synth``, ``eval``, ``list`` and ``tables`` subcommands.
+  ``run`` (every scheduler, synthesis included), ``sweep``, ``list``,
+  ``experiments`` and the serve and stim-interop subcommands.
 
 Quickstart::
 

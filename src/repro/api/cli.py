@@ -3,8 +3,6 @@
 Subcommands::
 
     repro run [spec.json] [overrides]   execute a full RunSpec end to end
-    repro synth [overrides]             AlphaSyndrome synthesis + comparison
-    repro eval [overrides]              evaluate a named scheduler (no search)
     repro sweep [--grid f=v1,v2 ...]    run a spec grid, resumable JSONL output
     repro cache {ls,clear}              inspect / empty the chunk-result cache
     repro list {codes,decoders,noise,schedulers,samplers,all}
@@ -29,8 +27,12 @@ the ``repro serve`` default bind).
 sampling; adaptive runs resume from — and refine — the content-addressed
 chunk cache under ``--cache-dir`` (``repro.cache``).
 
-``run``/``synth``/``eval`` all build a :class:`repro.api.Pipeline`; flags
-override fields of the JSON spec when both are given.
+``run``/``sweep``/``submit``/``export`` build their RunSpec the same way:
+flags override fields of the JSON spec when both are given, and each
+budget field has exactly one flag (:data:`_BUDGET_FIELDS`).  Synthesis is
+one choice of scheduler: ``repro run --scheduler alphasyndrome`` searches
+under the budget's synthesis fields, then prints the synthesis summary
+and the schedule it found.
 
 Installed as a console script via the ``[project.scripts]`` table in
 ``pyproject.toml``; also runnable as ``python -m repro.api.cli``.
@@ -46,8 +48,7 @@ from pathlib import Path
 
 from repro.api.pipeline import Pipeline
 from repro.api.registries import codes, decoders, noise, samplers, schedulers
-from repro.api.registry import parse_spec
-from repro.api.spec import RunSpec, canonical_spec
+from repro.api.spec import Budget, RunSpec, canonical_spec
 
 __all__ = ["main", "add_budget_flags"]
 
@@ -59,53 +60,55 @@ _REGISTRIES = {
     "samplers": samplers,
 }
 
+#: Every Budget field with its flag, value caster and help text: the one
+#: table behind the budget flags, their overrides and the ``--grid`` axes.
+_BUDGET_FIELDS = {
+    "shots": ("--shots", int, "evaluation shots per basis"),
+    "synthesis_shots": ("--synthesis-shots", int, "shots used inside MCTS rollouts"),
+    "iterations_per_step": ("--iterations", int, "MCTS iterations per scheduling step"),
+    "max_evaluations": (
+        "--max-evaluations",
+        int,
+        "cap on rollout evaluations per partition",
+    ),
+    "target_rse": (
+        "--target-rse",
+        float,
+        "adaptive mode: stop sampling once the Wilson relative error of "
+        "each basis rate reaches this target (e.g. 0.1 for 10%%)",
+    ),
+    "max_shots": (
+        "--max-shots",
+        int,
+        "adaptive mode: per-basis shot ceiling (defaults to --shots); "
+        "also fixes the deterministic chunk plan",
+    ),
+    "confidence": (
+        "--confidence",
+        float,
+        "confidence level of the adaptive stopping rule (default 0.95)",
+    ),
+}
+#: String-valued top-level RunSpec fields (``eval_stage`` is a grid axis only).
+_COMPONENT_FIELDS = ("code", "noise", "scheduler", "decoder", "eval_stage", "sampler")
+#: Integer-valued top-level RunSpec fields.
+_INT_FIELDS = ("seed", "workers", "rounds")
+
 
 def add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    """Add the shared compute-budget flags (``run``/``synth``/``eval``/``experiments run``)."""
-    parser.add_argument("--shots", type=int, default=None, help="evaluation shots per basis")
-    parser.add_argument(
-        "--synthesis-shots", type=int, default=None, help="shots used inside MCTS rollouts"
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=None, help="MCTS iterations per scheduling step"
-    )
-    parser.add_argument(
-        "--max-evaluations",
-        type=int,
-        default=None,
-        help="cap on rollout evaluations per partition",
-    )
-    parser.add_argument(
-        "--target-rse",
-        type=float,
-        default=None,
-        help="adaptive mode: stop sampling once the Wilson relative error of "
-        "each basis rate reaches this target (e.g. 0.1 for 10%%)",
-    )
-    parser.add_argument(
-        "--max-shots",
-        type=int,
-        default=None,
-        help="adaptive mode: per-basis shot ceiling (defaults to --shots); "
-        "also fixes the deterministic chunk plan",
-    )
-    parser.add_argument(
-        "--confidence",
-        type=float,
-        default=None,
-        help="confidence level of the adaptive stopping rule (default 0.95)",
-    )
+    """Add one flag per budget field, plus ``--seed``."""
+    for field, (flag, caster, help_text) in _BUDGET_FIELDS.items():
+        parser.add_argument(flag, dest=field, type=caster, default=None, help=help_text)
     parser.add_argument("--seed", type=int, default=None, help="master seed")
 
 
-def _add_component_flags(parser: argparse.ArgumentParser, *, scheduler: bool = True) -> None:
+def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """The RunSpec surface: an optional JSON file, then per-field overrides."""
+    parser.add_argument("spec", nargs="?", default=None, help="path to a RunSpec JSON file")
     parser.add_argument("--code", default=None, help='code spec, e.g. "surface:d=5"')
     parser.add_argument("--noise", default=None, help='noise spec, e.g. "scaled:p=0.001"')
     parser.add_argument("--decoder", default=None, help='decoder spec, e.g. "mwpm"')
-    if scheduler:
-        parser.add_argument(
-            "--scheduler", default=None, help='scheduler spec, e.g. "lowest_depth"'
-        )
+    parser.add_argument("--scheduler", default=None, help='scheduler spec, e.g. "lowest_depth"')
     parser.add_argument(
         "--workers", type=int, default=None, help="process-pool shards for sampling/decoding"
     )
@@ -120,48 +123,27 @@ def _add_component_flags(parser: argparse.ArgumentParser, *, scheduler: bool = T
         default=None,
         help='sampling backend spec: "dem" (default), "frames" or "tableau"',
     )
+    add_budget_flags(parser)
 
 
-def _spec_from_args(args: argparse.Namespace, *, base: RunSpec | None = None) -> RunSpec:
+def _given(args: argparse.Namespace, fields) -> dict:
+    """The values of ``fields`` that were set on the command line."""
+    values = {field: getattr(args, field, None) for field in fields}
+    return {field: value for field, value in values.items() if value is not None}
+
+
+def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Assemble the RunSpec: JSON file (if given) overridden by explicit flags."""
-    spec_path = getattr(args, "spec", None)
-    spec = RunSpec.load(spec_path) if spec_path else (base or RunSpec())
-    overrides = {
-        field: getattr(args, field)
-        for field in (
-            "code",
-            "noise",
-            "scheduler",
-            "decoder",
-            "seed",
-            "workers",
-            "rounds",
-            "sampler",
-        )
-        if getattr(args, field, None) is not None
-    }
-    if overrides:
-        spec = spec.replace(**overrides)
-    budget_overrides = {
-        name: value
-        for name, value in (
-            ("shots", args.shots),
-            ("synthesis_shots", args.synthesis_shots),
-            ("iterations_per_step", args.iterations),
-            ("max_evaluations", args.max_evaluations),
-            ("target_rse", getattr(args, "target_rse", None)),
-            ("max_shots", getattr(args, "max_shots", None)),
-            ("confidence", getattr(args, "confidence", None)),
-        )
-        if value is not None
-    }
-    if budget_overrides:
-        spec = spec.replace(budget=spec.budget.replace(**budget_overrides))
-    _check_precision_flags(args, spec)
+    spec = RunSpec.load(args.spec) if args.spec else RunSpec()
+    spec = spec.replace(
+        budget=spec.budget.replace(**_given(args, _BUDGET_FIELDS)),
+        **_given(args, _COMPONENT_FIELDS + _INT_FIELDS),
+    )
+    _check_precision_flags(args, spec.budget)
     return spec
 
 
-def _check_precision_flags(args: argparse.Namespace, spec: RunSpec) -> None:
+def _check_precision_flags(args: argparse.Namespace, budget: Budget) -> None:
     """Reject ``--max-shots``/``--confidence`` that would be silently ignored.
 
     The precision knobs only take effect in adaptive mode
@@ -169,21 +151,14 @@ def _check_precision_flags(args: argparse.Namespace, spec: RunSpec) -> None:
     axis); accepting them in fixed-shot mode would store them in the spec
     while sampling ``budget.shots`` anyway, a confusing no-op.
     """
-    if spec.budget.adaptive:
+    if budget.adaptive:
         return
     grid_fields = {
         _parse_grid_axis(axis)[0] for axis in getattr(args, "grid", None) or []
     }
     if "target_rse" in grid_fields:
         return
-    given = [
-        flag
-        for flag, value in (
-            ("--max-shots", getattr(args, "max_shots", None)),
-            ("--confidence", getattr(args, "confidence", None)),
-        )
-        if value is not None
-    ]
+    given = [_BUDGET_FIELDS[name][0] for name in _given(args, ("max_shots", "confidence"))]
     given += [
         f"--grid {name}=..." for name in ("max_shots", "confidence") if name in grid_fields
     ]
@@ -215,24 +190,26 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cache_from_args(args: argparse.Namespace):
     """The ResultCache an adaptive run should use (None when disabled)."""
-    if getattr(args, "no_cache", False) or not getattr(args, "cache_dir", None):
+    if args.no_cache or not args.cache_dir:
         return None
     from repro.cache import ResultCache
 
     return ResultCache(args.cache_dir)
 
 
-def _print_rates(pipeline: Pipeline) -> None:
-    rates = pipeline.rates
+def _print_result(payload: dict) -> None:
+    """Print a RunResult payload: the run, its rates and any adaptive report."""
+    spec = payload["spec"]
     print(
-        f"{pipeline.spec.code} | scheduler={pipeline.spec.scheduler} "
-        f"decoder={pipeline.spec.decoder} noise={pipeline.spec.noise}"
+        f"{spec['code']} | scheduler={spec['scheduler']} "
+        f"decoder={spec['decoder']} noise={spec['noise']}"
     )
     print(
-        f"  depth={pipeline.schedule.depth} shots={rates.shots} "
-        f"err_x={rates.error_x:.3e} err_z={rates.error_z:.3e} overall={rates.overall:.3e}"
+        f"  depth={payload['depth']} shots={payload['shots']} "
+        f"err_x={payload['error_x']:.3e} err_z={payload['error_z']:.3e} "
+        f"overall={payload['overall']:.3e}"
     )
-    report = pipeline.adaptive_report
+    report = payload.get("adaptive")
     if report is not None:
         shots = " ".join(
             f"{basis}={entry['shots']}" for basis, entry in sorted(report["bases"].items())
@@ -244,13 +221,14 @@ def _print_rates(pipeline: Pipeline) -> None:
         )
 
 
-def _write_result(pipeline: Pipeline, out: str | None) -> None:
-    if out is None:
+def _write_out(out: str | None, text: str, what: str) -> None:
+    """Write ``text`` to ``--out`` (making its directory) and say so."""
+    if not out:
         return
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(pipeline.result.to_dict(), indent=2) + "\n")
-    print(f"result written to {path}")
+    path.write_text(text)
+    print(f"{what} written to {path}")
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +236,8 @@ def _write_result(pipeline: Pipeline, out: str | None) -> None:
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = Pipeline(_spec_from_args(args), cache=_cache_from_args(args))
-    _print_rates(pipeline)
+    result = pipeline.result.to_dict()
+    _print_result(result)
     synthesis = pipeline.synthesis
     if synthesis is not None:
         print(
@@ -266,58 +245,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"baseline overall {synthesis.baseline_rates.overall:.3e} "
             f"(reduction {synthesis.overall_reduction:.1%})"
         )
-    _write_result(pipeline, args.out)
+        print("schedule (tick -> checks):")
+        for tick, check_list in sorted(pipeline.schedule.ticks().items()):
+            rendered = ", ".join(
+                f"S{check.stabilizer}:{check.pauli}@q{check.data_qubit}"
+                for check in check_list
+            )
+            print(f"  tick {tick:>2}: {rendered}")
+    _write_out(args.out, json.dumps(result, indent=2) + "\n", "result")
     return 0
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, base=RunSpec(scheduler="alphasyndrome"))
-    pipeline = Pipeline(spec)
-    _print_rates(pipeline)
-    synthesis = pipeline.synthesis
-    if synthesis is not None:
-        print(
-            f"  synthesis: {synthesis.evaluations} rollout evaluations, "
-            f"baseline overall {synthesis.baseline_rates.overall:.3e} "
-            f"(reduction {synthesis.overall_reduction:.1%})"
-        )
-    print("schedule (tick -> checks):")
-    for tick, check_list in sorted(pipeline.schedule.ticks().items()):
-        rendered = ", ".join(
-            f"S{check.stabilizer}:{check.pauli}@q{check.data_qubit}" for check in check_list
-        )
-        print(f"  tick {tick:>2}: {rendered}")
-    _write_result(pipeline, args.out)
-    return 0
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    scheduler_name = parse_spec(spec.scheduler)[0]
-    if scheduler_name in schedulers and schedulers.entry(scheduler_name).name == "alphasyndrome":
-        print("eval is for fixed schedulers; use 'repro synth' for AlphaSyndrome", file=sys.stderr)
-        return 2
-    pipeline = Pipeline(spec)
-    _print_rates(pipeline)
-    _write_result(pipeline, args.out)
-    return 0
-
-
-#: Budget fields addressable by ``--grid`` (mapped into ``spec.budget``),
-#: with the caster each one's values go through.
-_GRID_BUDGET_FIELDS = {
-    "shots": int,
-    "synthesis_shots": int,
-    "iterations_per_step": int,
-    "max_evaluations": int,
-    "target_rse": float,
-    "max_shots": int,
-    "confidence": float,
-}
-#: Integer-valued top-level RunSpec fields.
-_GRID_INT_FIELDS = ("seed", "workers", "rounds")
-#: String-valued top-level RunSpec fields.
-_GRID_COMPONENT_FIELDS = ("code", "noise", "scheduler", "decoder", "eval_stage", "sampler")
 
 
 def _parse_grid_axis(text: str) -> tuple[str, list[str]]:
@@ -337,16 +273,14 @@ def _parse_grid_axis(text: str) -> tuple[str, list[str]]:
 
 
 def _apply_grid_value(spec: RunSpec, name: str, value: str) -> RunSpec:
-    if name in _GRID_COMPONENT_FIELDS:
+    if name in _COMPONENT_FIELDS:
         return spec.replace(**{name: value})
-    if name in _GRID_INT_FIELDS:
+    if name in _INT_FIELDS:
         return spec.replace(**{name: int(value)})
-    caster = _GRID_BUDGET_FIELDS.get(name)
-    if caster is not None:
+    if name in _BUDGET_FIELDS:
+        caster = _BUDGET_FIELDS[name][1]
         return spec.replace(budget=spec.budget.replace(**{name: caster(value)}))
-    valid = ", ".join(
-        _GRID_COMPONENT_FIELDS + _GRID_INT_FIELDS + tuple(_GRID_BUDGET_FIELDS)
-    )
+    valid = ", ".join(_COMPONENT_FIELDS + _INT_FIELDS + tuple(_BUDGET_FIELDS))
     raise ValueError(f"unknown --grid field {name!r}; expected one of: {valid}")
 
 
@@ -464,25 +398,10 @@ def _suite_config_from_args(args: argparse.Namespace):
     """Build the SuiteConfig for `repro experiments run`."""
     from repro.experiments.suite import QUICK_BUDGET, SuiteConfig
 
-    if args.target_rse is None and (args.max_shots is not None or args.confidence is not None):
-        raise ValueError(
-            "--max-shots/--confidence only take effect with --target-rse (adaptive mode)"
-        )
-    overrides = {
-        name: value
-        for name, value in (
-            ("shots", args.shots),
-            ("synthesis_shots", args.synthesis_shots),
-            ("iterations_per_step", args.iterations),
-            ("max_evaluations", args.max_evaluations),
-            ("target_rse", args.target_rse),
-            ("max_shots", args.max_shots),
-            ("confidence", args.confidence),
-        )
-        if value is not None
-    }
+    budget = QUICK_BUDGET.replace(**_given(args, _BUDGET_FIELDS))
+    _check_precision_flags(args, budget)
     return SuiteConfig(
-        budget=QUICK_BUDGET.replace(**overrides),
+        budget=budget,
         seed=args.seed if args.seed is not None else 0,
         quick=args.quick,
         workers=args.workers,
@@ -661,20 +580,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 1
     if result is None:  # stream ended without a terminal event
         result = client.result(job["id"], timeout=args.timeout)
-    print(
-        f"{result['spec']['code']} | scheduler={result['spec']['scheduler']} "
-        f"decoder={result['spec']['decoder']} noise={result['spec']['noise']}"
-    )
-    print(
-        f"  depth={result['depth']} shots={result['shots']} "
-        f"err_x={result['error_x']:.3e} err_z={result['error_z']:.3e} "
-        f"overall={result['overall']:.3e}"
-    )
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"result written to {path}")
+    _print_result(result)
+    _write_out(args.out, json.dumps(result, indent=2) + "\n", "result")
     return 0
 
 
@@ -733,11 +640,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
         )
         print(f"  run it: repro run --code stimfile:{args.file}")
         text = emit_stim_circuit(circuit)
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(f"normal form written to {path}")
+    _write_out(args.out, text, "normal form")
     return 0
 
 
@@ -755,14 +658,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     pipeline = Pipeline(_spec_from_args(args))
     artifact = pipeline.dem[args.basis] if args.dem else pipeline.circuit[args.basis]
     text = emit_stim_dem(artifact) if args.dem else emit_stim_circuit(artifact)
-    if args.out is None:
+    if not args.out:
         sys.stdout.write(text)
         return 0
-    path = Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
     kind = "DEM" if args.dem else "circuit"
-    print(f"basis-{args.basis} {kind} for {pipeline.spec.code} written to {path}")
+    _write_out(args.out, text, f"basis-{args.basis} {kind} for {pipeline.spec.code}")
     return 0
 
 
@@ -778,34 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="execute a full RunSpec end to end")
-    run_parser.add_argument("spec", nargs="?", default=None, help="path to a RunSpec JSON file")
-    _add_component_flags(run_parser)
-    add_budget_flags(run_parser)
+    _add_spec_flags(run_parser)
     _add_cache_flags(run_parser)
     run_parser.add_argument("--out", default=None, help="write the RunResult JSON here")
     run_parser.set_defaults(func=_cmd_run)
 
-    synth_parser = subparsers.add_parser("synth", help="synthesise a schedule with AlphaSyndrome")
-    synth_parser.add_argument("spec", nargs="?", default=None, help="path to a RunSpec JSON file")
-    _add_component_flags(synth_parser, scheduler=False)
-    synth_parser.set_defaults(scheduler=None)
-    add_budget_flags(synth_parser)
-    synth_parser.add_argument("--out", default=None, help="write the RunResult JSON here")
-    synth_parser.set_defaults(func=_cmd_synth)
-
-    eval_parser = subparsers.add_parser("eval", help="evaluate a fixed scheduler (no search)")
-    eval_parser.add_argument("spec", nargs="?", default=None, help="path to a RunSpec JSON file")
-    _add_component_flags(eval_parser)
-    add_budget_flags(eval_parser)
-    eval_parser.add_argument("--out", default=None, help="write the RunResult JSON here")
-    eval_parser.set_defaults(func=_cmd_eval)
-
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a grid of RunSpecs with resumable JSONL output"
     )
-    sweep_parser.add_argument("spec", nargs="?", default=None, help="base RunSpec JSON file")
-    _add_component_flags(sweep_parser)
-    add_budget_flags(sweep_parser)
+    _add_spec_flags(sweep_parser)
     sweep_parser.add_argument(
         "--grid",
         action="append",
@@ -905,11 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser = subparsers.add_parser(
         "submit", help="submit a RunSpec to a running `repro serve` endpoint"
     )
-    submit_parser.add_argument(
-        "spec", nargs="?", default=None, help="path to a RunSpec JSON file"
-    )
-    _add_component_flags(submit_parser)
-    add_budget_flags(submit_parser)
+    _add_spec_flags(submit_parser)
     _add_server_flag(submit_parser)
     submit_parser.add_argument(
         "--priority", type=int, default=0, help="queue priority (higher runs first)"
@@ -951,11 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser = subparsers.add_parser(
         "export", help="emit a spec's generated circuit or DEM as stim text"
     )
-    export_parser.add_argument(
-        "spec", nargs="?", default=None, help="path to a RunSpec JSON file"
-    )
-    _add_component_flags(export_parser)
-    add_budget_flags(export_parser)
+    _add_spec_flags(export_parser)
     export_parser.add_argument(
         "--basis", choices=("Z", "X"), default="Z", help="which basis artifact to export"
     )

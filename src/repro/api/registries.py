@@ -404,9 +404,6 @@ def _alphasyndrome(
     seed=0,
     workers=1,
     rollout_batch=1,
-    iterations_per_step=None,
-    max_evaluations=None,
-    synthesis_shots=None,
     compile_decoder=None,
 ):
     # Imported lazily: repro.core pulls in the MCTS machinery, which nothing
@@ -426,13 +423,8 @@ def _alphasyndrome(
         decoder_factory = decoders.build(str(compile_decoder))
     if decoder_factory is None:
         decoder_factory = decoders.build("mwpm")
+    # The run's Budget is the one place the search size is set.
     budget = budget or Budget()
-    if iterations_per_step is not None:
-        budget = budget.replace(iterations_per_step=int(iterations_per_step))
-    if max_evaluations is not None:
-        budget = budget.replace(max_evaluations=int(max_evaluations))
-    if synthesis_shots is not None:
-        budget = budget.replace(synthesis_shots=int(synthesis_shots))
     synthesis_seed = stage_seed(seed, "synthesis")
     alpha = AlphaSyndrome(
         code=code,

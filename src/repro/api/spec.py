@@ -49,6 +49,16 @@ class Budget:
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if self.synthesis_shots < 0:
+            raise ValueError(f"synthesis_shots must be >= 0, got {self.synthesis_shots}")
+        if self.iterations_per_step < 1:
+            raise ValueError(
+                f"iterations_per_step must be >= 1, got {self.iterations_per_step}"
+            )
+        if self.max_evaluations is not None and self.max_evaluations < 0:
+            raise ValueError(f"max_evaluations must be >= 0, got {self.max_evaluations}")
         if self.target_rse is not None and self.target_rse <= 0:
             raise ValueError(f"target_rse must be positive, got {self.target_rse}")
         if self.max_shots is not None and self.max_shots < 0:

@@ -122,9 +122,6 @@ class Instruction:
     def is_noise(self) -> bool:
         return self.name in NOISE_NAMES
 
-    def is_gate(self) -> bool:
-        return self.name in GATE_NAMES
-
     def __str__(self) -> str:
         parts = [self.name]
         if self.pauli:

@@ -22,7 +22,7 @@ from repro.core.mcts import MCTSConfig, PartitionMCTS
 from repro.noise.models import NoiseModel
 from repro.scheduling.baselines import lowest_depth_schedule
 from repro.scheduling.partition import partition_stabilizers
-from repro.scheduling.schedule import PauliCheck, Schedule
+from repro.scheduling.schedule import Schedule, checks_of_code
 from repro.sim.estimator import DecoderFactory, LogicalErrorRates
 
 __all__ = ["SynthesisResult", "AlphaSyndrome"]
@@ -97,7 +97,7 @@ class AlphaSyndrome:
         total_evaluations = 0
 
         for index, partition in enumerate(partitions):
-            checks = self._partition_checks(partition)
+            checks = checks_of_code(self.code, partition)
 
             def compose(candidate: Schedule, *, _index: int = index) -> Schedule:
                 return self._compose(partitions, chosen, defaults, _index, candidate)
@@ -130,13 +130,6 @@ class AlphaSyndrome:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _partition_checks(self, partition: list[int]) -> list[PauliCheck]:
-        checks = []
-        for stabilizer in partition:
-            for qubit, letter in self.code.checks()[stabilizer]:
-                checks.append(PauliCheck(stabilizer, qubit, letter))
-        return checks
-
     def _default_partition_schedules(
         self, partitions: list[list[int]]
     ) -> list[Schedule]:

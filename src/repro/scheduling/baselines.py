@@ -21,17 +21,9 @@ from collections.abc import Sequence
 
 from repro.codes.base import StabilizerCode
 from repro.scheduling.partition import partition_stabilizers
-from repro.scheduling.schedule import PauliCheck, Schedule
+from repro.scheduling.schedule import PauliCheck, Schedule, checks_of_code
 
 __all__ = ["trivial_schedule", "lowest_depth_schedule", "schedule_from_orders"]
-
-
-def _partition_checks(code: StabilizerCode, partition: Sequence[int]) -> list[PauliCheck]:
-    checks = []
-    for stabilizer in partition:
-        for qubit, letter in code.checks()[stabilizer]:
-            checks.append(PauliCheck(stabilizer, qubit, letter))
-    return checks
 
 
 def trivial_schedule(
@@ -50,7 +42,7 @@ def trivial_schedule(
     for partition in partitions:
         block = Schedule(code)
         for check in sorted(
-            _partition_checks(code, partition),
+            checks_of_code(code, partition),
             key=lambda c: (c.stabilizer, c.data_qubit),
         ):
             block.assign(check, block.earliest_valid_tick(check))
@@ -69,7 +61,7 @@ def lowest_depth_schedule(
     schedule = Schedule(code)
     offset = 0
     for partition in partitions:
-        checks = _partition_checks(code, partition)
+        checks = checks_of_code(code, partition)
         colouring = _bipartite_edge_colouring(checks)
         for check, colour in colouring.items():
             schedule.assignment[check] = colour + offset

@@ -19,6 +19,7 @@ Validity conditions (checked by :meth:`Schedule.validate`):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.codes.base import StabilizerCode
@@ -47,13 +48,22 @@ class PauliCheck:
             raise ScheduleError(f"invalid Pauli letter {self.pauli!r}")
 
 
-def checks_of_code(code: StabilizerCode) -> list[PauliCheck]:
-    """Enumerate every Pauli check of ``code`` (one per non-identity letter)."""
-    checks: list[PauliCheck] = []
-    for stab_index, stab_checks in enumerate(code.checks()):
-        for qubit, letter in stab_checks:
-            checks.append(PauliCheck(stab_index, qubit, letter))
-    return checks
+def checks_of_code(
+    code: StabilizerCode, stabilizers: Sequence[int] | None = None
+) -> list[PauliCheck]:
+    """Enumerate the Pauli checks of ``code`` (one per non-identity letter).
+
+    ``stabilizers`` restricts (and orders) the enumeration, e.g. to one
+    scheduling partition; by default every stabilizer is listed in index order.
+    """
+    all_checks = code.checks()
+    if stabilizers is None:
+        stabilizers = range(len(all_checks))
+    return [
+        PauliCheck(stabilizer, qubit, letter)
+        for stabilizer in stabilizers
+        for qubit, letter in all_checks[stabilizer]
+    ]
 
 
 @dataclass
@@ -136,16 +146,6 @@ class Schedule:
         return Schedule(
             self.code, {check: tick + offset for check, tick in self.assignment.items()}
         )
-
-    def merged_with(self, other: "Schedule") -> "Schedule":
-        """Concatenate another schedule after this one (partition composition)."""
-        if other.code is not self.code and other.code.name != self.code.name:
-            raise ScheduleError("cannot merge schedules of different codes")
-        merged = self.copy()
-        offset = self.depth
-        for check, tick in other.assignment.items():
-            merged.assignment[check] = tick + offset
-        return merged
 
     # ------------------------------------------------------------------
     # Validation

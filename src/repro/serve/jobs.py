@@ -459,10 +459,6 @@ class JobScheduler:
             heapq.heappush(self._heap, entry)
         return found
 
-    def has_dispatchable(self) -> bool:
-        """True when some job could use an idle worker right now."""
-        return self._next_runnable() is not None
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------

@@ -179,6 +179,7 @@ class _WorkerHandle:
         self.process = process
         self.inbox = inbox
         self.outstanding = 0
+        self.results = 0  # chunk results received: > 0 once a chunk has run
         self.lost = False
 
     @property
@@ -326,6 +327,7 @@ class ReproServer:
             handle = self._workers.get(worker_id)
             if handle is not None:
                 handle.outstanding = max(0, handle.outstanding - 1)
+                handle.results += 1
             events = self.scheduler.record_result(
                 worker_id, task, shots, errors, cached, info, now
             )
@@ -502,6 +504,7 @@ class ReproServer:
                     "pid": handle.process.pid,
                     "alive": handle.alive,
                     "outstanding": handle.outstanding,
+                    "results": handle.results,
                 }
                 for handle in self._workers.values()
             ],

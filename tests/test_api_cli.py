@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import RunSpec
+from repro.api import Pipeline, RunSpec
 from repro.api.cli import main
 
 
@@ -95,58 +95,82 @@ class TestRun:
         assert "steane" in capsys.readouterr().out
 
 
-class TestEval:
-    def test_eval_fixed_scheduler(self, capsys):
-        assert (
-            main(
-                [
-                    "eval",
-                    "--code",
-                    "surface:d=3",
-                    "--scheduler",
-                    "google",
-                    "--decoder",
-                    "lookup",
-                    "--shots",
-                    "40",
-                ]
-            )
-            == 0
+class TestRunSchedulers:
+    """`repro run` is the one verb for fixed and synthesising schedulers."""
+
+    SYNTH = [
+        "run",
+        "--code", "steane",
+        "--decoder", "lookup",
+        "--scheduler", "alphasyndrome",
+        "--shots", "60",
+        "--synthesis-shots", "30",
+        "--iterations", "1",
+        "--max-evaluations", "2",
+        "--seed", "3",
+    ]
+
+    def test_fixed_scheduler_rates_equal_pipeline(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        argv = ["run", "--code", "surface:d=3", "--scheduler", "google", "--decoder", "lookup"]
+        assert main([*argv, "--shots", "40", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "scheduler=google" in printed
+        assert "synthesis:" not in printed and "schedule (tick" not in printed
+        payload = json.loads(out.read_text())
+        rates = Pipeline(RunSpec.from_dict(payload["spec"])).rates
+        assert (payload["error_x"], payload["error_z"], payload["shots"]) == (
+            rates.error_x,
+            rates.error_z,
+            rates.shots,
         )
-        assert "scheduler=google" in capsys.readouterr().out
 
-    def test_eval_rejects_synthesis_scheduler(self, capsys):
-        assert main(["eval", "--scheduler", "alphasyndrome", "--shots", "10"]) == 2
-        assert "repro synth" in capsys.readouterr().err
+    def test_synthesis_prints_summary_and_schedule(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main([*self.SYNTH, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "steane | scheduler=alphasyndrome decoder=lookup noise=brisbane"
+        assert lines[2].startswith("  synthesis: ")
+        assert lines[3] == "schedule (tick -> checks):"
+        pipeline = Pipeline(RunSpec.from_dict(json.loads(out.read_text())["spec"]))
+        ticks = sorted(pipeline.schedule.ticks())
+        assert [line.split(":")[0] for line in lines[4 : 4 + len(ticks)]] == [
+            f"  tick {tick:>2}" for tick in ticks
+        ]
+        assert lines[4 + len(ticks)] == f"result written to {out}"
+        payload = json.loads(out.read_text())
+        assert payload["synthesis_evaluations"] == pipeline.synthesis.evaluations
+        assert payload["overall"] == pipeline.rates.overall
 
+    @pytest.mark.parametrize("verb", ["synth", "eval"])
+    def test_retired_verbs_exit_2(self, verb, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--code", "steane", "--decoder", "lookup", "--shots", "10"])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
-class TestSynth:
-    def test_synth_prints_schedule_and_reduction(self, capsys):
-        assert (
-            main(
-                [
-                    "synth",
-                    "--code",
-                    "steane",
-                    "--decoder",
-                    "lookup",
-                    "--shots",
-                    "60",
-                    "--synthesis-shots",
-                    "30",
-                    "--iterations",
-                    "1",
-                    "--max-evaluations",
-                    "2",
-                    "--seed",
-                    "0",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "synthesis:" in out
-        assert "tick" in out
+    def test_scheduler_spec_takes_no_budget_arguments(self, capsys):
+        argv = ["run", "--code", "steane", "--decoder", "lookup", "--shots", "10"]
+        for argument in ("iterations_per_step=2", "max_evaluations=2", "synthesis_shots=20"):
+            assert main([*argv, "--scheduler", f"alphasyndrome:{argument}"]) == 2
+            err = capsys.readouterr().err
+            assert "accepted: seed, rollout_batch, compile_decoder" in err
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shots", "-5"], "shots must be >= 0, got -5"),
+            (["--synthesis-shots", "-3"], "synthesis_shots must be >= 0, got -3"),
+            (["--iterations", "0"], "iterations_per_step must be >= 1, got 0"),
+            (["--iterations", "-2"], "iterations_per_step must be >= 1, got -2"),
+            (["--max-evaluations", "-1"], "max_evaluations must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_budget_flag_names_its_field(self, flags, message, capsys):
+        argv = ["run", "--code", "steane", "--decoder", "lookup", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestExperiments:
@@ -450,7 +474,7 @@ class TestAdaptiveRunAndCache:
         )
         assert "--target-rse" in capsys.readouterr().err
         assert (
-            main(["eval", "--code", "steane", "--decoder", "lookup", "--confidence", "0.9"])
+            main(["run", "--code", "steane", "--decoder", "lookup", "--confidence", "0.9"])
             == 2
         )
         assert "--target-rse" in capsys.readouterr().err
@@ -477,9 +501,12 @@ class TestAdaptiveRunAndCache:
 
     def test_experiments_run_rejects_orphan_max_shots(self, capsys):
         # --max-shots/--confidence without --target-rse would be a silent
-        # no-op; `experiments run` rejects them like run/sweep.
-        assert main(["experiments", "run", "table2", "--max-shots", "500"]) == 2
-        assert "--target-rse" in capsys.readouterr().err
+        # no-op; `experiments run` rejects them with run's own message.
+        assert main(["run", "--max-shots", "5"]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["experiments", "run", "table2", "--max-shots", "5"]) == 2
+        assert capsys.readouterr().err == run_err
+        assert run_err.startswith("error: --max-shots only take effect with --target-rse")
 
     def test_grid_precision_axes_without_target_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"

@@ -65,6 +65,24 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="workers"):
             RunSpec(workers=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shots", -5, "shots must be >= 0, got -5"),
+            ("synthesis_shots", -3, "synthesis_shots must be >= 0, got -3"),
+            ("iterations_per_step", 0, "iterations_per_step must be >= 1, got 0"),
+            ("max_evaluations", -1, "max_evaluations must be >= 0, got -1"),
+        ],
+    )
+    def test_budget_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(ValueError) as raised:
+            Budget(**{field: value})
+        assert str(raised.value) == message
+
+    def test_budget_accepts_zero_counts(self):
+        budget = Budget(shots=0, synthesis_shots=0, max_evaluations=0)
+        assert (budget.shots, budget.synthesis_shots, budget.max_evaluations) == (0, 0, 0)
+
 
 class TestSeeding:
     def test_spawn_streams_none_passthrough(self):

@@ -225,6 +225,16 @@ class TestSpecArgumentErrors:
         assert fragment in message
         assert "\n" not in message
 
+    def test_alphasyndrome_takes_its_budget_from_the_run(self):
+        # The search size is set once, on the Budget; the scheduler spec only
+        # carries the search's own settings.
+        assert schedulers.entry("alphasyndrome").spec_syntax == (
+            "alphasyndrome:seed=0,rollout_batch=1,compile_decoder=none"
+        )
+        with pytest.raises(ValueError) as raised:
+            schedulers.build("alphasyndrome:iterations_per_step=2")
+        assert "accepted: seed, rollout_batch, compile_decoder" in str(raised.value)
+
     def test_decoder_builders_list_their_keywords(self):
         syntax = {name: decoders.entry(name).spec_syntax for name in decoders.available()}
         assert syntax == {

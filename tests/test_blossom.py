@@ -155,7 +155,7 @@ GUARD = """
     import numpy as np
 
     import repro.decoders.matching as matching
-    from repro.api import Pipeline, RunSpec, codes, decoders
+    from repro.api import Budget, Pipeline, RunSpec, codes, decoders
     from repro.scheduling.partition import partition_stabilizers
 
     calls = []
@@ -165,7 +165,8 @@ GUARD = """
     spec = RunSpec(
         code="surface:d=3",
         decoder="mwpm",
-        scheduler="alphasyndrome:iterations_per_step=1,max_evaluations=2,synthesis_shots=20",
+        scheduler="alphasyndrome",
+        budget=Budget(iterations_per_step=1, max_evaluations=2, synthesis_shots=20),
         seed=3,
     )
     print("synthesis", Pipeline(spec, shots=40).rates.overall)

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.cli import main
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Budget, RunSpec
 from repro.cache import ResultCache
@@ -101,14 +102,19 @@ def test_concurrent_identical_submissions_run_one_computation(offline_result):
 
 
 def _busy_worker(client) -> dict:
-    """Wait until some live worker holds leased work and return it."""
+    """Wait until a live worker is in the middle of a lease and return it.
+
+    ``outstanding`` is set when the lease is queued, before the spawned
+    process has even imported ``repro``; a returned result proves the
+    worker runs chunks, and the rest of its lease is still pending.
+    """
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         for worker in client.health()["workers"]:
-            if worker["alive"] and worker["outstanding"] > 0:
+            if worker["alive"] and worker["results"] >= 1 and worker["outstanding"] > 0:
                 return worker
         time.sleep(0.05)
-    raise AssertionError("no worker ever held a lease")
+    raise AssertionError("no worker was ever in the middle of a lease")
 
 
 def test_killed_worker_recovered_by_death_detection(offline_result):
@@ -163,6 +169,23 @@ def test_adaptive_job_matches_offline_early_stop():
     assert result == offline
     assert result["adaptive"]["converged"] is True
     assert result["shots"] < ADAPTIVE_SPEC.budget.plan_shots
+
+
+def test_submit_prints_what_run_prints(capsys):
+    # One printer for both verbs, fed from the RunResult payload: the
+    # served adaptive job reports the same rates and adaptive line (up to
+    # the cache counters, which differ between a cacheless server and an
+    # offline run).
+    flags = ["--code", "steane", "--decoder", "lookup", "--seed", "7", "--shots", "1000"]
+    flags += ["--target-rse", "0.35", "--max-shots", "16384"]
+    assert main(["run", *flags, "--no-cache"]) == 0
+    offline = capsys.readouterr().out.splitlines()
+    with serve_in_thread(fast_config()) as server:
+        assert main(["submit", *flags, "--server", server.url]) == 0
+    served = capsys.readouterr().out.splitlines()
+    assert served[-3:-1] == offline[:2]
+    assert served[-1].startswith("  adaptive: target_rse=0.35 converged=True shots[")
+    assert served[-1].split(" cache_hits=")[0] == offline[2].split(" cache_hits=")[0]
 
 
 def test_fixed_budget_with_max_shots_matches_offline():
