@@ -211,14 +211,23 @@ def _print_result(payload: dict) -> None:
     )
     report = payload.get("adaptive")
     if report is not None:
-        shots = " ".join(
-            f"{basis}={entry['shots']}" for basis, entry in sorted(report["bases"].items())
-        )
-        print(
-            f"  adaptive: target_rse={report['target_rse']} "
-            f"converged={report['converged']} shots[{shots}] "
-            f"cache_hits={report['cache_hits']} fresh_chunks={report['fresh_chunks']}"
-        )
+        print(_adaptive_line(report))
+
+
+def _adaptive_line(report: dict) -> str:
+    """The indented ``adaptive:`` line of an adaptive run's report.
+
+    The one spelling of the adaptive fields: `run`, `submit` and each
+    `sweep` point print it.
+    """
+    shots = " ".join(
+        f"{basis}={entry['shots']}" for basis, entry in sorted(report["bases"].items())
+    )
+    return (
+        f"  adaptive: target_rse={report['target_rse']} "
+        f"converged={report['converged']} shots[{shots}] "
+        f"cache_hits={report['cache_hits']} fresh_chunks={report['fresh_chunks']}"
+    )
 
 
 def _write_out(out: str | None, text: str, what: str) -> None:
@@ -332,19 +341,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             handle.write(json.dumps(result.to_dict()) + "\n")
             handle.flush()
             ran += 1
-            adaptive_note = ""
-            if result.adaptive is not None:
-                adaptive_note = (
-                    f" shots={result.rates.shots}"
-                    f" converged={result.adaptive['converged']}"
-                    f" cache_hits={result.adaptive['cache_hits']}"
-                    f" fresh_chunks={result.adaptive['fresh_chunks']}"
-                )
             print(
                 f"[{index}/{len(specs)}] {spec.code} scheduler={spec.scheduler} "
                 f"decoder={spec.decoder} noise={spec.noise} "
-                f"overall={result.rates.overall:.3e}{adaptive_note}"
+                f"overall={result.rates.overall:.3e}"
             )
+            if result.adaptive is not None:
+                print(_adaptive_line(result.adaptive))
     print(f"sweep done: {ran} run, {skipped} already in {out}")
     return 0
 

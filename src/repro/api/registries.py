@@ -438,7 +438,8 @@ def _alphasyndrome(
             # An explicit search hyper-parameter ("alphasyndrome:rollout_batch=8"),
             # deliberately NOT derived from `workers` — worker count must never
             # change the search trajectory (bit-identical results per seed).
-            rollout_batch=int(rollout_batch),
+            # MCTSConfig refuses anything but an integer >= 1.
+            rollout_batch=rollout_batch,
         ),
         seed=0 if synthesis_seed is None else synthesis_seed,
         workers=int(workers),

@@ -19,6 +19,7 @@ is acyclic and the branches a re-root leaves behind are freed at once.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -43,13 +44,19 @@ class MCTSConfig:
     virtual-visit count on the selection path) and scores them in one
     :meth:`~repro.core.evaluator.ScheduleEvaluator.score_many` call, so a
     pool-backed evaluator spreads rollout scoring across cores;  ``1``
-    reproduces the classic serial iteration exactly.
+    reproduces the classic serial iteration exactly.  Anything but an
+    integer >= 1 raises a one-line ``ValueError``.
     """
 
     iterations_per_step: int = 32
     seed: int = 0
     max_total_evaluations: int | None = None
     rollout_batch: int = 1
+
+    def __post_init__(self) -> None:
+        batch = self.rollout_batch
+        if not isinstance(batch, numbers.Integral) or isinstance(batch, bool) or batch < 1:
+            raise ValueError(f"rollout_batch must be an integer >= 1, got {batch!r}")
 
 
 class MCTSNode:
@@ -126,7 +133,7 @@ class PartitionMCTS:
         while not root.is_terminal:
             remaining = max(self.config.iterations_per_step - root.visits, 1)
             while remaining > 0:
-                requested = min(max(1, self.config.rollout_batch), remaining)
+                requested = min(self.config.rollout_batch, remaining)
                 completed = self._iterate_batch(root, requested)
                 if completed == 0:
                     break

@@ -5,23 +5,27 @@ paper for colour and bivariate-bicycle codes:
 
 * **BP stage** — normalised min-sum belief propagation on the Tanner graph
   of the DEM's check matrix, vectorised over shots with numpy.  Message
-  state lives in edge-major ``(edges, shots)`` arrays and the block runs in
-  tiles of :data:`_TILE` shots, whose work arrays every iteration reuses
-  through ``out=``.  Per-check quantities are reduced over
-  contiguous edge segments and gathered back to edges; message signs are
-  set on the IEEE sign bit.  Per-mechanism sums reproduce
+  state lives in shot-major ``(shots, edges)`` arrays whose edges are
+  sorted by check, so each check's edges are one contiguous run of every
+  row: per-check quantities are ``reduceat`` calls along axis 1 over those
+  runs, and they expand back to edges with ``np.repeat``.  Message signs
+  are set on the IEEE sign bit.  Per-mechanism sums reproduce
   ``np.add.reduceat`` bit for bit: that call adds a segment as ``x0``
   plus numpy's pairwise sum of the rest, which runs left to right below
   eight terms, so mechanisms of degree at most eight are summed a whole
   degree class at a time as ``x0 + ((x1 + x2) + ...)`` and only wider
-  ones keep reduceat.  A column leaves the tile the iteration its hard
-  decision reproduces the syndrome, so later iterations only pay for the
-  columns still running.
-* **OSD-0 stage** — only for the non-converged residue: columns are ranked
-  by the BP posterior reliability, a full-rank column basis is selected
-  greedily in that order, and the syndrome is solved exactly on that basis
-  (all other mechanisms set to zero).  The elimination holds each row of
-  ``H[:, order]`` as one Python integer.
+  ones keep reduceat.  The block runs in tiles of :func:`_tile_width`
+  shots, sized per DEM so that one float64 ``(tile, edges)`` array fits in
+  :data:`_TILE_BYTES`.  A shot leaves the tile the iteration its hard
+  decision reproduces the syndrome (its row is dropped from the message
+  arrays), so later iterations only pay for the shots still running.
+* **OSD-0 stage** — only for the non-converged residue, run on each tile's
+  shots as soon as the tile's BP finishes, so no block-sized posterior
+  array is ever held: columns are ranked by the BP posterior reliability,
+  a full-rank column basis is selected greedily in that order, and the
+  syndrome is solved exactly on that basis (all other mechanisms set to
+  zero).  The elimination holds each row of ``H[:, order]`` as one Python
+  integer.
 
 The output per shot is the XOR of the observable signatures of the selected
 mechanisms.
@@ -29,9 +33,9 @@ mechanisms.
 Batch decoding enters through the base class's packed dedup front end, so
 BP message passing runs over the block of *unique* syndromes only — at
 paper-regime error rates a 5–50x reduction in BP columns and OSD calls.
-Deduplication is bit-transparent because BP here is *elementwise*: columns
-never interact, and each column's posteriors/hard decision are frozen at
-its own first convergence iteration, so every shot's result equals its
+Deduplication is bit-transparent because BP here is *elementwise*: shots
+never interact, and each shot's posteriors/hard decision are frozen at its
+own first convergence iteration, so every shot's result equals its
 singleton decode regardless of what else shares the batch.
 """
 
@@ -57,12 +61,19 @@ DEFAULT_SCALING_FACTOR = 0.75
 
 _LLR_CLIP = 30.0
 
-#: Unique syndromes per BP tile.  At 64 columns one ``(edges, shots)``
-#: float64 array of the ``bb_18`` DEM is ~1.3 MB; a whole 400-column
-#: block is about twice as slow.  32 columns are ~7% faster on ``bb_18``
-#: but ~25% slower on surface d=3, whose per-iteration cost is mostly
-#: call overhead.
-_TILE = 64
+#: Cache budget of one BP tile: the largest power of two between
+#: :data:`_MIN_TILE` and :data:`_MAX_TILE` shots whose float64
+#: ``(tile, edges)`` array fits in it is the DEM's tile width.  That gives
+#: 32 shots on ``bb_18`` (2,562-2,586 edges), 128 on surface d=3 with
+#: three rounds (854-893 edges) and 8 on ``bb_72_12_6`` (14,270-15,068
+#: edges).  Wider tiles spill the message arrays out of cache; narrower
+#: ones pay numpy's per-call overhead on too few shots.  Decoding 256
+#: unique ``bb_18`` syndromes took 200 ms at 32 shots against 212 ms at
+#: 64 and 254 ms at 256; surface d=3 took 53 ms at 64-128 against 91 ms
+#: at 8; on ``bb_72_12_6`` every width from 8 to 256 was within 6%.
+_TILE_BYTES = 1 << 20
+_MIN_TILE = 8
+_MAX_TILE = 256
 
 #: Mechanisms of at most this many edges sum by degree class; numpy's
 #: pairwise sum (which ``np.add.reduceat`` uses after the first term)
@@ -70,15 +81,17 @@ _TILE = 64
 _SEQUENTIAL_DEGREE = 8
 
 
-def _edge_buffers(columns: int, edges: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised ``(edges, columns)`` work arrays for one BP tile.
+def _tile_width(edges: int) -> int:
+    """Shots per BP tile for a Tanner graph of ``edges`` edges.
 
-    Two float64 arrays (a scratch array and the check-to-mechanism
-    messages) and two bool masks (negative messages and tied minima),
-    reused by every iteration until the tile drops a column.
+    The largest power of two in ``[_MIN_TILE, _MAX_TILE]`` whose float64
+    ``(width, edges)`` array fits in :data:`_TILE_BYTES`, or ``_MIN_TILE``
+    when none does.
     """
-    shape = (edges, columns)
-    return np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+    width = _MAX_TILE
+    while width > _MIN_TILE and width * edges * 8 > _TILE_BYTES:
+        width //= 2
+    return width
 
 
 def check_bposd_parameters(
@@ -123,19 +136,19 @@ class BPOSDDecoder(Decoder):
         self._num_checks, self._num_mechanisms = self._h.shape
         priors = np.clip(self.priors, 1e-12, 0.5 - 1e-12)
         self._prior_llrs = np.log((1 - priors) / priors)
-        # Tanner graph edges in edge-major layout.  ``np.nonzero`` yields
-        # row-major order, so edges arrive sorted by check — per-check
-        # reductions are contiguous segments, and per-check rows expand to
-        # edges by gathering along ``_edge_check``.
+        # Tanner graph edges, the last axis of the shot-major message
+        # arrays.  ``np.nonzero`` yields row-major order, so edges arrive
+        # sorted by check: per-check reductions run over contiguous
+        # segments of each shot's row, and per-check values expand to edges
+        # by repeating each one ``_check_degrees`` times.
         checks, mechanisms = np.nonzero(self._h)
         self._num_edges = checks.size
-        self._check_present, self._check_starts, check_degrees = np.unique(
+        self._tile = _tile_width(self._num_edges)
+        self._check_present, self._check_starts, self._check_degrees = np.unique(
             checks, return_index=True, return_counts=True
         )
-        # Compact per-check row index of each edge, and the narrowest
-        # unsigned dtype that holds a tied-minimum count.
-        self._edge_check = np.repeat(np.arange(check_degrees.size), check_degrees)
-        self._count_dtype = np.min_scalar_type(int(check_degrees.max(initial=0)))
+        # The narrowest unsigned dtype that holds a tied-minimum count.
+        self._count_dtype = np.min_scalar_type(int(self._check_degrees.max(initial=0)))
         self._build_mechanism_sums(mechanisms.astype(np.int64))
 
     def _build_mechanism_sums(self, edge_mechanism: np.ndarray) -> None:
@@ -150,7 +163,7 @@ class BPOSDDecoder(Decoder):
         ``d <= 8`` therefore sums as ``x0 + ((x1 + x2) + ...)``, which the
         kernel evaluates for a whole degree class at once: ``_sum_perm``
         gathers the edges class by class, position ``k`` of every
-        mechanism of the class in one contiguous block of rows.
+        mechanism of the class in one contiguous block of columns.
         Mechanisms of degree above eight (pairwise blocks) keep
         ``np.add.reduceat`` over their check-ascending edge runs, which
         follow the class blocks in ``_sum_perm``.
@@ -162,9 +175,10 @@ class BPOSDDecoder(Decoder):
         self._rank = np.argsort(order)
         self._edge_row = self._rank[edge_mechanism]
         self._row_priors = self._prior_llrs[order]
-        # Float copy of H, columns in row order, for the convergence test:
-        # BLAS sums of 0/1 products are exact integers far below 2**53.
-        self._h_rows = self._h[:, order].astype(np.float64)
+        # Float copy of H's transpose, rows in the kernel's order, for the
+        # convergence test: BLAS sums of 0/1 products are exact integers
+        # far below 2**53.
+        self._h_rows_t = np.ascontiguousarray(self._h[:, order].T, dtype=np.float64)
         row_degrees = degrees[order]
         # Rows of degree 0 never receive a message: their posterior stays
         # the prior.
@@ -193,75 +207,73 @@ class BPOSDDecoder(Decoder):
         predictions = np.zeros((shots, self.dem.num_observables), dtype=np.uint8)
         if self._num_mechanisms == 0 or shots == 0:
             return predictions
-        posteriors, hard_decisions, converged = self._run_bp(syndromes)
-        if converged.any():
-            predictions[converged] = self.predicted_observables_batch(
-                hard_decisions[converged]
-            )
-        for shot in np.nonzero(~converged)[0]:
-            error = self._osd_zero(syndromes[shot], posteriors[shot])
-            predictions[shot] = self.predicted_observables(error)
+        for start in range(0, shots, self._tile):
+            tile = syndromes[start : start + self._tile]
+            out = predictions[start : start + self._tile]
+            posteriors, hard_decisions, converged = self._run_bp_tile(tile)
+            if converged.any():
+                out[converged] = self.predicted_observables_batch(hard_decisions[converged])
+            for shot in np.flatnonzero(~converged):
+                error = self._osd_zero(tile[shot], posteriors[shot])
+                out[shot] = self.predicted_observables(error)
         return predictions
 
     # ------------------------------------------------------------------
-    # Belief propagation (edge-major, tiled over shots)
+    # Belief propagation (shot-major, tiled over shots)
     # ------------------------------------------------------------------
     def _run_bp(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """BP posteriors, hard decisions and convergence flags per shot.
+        """:meth:`_run_bp_tile` over the whole block, tiles concatenated.
+
+        Decoding never holds the whole block's posteriors; this is the
+        block-wide view the kernel tests compare with the oracle.  An empty
+        block runs as one empty tile.
+        """
+        tiles = [
+            self._run_bp_tile(syndromes[start : start + self._tile])
+            for start in range(0, max(syndromes.shape[0], 1), self._tile)
+        ]
+        return tuple(np.concatenate(parts) for parts in zip(*tiles))
+
+    def _run_bp_tile(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """BP posteriors, hard decisions and convergence flags of one tile.
 
         Returns ``(shots, mechanisms)`` float64 posteriors and uint8 hard
-        decisions, each frozen at the shot's first convergence iteration
-        (or taken after the last iteration), and a ``(shots,)`` bool mask
-        of the shots whose hard decision reproduces their syndrome.
+        decisions in mechanism order, each frozen at the shot's first
+        convergence iteration (or taken after the last iteration), and a
+        ``(shots,)`` bool mask of the shots whose hard decision reproduces
+        their syndrome.  A shot that converges is copied out and its row
+        dropped from every message array, so later iterations run on the
+        live shots only.  Shots never interact, so neither tiling nor
+        compaction changes a bit of any shot's result.
         """
         shots = syndromes.shape[0]
         converged = np.zeros(shots, dtype=bool)
-        if self._num_edges == 0 or self.max_iterations == 0:
+        if shots == 0 or self._num_edges == 0 or self.max_iterations == 0:
             posteriors = np.tile(self._prior_llrs, (shots, 1))
-            hard = np.zeros((shots, self._num_mechanisms), dtype=np.uint8)
-            return posteriors, hard, converged
-        # Tiles write mechanism rows in the kernel's degree-sorted order.
-        posteriors = np.empty((shots, self._num_mechanisms))
-        hard = np.empty((shots, self._num_mechanisms), dtype=np.uint8)
-        for start in range(0, shots, _TILE):
-            stop = min(start + _TILE, shots)
-            self._run_bp_tile(
-                syndromes[start:stop],
-                posteriors[start:stop],
-                hard[start:stop],
-                converged[start:stop],
-            )
-        return posteriors[:, self._rank], hard[:, self._rank], converged
-
-    def _run_bp_tile(
-        self,
-        syndromes: np.ndarray,
-        posteriors_out: np.ndarray,
-        hard_out: np.ndarray,
-        converged_out: np.ndarray,
-    ) -> None:
-        """Run BP on one tile, writing each column out as it finishes.
-
-        A column that converges is copied out and dropped from every
-        message array, so later iterations run on the live columns only.
-        Columns never interact, so neither tiling nor compaction changes a
-        bit of any column's result.  Mechanism rows are in the
-        degree-sorted order of :meth:`_build_mechanism_sums`.
-        """
+            return posteriors, np.zeros(posteriors.shape, dtype=np.uint8), converged
         starts = self._check_starts
-        edge_check = self._edge_check
+        degrees = self._check_degrees
         scale = self.scaling_factor
-        live = np.arange(syndromes.shape[0])
-        target = syndromes.T.astype(np.float64)  # (checks, live)
-        flipped = syndromes.T[self._check_present].astype(bool).view(np.uint8)
-        mechanism_to_check = np.repeat(
-            self._row_priors[self._edge_row, np.newaxis], live.size, axis=1
-        )  # (edges, live)
-        scratch, check_to_mechanism, negative, is_min = _edge_buffers(live.size, self._num_edges)
-        posteriors = np.repeat(self._row_priors[:, np.newaxis], live.size, axis=1)
+        # Mechanism columns are in the degree-sorted order of
+        # :meth:`_build_mechanism_sums` until the tile returns.
+        posteriors_out = np.empty((shots, self._num_mechanisms))
+        hard_out = np.empty((shots, self._num_mechanisms), dtype=np.uint8)
+        live = np.arange(shots)
+        target = syndromes.astype(np.float64)  # (live, checks)
+        flipped = syndromes[:, self._check_present].astype(bool).view(np.uint8)
+        mechanism_to_check = np.tile(self._row_priors[self._edge_row], (shots, 1))
+        posteriors = np.tile(self._row_priors, (shots, 1))
+        # Work arrays for every iteration; a compacted tile uses their
+        # leading rows, which stay C-contiguous.
+        edge_shape = (shots, self._num_edges)
+        scratch_rows = np.empty(edge_shape)
+        negative_rows = np.empty(edge_shape, dtype=bool)
+        is_min_rows = np.empty(edge_shape, dtype=bool)
 
         for _ in range(self.max_iterations):
-            np.less(mechanism_to_check, 0, out=negative)
+            scratch = scratch_rows[: live.size]
+            negative = np.less(mechanism_to_check, 0, out=negative_rows[: live.size])
+            is_min = is_min_rows[: live.size]
             magnitudes = np.abs(mechanism_to_check, out=scratch)
 
             # Per check: the sign parity (syndrome included) and the
@@ -269,19 +281,15 @@ class BPOSDDecoder(Decoder):
             # 1e-15 of the minimum counts as a minimum; when it is the only
             # one, its edge sees the second minimum, otherwise every edge
             # sees the first.  A missing second minimum (inf) becomes 0.
-            odd = np.bitwise_xor.reduceat(negative.view(np.uint8), starts)
+            odd = np.bitwise_xor.reduceat(negative.view(np.uint8), starts, axis=1)
             odd ^= flipped
-            first_min = np.minimum.reduceat(magnitudes, starts)
-            # Gathers take ``mode="clip"``: the indices are in range by
-            # construction, and the default mode copies through a
-            # temporary whenever ``out`` is given.
-            np.take(first_min + 1e-15, edge_check, axis=0, out=check_to_mechanism, mode="clip")
-            np.less_equal(magnitudes, check_to_mechanism, out=is_min)
+            first_min = np.minimum.reduceat(magnitudes, starts, axis=1)
+            np.less_equal(magnitudes, np.repeat(first_min + 1e-15, degrees, axis=1), out=is_min)
             unique_min = np.add.reduceat(
-                is_min.view(np.uint8), starts, dtype=self._count_dtype
+                is_min.view(np.uint8), starts, axis=1, dtype=self._count_dtype
             ) < 2
             np.copyto(magnitudes, np.inf, where=is_min)
-            second_min = np.minimum.reduceat(magnitudes, starts)
+            second_min = np.minimum.reduceat(magnitudes, starts, axis=1)
             min_edge_value = np.where(unique_min, second_min, first_min)
             min_edge_value[np.isinf(min_edge_value)] = 0.0
 
@@ -289,46 +297,44 @@ class BPOSDDecoder(Decoder):
             # is >= +0, so flipping the IEEE sign bit equals the reference's
             # product of +-1 factors: the check's parity is XOR-ed onto the
             # per-check values through a uint64 view, and each edge's own
-            # sign flips its message by negation.
+            # sign flips its message by negation (few edges are negative,
+            # so the masked negation skips most of the array).
             sign_bits = np.left_shift(odd, 63, dtype=np.uint64)
             firsts = scale * first_min
             others = scale * min_edge_value
             for values in (firsts, others):
                 np.bitwise_xor(values.view(np.uint64), sign_bits, out=values.view(np.uint64))
-            np.take(firsts, edge_check, axis=0, out=check_to_mechanism, mode="clip")
-            np.take(others, edge_check, axis=0, out=scratch, mode="clip")
-            np.copyto(check_to_mechanism, scratch, where=is_min)
+            check_to_mechanism = np.repeat(firsts, degrees, axis=1)
+            np.copyto(check_to_mechanism, np.repeat(others, degrees, axis=1), where=is_min)
             np.negative(check_to_mechanism, out=check_to_mechanism, where=negative)
 
             self._sum_messages(check_to_mechanism, scratch, posteriors)
-            np.take(posteriors, self._edge_row, axis=0, out=mechanism_to_check, mode="clip")
+            # Gathers take ``mode="clip"``: the indices are in range by
+            # construction, and the default mode copies through a
+            # temporary whenever ``out`` is given.
+            np.take(posteriors, self._edge_row, axis=1, out=mechanism_to_check, mode="clip")
             mechanism_to_check -= check_to_mechanism
             np.clip(mechanism_to_check, -_LLR_CLIP, _LLR_CLIP, out=mechanism_to_check)
 
             hard = posteriors < 0
-            parities = np.fmod(self._h_rows @ hard.astype(np.float64), 2.0)
-            done = (parities == target).all(axis=0)
+            parities = np.fmod(hard.astype(np.float64) @ self._h_rows_t, 2.0)
+            done = (parities == target).all(axis=1)
             if done.any():
                 finished = live[done]
-                posteriors_out[finished] = posteriors[:, done].T
-                hard_out[finished] = hard[:, done].T
-                converged_out[finished] = True
+                posteriors_out[finished] = posteriors[done]
+                hard_out[finished] = hard[done]
+                converged[finished] = True
                 keep = ~done
                 live = live[keep]
+                target = target[keep]
+                flipped = flipped[keep]
+                mechanism_to_check = mechanism_to_check[keep]
+                posteriors = posteriors[keep]
                 if live.size == 0:
-                    return
-                # ``np.compress`` keeps the arrays C-ordered; a boolean
-                # column index would return them column-major, and every
-                # row gather after that would stride.
-                target = np.compress(keep, target, axis=1)
-                flipped = np.compress(keep, flipped, axis=1)
-                mechanism_to_check = np.compress(keep, mechanism_to_check, axis=1)
-                posteriors = np.compress(keep, posteriors, axis=1)
-                scratch, check_to_mechanism, negative, is_min = _edge_buffers(
-                    live.size, self._num_edges
-                )
-        posteriors_out[live] = posteriors.T
-        hard_out[live] = posteriors.T < 0
+                    break
+        posteriors_out[live] = posteriors
+        hard_out[live] = posteriors < 0
+        return posteriors_out[:, self._rank], hard_out[:, self._rank], converged
 
     def _sum_messages(
         self, messages: np.ndarray, scratch: np.ndarray, posteriors: np.ndarray
@@ -336,33 +342,33 @@ class BPOSDDecoder(Decoder):
         """``posteriors = prior + per-mechanism message sums``, in place.
 
         The sums reproduce ``np.add.reduceat`` bit for bit: each degree
-        class adds whole rows as ``x0 + ((x1 + x2) + ...)``, and the rows
-        past the classes reduce with reduceat itself.  Rows below
-        ``_first_message_row`` keep their prior.
+        class adds whole ``(shots, mechanisms)`` views as
+        ``x0 + ((x1 + x2) + ...)``, and the columns past the classes reduce
+        with reduceat itself.  Columns below ``_first_message_row`` keep
+        their prior.
         """
-        gathered = np.take(messages, self._sum_perm, axis=0, out=scratch, mode="clip")
+        gathered = np.take(messages, self._sum_perm, axis=1, out=scratch, mode="clip")
         offset = 0
         for row, stop, degree in self._degree_classes:
-            block = gathered[offset : offset + degree * (stop - row)].reshape(
-                degree, stop - row, -1
-            )
-            offset += block.shape[0] * block.shape[1]
-            out = posteriors[row:stop]
+            width = degree * (stop - row)
+            block = gathered[:, offset : offset + width].reshape(-1, degree, stop - row)
+            offset += width
+            out = posteriors[:, row:stop]
             if degree == 1:
-                out[...] = block[0]
+                out[...] = block[:, 0]
             elif degree == 2:
-                np.add(block[0], block[1], out=out)
+                np.add(block[:, 0], block[:, 1], out=out)
             else:
-                rest = block[1] + block[2]
-                for term in block[3:]:
-                    rest += term
-                np.add(block[0], rest, out=out)
+                rest = block[:, 1] + block[:, 2]
+                for term in range(3, degree):
+                    rest += block[:, term]
+                np.add(block[:, 0], rest, out=out)
         if self._tail_starts.size:
-            posteriors[self._reduceat_row :] = np.add.reduceat(
-                gathered[offset:], self._tail_starts, axis=0
+            posteriors[:, self._reduceat_row :] = np.add.reduceat(
+                gathered[:, offset:], self._tail_starts, axis=1
             )
-        rows = posteriors[self._first_message_row :]
-        rows += self._row_priors[self._first_message_row :, np.newaxis]
+        columns = posteriors[:, self._first_message_row :]
+        columns += self._row_priors[self._first_message_row :]
 
     # ------------------------------------------------------------------
     # Ordered statistics decoding (order 0)

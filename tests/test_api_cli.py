@@ -375,6 +375,20 @@ class TestAdaptiveRunAndCache:
         assert main(self.RUN + ["--cache-dir", str(cache), "--no-cache"]) == 0
         assert not cache.exists()
 
+    def test_run_and_sweep_print_one_adaptive_line(self, tmp_path, capsys):
+        """`run` and each `sweep` point print the adaptive fields through
+        one formatter: the same spec, uncached, gives the same line."""
+        assert main(self.RUN + ["--no-cache"]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        sweep = ["sweep", *self.RUN[1:], "--no-cache", "--out", str(tmp_path / "s.jsonl")]
+        assert main(sweep) == 0
+        sweep_lines = capsys.readouterr().out.splitlines()
+        (run_line,) = [line for line in run_lines if line.startswith("  adaptive: ")]
+        (sweep_line,) = [line for line in sweep_lines if line.startswith("  adaptive: ")]
+        assert sweep_line == run_line
+        for field in ("target_rse=", "converged=", "shots[", "cache_hits=", "fresh_chunks="):
+            assert field in run_line
+
     def test_sweep_resumes_points_from_cache(self, tmp_path, capsys):
         """Acceptance: after deleting the JSONL, a rerun re-derives every
         point purely from cached chunks — zero new sampling."""

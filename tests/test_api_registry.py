@@ -235,6 +235,16 @@ class TestSpecArgumentErrors:
             schedulers.build("alphasyndrome:iterations_per_step=2")
         assert "accepted: seed, rollout_batch, compile_decoder" in str(raised.value)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "true", "abc"])
+    def test_alphasyndrome_rejects_a_rollout_batch_below_one(self, value):
+        # A batch below 1, or not an integer, is refused before the search
+        # starts instead of running as a batch of 1.
+        with pytest.raises(ValueError) as raised:
+            schedulers.build(f"alphasyndrome:rollout_batch={value}", code=codes.build("steane"))
+        message = str(raised.value)
+        assert "rollout_batch must be an integer >= 1, got " in message
+        assert "\n" not in message
+
     def test_decoder_builders_list_their_keywords(self):
         syntax = {name: decoders.entry(name).spec_syntax for name in decoders.available()}
         assert syntax == {

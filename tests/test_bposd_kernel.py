@@ -1,8 +1,9 @@
 """The tiled, compacting BP+OSD kernel against the whole-block reference.
 
-:class:`repro.decoders.bposd.BPOSDDecoder` runs BP in tiles of ``_TILE``
-unique syndromes, drops each column from the message arrays the iteration
-it converges, and runs OSD-0 on rows packed into Python integers.  The
+:class:`repro.decoders.bposd.BPOSDDecoder` runs BP in shot-major tiles
+whose width it sizes to the DEM's edge count, drops each shot from the
+message arrays the iteration it converges, and runs OSD-0 on each tile's
+remaining shots, on rows packed into Python integers.  The
 oracle in ``tests/oracles/bposd_reference.py`` is the original decoder:
 BP over the whole block with per-edge gathers, and OSD-0 on a dense
 ``uint8`` matrix.  The two must agree *exactly*: posteriors equal under
@@ -11,7 +12,7 @@ predictions, on the paper's memory DEMs, on a hand-built DEM with an
 untouched detector, a detector-free mechanism and a 10-detector
 mechanism, on a hand-built DEM with hyperedges at numpy's pairwise-sum
 switches (8, 9, 16, 17 and 130 detectors), and on block sizes that
-cross the tile boundary.
+cross each DEM's own tile boundary.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from oracles.bposd_reference import ReferenceBPOSDDecoder
 from repro.api import codes
 from repro.api.registries import decoders
 from repro.circuits import build_memory_experiment
-from repro.decoders.bposd import _TILE, BPOSDDecoder
+from repro.decoders.bposd import BPOSDDecoder, _tile_width
 from repro.noise import brisbane_noise
 from repro.scheduling import lowest_depth_schedule
 from repro.sim import build_detector_error_model, sample_detector_error_model
 from repro.sim.dem import DetectorErrorModel, ErrorMechanism
 
-_BLOCK_SIZES = (1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1)
 _ITERATIONS = (0, 1, 2, 30)
 
 
@@ -116,6 +116,12 @@ def _dem(name: str) -> DetectorErrorModel:
     return _DEM_CACHE[name]
 
 
+def _block_sizes(dem: DetectorErrorModel) -> tuple[int, ...]:
+    """1, w-1, w, w+1 and 2w+1 rows for the DEM's own tile width ``w``."""
+    width = BPOSDDecoder(dem)._tile
+    return (1, width - 1, width, width + 1, 2 * width + 1)
+
+
 def _distinct_syndromes(dem: DetectorErrorModel, rows: int, seed: int) -> np.ndarray:
     """``rows`` distinct syndromes (fewer if the detector space is smaller).
 
@@ -156,12 +162,13 @@ def _assert_bp_matches(dem, syndromes, max_iterations):
 )
 @given(
     name=st.sampled_from(sorted(_DEMS)),
-    rows=st.sampled_from(_BLOCK_SIZES),
+    size=st.integers(0, 4),
     max_iterations=st.sampled_from(_ITERATIONS),
     seed=st.integers(0, 2**16),
 )
-def test_bp_and_predictions_match_reference(name, rows, max_iterations, seed):
+def test_bp_and_predictions_match_reference(name, size, max_iterations, seed):
     dem = _dem(name)
+    rows = _block_sizes(dem)[size]
     _assert_bp_matches(dem, _distinct_syndromes(dem, rows, seed), max_iterations)
 
 
@@ -169,13 +176,43 @@ def test_bp_and_predictions_match_reference(name, rows, max_iterations, seed):
 def test_tile_crossing_block_matches_reference(name):
     """Every DEM at the default budget on a block that spans three tiles."""
     dem = _dem(name)
-    _assert_bp_matches(dem, _distinct_syndromes(dem, 2 * _TILE + 1, seed=7), 30)
+    _assert_bp_matches(dem, _distinct_syndromes(dem, _block_sizes(dem)[-1], seed=7), 30)
 
 
 @pytest.mark.parametrize("max_iterations", _ITERATIONS)
 def test_bb18_iteration_budgets_match_reference(max_iterations):
     dem = _dem("bb_18")
-    _assert_bp_matches(dem, _distinct_syndromes(dem, _TILE + 1, seed=3), max_iterations)
+    _assert_bp_matches(dem, _distinct_syndromes(dem, _block_sizes(dem)[3], seed=3), max_iterations)
+
+
+def test_osd_shots_in_two_tiles_match_reference():
+    """OSD-0 runs per tile: a block one and a half tiles long, with shots
+    that BP leaves to OSD-0 on both sides of the tile boundary, decodes
+    as the whole-block oracle does."""
+    dem = _dem("bb_18")
+    kernel = BPOSDDecoder(dem)
+    width = kernel._tile
+    syndromes = _distinct_syndromes(dem, width + width // 2, seed=5)
+    _, _, converged = kernel._run_bp(syndromes)
+    assert converged.any()
+    assert not converged[:width].all() and not converged[width:].all()
+    oracle = ReferenceBPOSDDecoder(dem)
+    assert np.array_equal(kernel._decode_unique(syndromes), oracle._decode_unique(syndromes))
+
+
+def test_tile_width_follows_the_cache_budget():
+    """The tile is the largest power of two in [8, 256] whose float64
+    ``(tile, edges)`` array fits in 1 MiB: 32 shots on ``bb_18``, 128 on
+    surface d=3 with three rounds and 8 on ``bb_72_12_6``."""
+    budget = 1 << 20
+    for edges in (0, 1, 512, 854, 893, 2562, 2586, 4096, 4097, 14270, 15068, 10**6):
+        width = _tile_width(edges)
+        assert width & (width - 1) == 0 and 8 <= width <= 256
+        assert width == 8 or width * edges * 8 <= budget
+        assert width == 256 or 2 * width * edges * 8 > budget
+    assert BPOSDDecoder(_dem("bb_18"))._tile == 32
+    assert BPOSDDecoder(_dem("surface_d3_r3"))._tile == 128
+    assert BPOSDDecoder(_memory_dem("bb_72_12_6"))._tile == 8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
